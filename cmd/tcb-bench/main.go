@@ -9,39 +9,16 @@
 // 13–14 run the real Go engine and dominate the runtime.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run (the usual
-// `go tool pprof` inputs); -fusedecode=false forces real-engine decode
-// experiments onto the per-row cached decoder for A/B against the fused
-// batch-wide path; -pipeline=false does the same for the three-stage serve
-// pipeline in ext-pipeline.
+// `go tool pprof` inputs). -kernel selects the GEMM kernel for every
+// real-engine experiment: wide (default) or scalar float32, or int8, which
+// routes projections through the per-channel quantized GEMM. ext-quantized
+// ignores it — it always measures float32 vs int8 paired.
 //
-// When ext-pipeline runs under -json its figure (throughputs, speedup,
-// stage-utilization notes) is also written to BENCH_pipeline.json for CI
-// consumption, and -pipeline-gate fails the run if the measured pipelined
-// speedup drops below the gate on a multi-core machine (on GOMAXPROCS=1
-// there is nothing to overlap onto, so the gate is skipped with a warning).
-//
-// ext-refill gets the same treatment: under -json its figure lands in
-// BENCH_refill.json, -refill=false forces the A/B onto the no-refill
-// escape hatch, and -refill-gate fails the run if the sweep's best
-// refill/no-refill speedup drops below the gate. Unlike the pipeline gate
-// this one is NOT skipped on single-core runners — refill's win is
-// utilization (fewer total decode steps), not parallelism, so it must hold
-// on one core too.
-//
-// ext-prefix likewise: under -json its figure lands in BENCH_prefix.json,
-// -prefix=false forces the A/B onto the no-cache escape hatch, and
-// -prefix-gate fails the run unless the cached server holds the gate at 0%
-// reuse (an idle cache must not slow bystanders) and 1.2× the gate at the
-// top reuse fraction (a busy cache must win). Enforced single-core too:
-// the win is skipped encode work, not parallelism.
-//
-// -kernel selects the float32 GEMM kernel (wide default, scalar reference;
-// int8 selects wide and implies -quantize), and -quantize routes every
-// real-engine experiment's projections through the int8 per-channel
-// quantized GEMM. ext-quantized ignores both — it always measures float32
-// vs int8 paired — writes BENCH_quantized.json under -json, and
-// -quantized-gate fails the run if its best int8/float32 speedup drops
-// below the gate (also enforced single-core: the int8 win is per-core).
+// The A/B experiments (ext-pipeline, ext-refill, ext-prefix, ext-cluster,
+// ext-quantized, ext-fairness) are CI gates: under -json each also writes
+// its figure to BENCH_<name>.json, and -gate g fails the run when the
+// experiment misses its threshold at g — see the gates table below for what
+// each one compares.
 package main
 
 import (
@@ -74,18 +51,8 @@ func run() error {
 	csvDir := flag.String("csv", "", "also write each figure as <dir>/<id>.csv")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	fuseDecode := flag.Bool("fusedecode", true, "decode through the fused batch-wide path (false = per-row escape hatch)")
-	pipeline := flag.Bool("pipeline", true, "serve ext-pipeline through the three-stage pipeline (false = serial escape hatch)")
-	pipelineGate := flag.Float64("pipeline-gate", 0, "fail if ext-pipeline's minimum speedup is below this (0 = off; skipped on a single-core runner)")
-	refill := flag.Bool("refill", true, "refill freed batch slots mid-flight in ext-refill (false = batch-at-a-time escape hatch)")
-	refillGate := flag.Float64("refill-gate", 0, "fail if ext-refill's best speedup across the sweep is below this (0 = off)")
-	prefix := flag.Bool("prefix", true, "serve ext-prefix through the prefix-sharing KV cache (false = no-cache escape hatch)")
-	prefixGate := flag.Float64("prefix-gate", 0, "fail if ext-prefix's speedup is below this at 0% reuse or below 1.2× this at the top reuse fraction (0 = off)")
-	clusterGate := flag.Float64("cluster-gate", 0, "fail if ext-cluster's 2-replica speedup over a single replica is below this (0 = off)")
-	kernel := flag.String("kernel", "wide", "float32 GEMM kernel: scalar, wide, or int8 (wide float32 + quantized projections)")
-	quantize := flag.Bool("quantize", false, "route real-engine experiments' projections through the int8 quantized GEMM")
-	quantizedGate := flag.Float64("quantized-gate", 0, "fail if ext-quantized's best int8/float32 speedup across the sweep is below this (0 = off)")
-	fairnessGate := flag.Float64("fairness-gate", 0, "fail if ext-fairness's flooded well-behaved goodput ratio or Jain index is below this (0 = off)")
+	kernel := flag.String("kernel", "wide", "GEMM kernel: scalar, wide, or int8 (wide float32 + quantized projections)")
+	gate := flag.Float64("gate", 0, "fail if an A/B experiment (ext-pipeline, -refill, -prefix, -cluster, -quantized, -fairness) misses this threshold (0 = off)")
 	flag.Parse()
 
 	k, err := tensor.ParseKernel(*kernel)
@@ -93,9 +60,6 @@ func run() error {
 		return err
 	}
 	tensor.SetKernel(k)
-	if *kernel == "int8" {
-		*quantize = true
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -125,11 +89,7 @@ func run() error {
 
 	opt := experiments.Options{
 		Duration: *duration, Seed: *seed, Seeds: *seeds,
-		DisableFusedDecode: !*fuseDecode,
-		DisablePipeline:    !*pipeline,
-		DisableRefill:      !*refill,
-		DisablePrefix:      !*prefix,
-		Quantize:           *quantize,
+		Quantize: *kernel == "int8",
 	}
 	if *list {
 		for _, r := range experiments.All(opt) {
@@ -161,63 +121,13 @@ func run() error {
 		} else if err := fig.Render(os.Stdout); err != nil {
 			return err
 		}
-		if r.ID == "ext-pipeline" {
+		if g, gated := gates[r.ID]; gated {
 			if *jsonOut {
-				if err := writeJSONFile("BENCH_pipeline.json", fig); err != nil {
+				if err := writeJSONFile(g.file, fig); err != nil {
 					return err
 				}
 			}
-			if err := checkPipelineGate(fig, *pipelineGate, !*pipeline); err != nil {
-				return err
-			}
-		}
-		if r.ID == "ext-refill" {
-			if *jsonOut {
-				if err := writeJSONFile("BENCH_refill.json", fig); err != nil {
-					return err
-				}
-			}
-			if err := checkRefillGate(fig, *refillGate, !*refill); err != nil {
-				return err
-			}
-		}
-		if r.ID == "ext-prefix" {
-			if *jsonOut {
-				if err := writeJSONFile("BENCH_prefix.json", fig); err != nil {
-					return err
-				}
-			}
-			if err := checkPrefixGate(fig, *prefixGate, !*prefix); err != nil {
-				return err
-			}
-		}
-		if r.ID == "ext-cluster" {
-			if *jsonOut {
-				if err := writeJSONFile("BENCH_cluster.json", fig); err != nil {
-					return err
-				}
-			}
-			if err := checkClusterGate(fig, *clusterGate); err != nil {
-				return err
-			}
-		}
-		if r.ID == "ext-quantized" {
-			if *jsonOut {
-				if err := writeJSONFile("BENCH_quantized.json", fig); err != nil {
-					return err
-				}
-			}
-			if err := checkQuantizedGate(fig, *quantizedGate); err != nil {
-				return err
-			}
-		}
-		if r.ID == "ext-fairness" {
-			if *jsonOut {
-				if err := writeJSONFile("BENCH_fairness.json", fig); err != nil {
-					return err
-				}
-			}
-			if err := checkFairnessGate(fig, *fairnessGate); err != nil {
+			if err := g.check(r.ID, fig, *gate); err != nil {
 				return err
 			}
 		}
@@ -249,213 +159,91 @@ func writeJSONFile(name string, fig *experiments.Figure) error {
 	return f.Close()
 }
 
-// checkPipelineGate enforces -pipeline-gate against ext-pipeline's speedup
-// series: the A/B smoke CI runs to catch a pipeline that slows serving
-// down. The gate needs a second core to be meaningful — with GOMAXPROCS=1
-// the three stages time-slice one core and the expected speedup is 1×.
-func checkPipelineGate(fig *experiments.Figure, gate float64, disabled bool) error {
-	if gate <= 0 {
-		return nil
-	}
-	if disabled {
-		fmt.Fprintln(os.Stderr, "tcb-bench: -pipeline-gate skipped: pipeline disabled (-pipeline=false)")
-		return nil
-	}
-	if runtime.GOMAXPROCS(0) < 2 {
-		fmt.Fprintln(os.Stderr, "tcb-bench: -pipeline-gate skipped: single-core runner has no overlap to win")
-		return nil
-	}
-	for i := range fig.X {
-		s, err := fig.Get("speedup", i)
-		if err != nil {
-			return err
-		}
-		if s < gate {
-			return fmt.Errorf("tcb-bench: pipelined/serial speedup %.3f at %s=%g below gate %.3f",
-				s, fig.XLabel, fig.X[i], gate)
-		}
-	}
-	return nil
+// gateSpec says how -gate judges one A/B experiment: every check must hold.
+type gateSpec struct {
+	file string // written under -json for CI pickup
+	// multiCore skips the gate on a GOMAXPROCS=1 runner: the win is overlap,
+	// and one core has nothing to overlap onto. Everything else is gated on
+	// one core too — its win is less work, not parallelism.
+	multiCore bool
+	checks    []gateCheck
 }
 
-// checkRefillGate enforces -refill-gate against ext-refill's speedup
-// series: the CI A/B gate that continuous batching must not slow serving
-// down. The gate compares the sweep's best point — a real refill regression
-// drags every batch size down together, while a single point grazing the
-// line is shared-runner noise, not a regression. No single-core skip —
-// refill's win is finishing the same token work in fewer decode steps,
-// which holds regardless of core count.
-func checkRefillGate(fig *experiments.Figure, gate float64, disabled bool) error {
-	if gate <= 0 {
-		return nil
-	}
-	if disabled {
-		fmt.Fprintln(os.Stderr, "tcb-bench: -refill-gate skipped: refill disabled (-refill=false)")
-		return nil
-	}
-	best, bestX := 0.0, 0.0
-	for i := range fig.X {
-		s, err := fig.Get("speedup", i)
-		if err != nil {
-			return err
-		}
-		if s > best {
-			best, bestX = s, fig.X[i]
-		}
-	}
-	if best < gate {
-		return fmt.Errorf("tcb-bench: best refill/no-refill speedup %.3f (at %s=%g) below gate %.3f",
-			best, fig.XLabel, bestX, gate)
-	}
-	fmt.Fprintf(os.Stderr, "tcb-bench: refill gate ok: best speedup %.3f at %s=%g (gate %.3f)\n",
-		best, fig.XLabel, bestX, gate)
-	return nil
+// gateCheck requires series to reach factor × gate at the point(s) at
+// selects: "min" every point, "best" the sweep's best point (a real
+// regression drags every point down together; one point grazing the line on
+// a shared runner is noise), "first" / "last" the smallest / largest x.
+type gateCheck struct {
+	series string
+	at     string
+	factor float64
 }
 
-// checkPrefixGate enforces -prefix-gate against ext-prefix's speedup
-// series at its two ends. At 0% reuse nothing is ever resident, so the
-// cached server must serve at least `gate` × the uncached one — an idle
-// cache that slows bystander traffic is a regression. At the sweep's top
-// reuse fraction the cache must deliver a real win: at least 1.2 × gate.
-// Like the refill gate this is enforced on single-core runners too — the
-// win is skipped encode work, not parallelism.
-func checkPrefixGate(fig *experiments.Figure, gate float64, disabled bool) error {
+var gates = map[string]gateSpec{
+	// Pipelined serving must not be slower than serial at any batch size.
+	"ext-pipeline": {"BENCH_pipeline.json", true, []gateCheck{{"speedup", "min", 1}}},
+	// Refill's win is fewer total decode steps.
+	"ext-refill": {"BENCH_refill.json", false, []gateCheck{{"speedup", "best", 1}}},
+	// The int8 win is per-core: less weight traffic per multiply-add.
+	"ext-quantized": {"BENCH_quantized.json", false, []gateCheck{{"speedup", "best", 1}}},
+	// At 0% reuse nothing is ever resident and both sides do identical work,
+	// so the best of the three pairs must sit within 5% runner noise of the
+	// gate (an idle cache that slows bystanders shifts every pair); at the
+	// top reuse fraction the cache must deliver a real win.
+	"ext-prefix": {"BENCH_prefix.json", false, []gateCheck{{"speedup-best", "first", 0.95}, {"speedup", "last", 1.2}}},
+	// Simulated, so no noise and no skip: more replicas (N=3 loses one for
+	// half the run) never serve less than a single replica.
+	"ext-cluster": {"BENCH_cluster.json", false, []gateCheck{{"speedup", "min", 1}}},
+	// Simulated. The last scenario is the flood with fairness on: the
+	// well-behaved tenants keep the gate fraction of their no-flood goodput
+	// and split it with a Jain index at or above the gate.
+	"ext-fairness": {"BENCH_fairness.json", false, []gateCheck{{"ratio", "last", 1}, {"jain-good", "last", 1}}},
+}
+
+// check enforces -gate against one gated experiment's figure.
+func (g gateSpec) check(id string, fig *experiments.Figure, gate float64) error {
 	if gate <= 0 {
 		return nil
 	}
-	if disabled {
-		fmt.Fprintln(os.Stderr, "tcb-bench: -prefix-gate skipped: prefix cache disabled (-prefix=false)")
+	if g.multiCore && runtime.GOMAXPROCS(0) < 2 {
+		fmt.Fprintf(os.Stderr, "tcb-bench: -gate skipped for %s: single-core runner has no overlap to win\n", id)
 		return nil
 	}
 	if len(fig.X) == 0 {
-		return fmt.Errorf("tcb-bench: ext-prefix produced no points to gate")
+		return fmt.Errorf("tcb-bench: %s produced no points to gate", id)
 	}
-	topIdx := 0
-	for i := range fig.X {
-		if fig.X[i] > fig.X[topIdx] {
-			topIdx = i
+	for _, c := range g.checks {
+		// Figures list their points in sweep order, so the ends are the
+		// smallest and largest x.
+		lo, hi := 0, len(fig.X)
+		switch c.at {
+		case "first":
+			hi = 1
+		case "last":
+			lo = hi - 1
 		}
-	}
-	for i := range fig.X {
-		if fig.X[i] == 0 {
-			// At 0% reuse both sides do identical work, so a single pair's
-			// ratio is pure runner noise around 1; the best pair isolates a
-			// real bystander regression (which drags every pair down).
-			s, err := fig.Get("speedup-best", i)
+		// worst is the value that must clear the bar: the weakest of the
+		// selected points, or the strongest when only the best point counts.
+		worst, at := 0.0, lo
+		for i := lo; i < hi; i++ {
+			v, err := fig.Get(c.series, i)
 			if err != nil {
 				return err
 			}
-			// 5% floor: the two sides are statistically identical here, so
-			// even the best of three pairs sits within runner noise of 1.
-			// A real bystander cost shifts every pair's mean and still trips.
-			if s < 0.95*gate {
-				return fmt.Errorf("tcb-bench: prefix-cache best speedup %.3f at 0%% reuse below gate %.3f (idle cache slows serving)", s, 0.95*gate)
+			replaces := v < worst
+			if c.at == "best" {
+				replaces = v > worst
+			}
+			if i == lo || replaces {
+				worst, at = v, i
 			}
 		}
-		if i == topIdx {
-			s, err := fig.Get("speedup", i)
-			if err != nil {
-				return err
-			}
-			if s < 1.2*gate {
-				return fmt.Errorf("tcb-bench: prefix-cache speedup %.3f at reuse=%g below gate %.3f (cache is not winning)",
-					s, fig.X[i], 1.2*gate)
-			}
+		if bar := c.factor * gate; worst < bar {
+			return fmt.Errorf("tcb-bench: %s %s %.3f at %s=%g below gate %.3f (%s point)",
+				id, c.series, worst, fig.XLabel, fig.X[at], bar, c.at)
 		}
+		fmt.Fprintf(os.Stderr, "tcb-bench: %s gate ok: %s %.3f at %s=%g (%s point, gate %.3f)\n",
+			id, c.series, worst, fig.XLabel, fig.X[at], c.at, c.factor*gate)
 	}
-	top, _ := fig.Get("speedup", topIdx)
-	fmt.Fprintf(os.Stderr, "tcb-bench: prefix gate ok: top-reuse speedup %.3f at reuse=%g (gate %.3f / %.3f)\n",
-		top, fig.X[topIdx], gate, 1.2*gate)
-	return nil
-}
-
-// checkClusterGate enforces -cluster-gate against ext-cluster's speedup
-// series at the N=2 point: a two-replica cluster behind least-loaded
-// routing must never serve less than a single replica at a saturating
-// rate. The figure is simulated (no wall-clock noise, no core-count
-// dependence), so there is no skip condition — a miss is a real routing
-// or failover regression.
-func checkClusterGate(fig *experiments.Figure, gate float64) error {
-	if gate <= 0 {
-		return nil
-	}
-	for i := range fig.X {
-		if fig.X[i] != 2 {
-			continue
-		}
-		s, err := fig.Get("speedup", i)
-		if err != nil {
-			return err
-		}
-		if s < gate {
-			return fmt.Errorf("tcb-bench: 2-replica cluster speedup %.3f below gate %.3f", s, gate)
-		}
-		fmt.Fprintf(os.Stderr, "tcb-bench: cluster gate ok: 2-replica speedup %.3f (gate %.3f)\n", s, gate)
-		return nil
-	}
-	return fmt.Errorf("tcb-bench: ext-cluster has no replicas=2 point to gate")
-}
-
-// checkFairnessGate enforces -fairness-gate against ext-fairness's flooded
-// fair scenario (x=2): the well-behaved tenants must keep at least the gate
-// fraction of their no-flood goodput, and split it with a Jain index at or
-// above the gate. The figure is simulated (deterministic, no wall-clock
-// noise), so a miss is a real isolation regression, never runner jitter.
-func checkFairnessGate(fig *experiments.Figure, gate float64) error {
-	if gate <= 0 {
-		return nil
-	}
-	for i := range fig.X {
-		if fig.X[i] != 2 {
-			continue
-		}
-		ratio, err := fig.Get("ratio", i)
-		if err != nil {
-			return err
-		}
-		jain, err := fig.Get("jain-good", i)
-		if err != nil {
-			return err
-		}
-		if ratio < gate {
-			return fmt.Errorf("tcb-bench: flooded well-behaved goodput ratio %.3f below gate %.3f", ratio, gate)
-		}
-		if jain < gate {
-			return fmt.Errorf("tcb-bench: flooded well-behaved Jain index %.3f below gate %.3f", jain, gate)
-		}
-		fmt.Fprintf(os.Stderr, "tcb-bench: fairness gate ok: ratio %.3f, jain %.3f (gate %.3f)\n",
-			ratio, jain, gate)
-		return nil
-	}
-	return fmt.Errorf("tcb-bench: ext-fairness has no flooded fair scenario to gate")
-}
-
-// checkQuantizedGate enforces -quantized-gate against ext-quantized's
-// speedup series: the CI A/B gate that the int8 path must not serve slower
-// than the float32 kernels. Like the refill gate it compares the sweep's
-// best point — a real quantized-GEMM regression drags every batch size down
-// together, while one point grazing the line on a shared runner is noise.
-// No single-core skip: the int8 win is per-core (less weight traffic per
-// multiply-add), not parallelism.
-func checkQuantizedGate(fig *experiments.Figure, gate float64) error {
-	if gate <= 0 {
-		return nil
-	}
-	best, bestX := 0.0, 0.0
-	for i := range fig.X {
-		s, err := fig.Get("speedup", i)
-		if err != nil {
-			return err
-		}
-		if s > best {
-			best, bestX = s, fig.X[i]
-		}
-	}
-	if best < gate {
-		return fmt.Errorf("tcb-bench: best int8/float32 speedup %.3f (at %s=%g) below gate %.3f",
-			best, fig.XLabel, bestX, gate)
-	}
-	fmt.Fprintf(os.Stderr, "tcb-bench: quantized gate ok: best speedup %.3f at %s=%g (gate %.3f)\n",
-		best, fig.XLabel, bestX, gate)
 	return nil
 }

@@ -11,8 +11,8 @@
 //	tcb-serve -http :8080 ...                 # expose the server over HTTP
 //	tcb-serve -refill ...                     # continuous batching (mid-flight refill)
 //	tcb-serve -replicas 3 -route least ...    # multi-replica cluster with failover
-//	tcb-serve -quantize ...                   # int8 per-channel quantized projections
-//	tcb-serve -kernel scalar ...              # float32 GEMM kernel escape hatch
+//	tcb-serve -kernel int8 ...                # int8 per-channel quantized projections
+//	tcb-serve -kernel scalar ...              # float32 reference GEMM kernel
 //	tcb-serve -fair -tenants "free:1,premium:4" ...  # weighted fair queueing
 //
 // Multi-tenant fairness: -fair turns on the WFQ candidate window and
@@ -91,8 +91,7 @@ func main() {
 	chaosTarget := flag.Int("chaos-target", -1, "replica index the -chaos spec applies to (-1 = every replica; cluster mode only)")
 	stallTimeout := flag.Duration("stall-timeout", time.Second, "cluster watchdog: respawn a replica with pending work but no progress for this long")
 	respawnDeadline := flag.Duration("respawn-deadline", 2*time.Second, "bound on a wedged replica's drain before it is torn down")
-	kernelName := flag.String("kernel", "wide", "float32 GEMM kernel: scalar, wide, or int8 (wide float32 + quantized projections)")
-	quantize := flag.Bool("quantize", false, "serve through int8 per-channel quantized projections (bounded-error, opt-in)")
+	kernelName := flag.String("kernel", "wide", "GEMM kernel: scalar, wide, or int8 (wide float32 + bounded-error int8 per-channel quantized projections)")
 	fairOn := flag.Bool("fair", false, "weighted fair queueing across tenants (off = original single global pool)")
 	tenantsSpec := flag.String("tenants", "", "tenant provisioning name[:weight[:rate[:burst]]],...; the demo stream round-robins over them")
 	classesSpec := flag.String("slo-classes", "", "SLO class overrides name:weight:deadline,... (default interactive/standard/batch tiers)")
@@ -109,9 +108,6 @@ func main() {
 		fail(err)
 	}
 	tensor.SetKernel(kernel)
-	if *kernelName == "int8" {
-		*quantize = true
-	}
 
 	var scheduler sched.Scheduler
 	switch *schedName {
@@ -217,10 +213,11 @@ func main() {
 	// calls it once per replica generation.
 	newServer := func(withChaos bool) (*serve.Server, *serve.ChaosRunner, error) {
 		eng := engine.New(model.New(cfg, 42), *maxNew)
-		eng.Quantize = *quantize
+		eng.Quantize = *kernelName == "int8"
 		if *refill {
-			// Mid-flight refill runs on the fused KV-cached decode loop;
-			// outputs are token-identical to the default path (DESIGN.md §11).
+			// Mid-flight admission needs the fused KV-cached decode loop
+			// (without it the server runs batch-at-a-time); outputs are
+			// token-identical to the default path (DESIGN.md §11).
 			eng.UseCache = true
 		}
 		var pc *prefixcache.Cache

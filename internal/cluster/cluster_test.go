@@ -402,7 +402,9 @@ func TestWedgedReplicaDrainRespawnReadmit(t *testing.T) {
 // a typed error, and reports itself unserviceable — nothing hangs.
 func TestAllEjectedDegradesToShedding(t *testing.T) {
 	spawn := func(i int) (*serve.Server, func(), error) {
-		srv, err := testServe(&echoRunner{fail: true}, func(cfg *serve.Config) {
+		// The delay holds each breaker closed until the whole burst is queued;
+		// a first batch that fails instantly refuses the burst instead.
+		srv, err := testServe(&echoRunner{fail: true, delay: 20 * time.Millisecond}, func(cfg *serve.Config) {
 			cfg.BreakerThreshold = 1
 			cfg.BreakerCooldown = time.Hour // latch open
 			cfg.QueueCap = 8                // OpenQueueCap = 1

@@ -45,8 +45,9 @@ type Engine struct {
 	// advance together through single batch-wide GEMMs per layer — the GEMM
 	// shapes of a real B×L launch — instead of B independent per-row decode
 	// streams. Rows still encode in parallel. Outputs are token-identical
-	// to per-row decoding; New enables it by default, and the tcb-bench
-	// -fusedecode=false escape hatch keeps the per-row path for A/B runs.
+	// to per-row decoding; New enables it by default. The fused loop is also
+	// the one that retires segments early and takes mid-flight admissions
+	// (refill.go).
 	FuseDecode bool
 	// BytesPerToken is the simulated activation footprint used for the
 	// memory reports (d_model × 4 bytes × a small constant in a real
@@ -247,33 +248,18 @@ func (p *Prepared) Release() {
 	}
 }
 
-// RunPrepared executes a staged batch. It does not release the memory
-// reservation (Release does) and, with DeferCleaning set, leaves the
+// RunPrepared executes a staged batch to completion: RunPreparedRefill with
+// nobody to deliver early to and nothing to admit. It does not release the
+// memory reservation (Release does) and, with DeferCleaning set, leaves the
 // cleaning simulations to FinishReport.
 func (e *Engine) RunPrepared(p *Prepared) (*Report, error) {
-	start := time.Now()
-	var results []Result
-	var runErr error
-	if e.MaxNew > 0 && e.UseCache && e.FuseDecode {
-		results, runErr = e.runFused(p)
-	} else {
-		results, runErr = e.runPerRow(p)
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	rep := &Report{Elapsed: time.Since(start), Results: results}
-	if !p.DeferCleaning {
-		if err := p.FinishReport(rep); err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
+	return e.RunPreparedRefill(p, nil)
 }
 
 // FinishReport fills rep's memory-cleaning simulations (whole-batch
-// baseline, and the early policy for slotted batches). RunPrepared calls it
-// inline unless DeferCleaning moved it to the pipeline's cleanup stage.
+// baseline, and the early policy for slotted batches). RunPreparedRefill
+// calls it inline unless DeferCleaning moved it to the serve loop's cleanup
+// stage.
 func (p *Prepared) FinishReport(rep *Report) error {
 	e := p.eng
 	if e.MaxNew <= 0 || len(rep.Results) == 0 {
@@ -385,8 +371,10 @@ func (e *Engine) rowCaps(row batch.Row) []int {
 }
 
 // runPerRow executes every staged row end to end in its own goroutine — the
-// batch dimension of a real GPU launch, and the escape-hatch decode path
-// when fused decoding is disabled.
+// batch dimension of a real GPU launch. It is the path for engines that do
+// not decode through the fused cached state: encode-only (MaxNew = 0), the
+// mask-based decoder (UseCache off) and per-row cached decoding (FuseDecode
+// off).
 func (e *Engine) runPerRow(p *Prepared) ([]Result, error) {
 	type rowOut struct {
 		results []Result
@@ -409,35 +397,6 @@ func (e *Engine) runPerRow(p *Prepared) ([]Result, error) {
 			return nil, o.err
 		}
 		results = append(results, o.results...)
-	}
-	return results, nil
-}
-
-// runFused executes the batch with a batch-wide fused decode: rows encode in
-// parallel as before, then every row's segments decode together through one
-// BatchDecodeState — one GEMM per layer per step across all rows instead of
-// one small-GEMM stream per row.
-func (e *Engine) runFused(p *Prepared) ([]Result, error) {
-	if len(p.rows) == 0 {
-		return nil, nil
-	}
-	// encodeRows (refill.go) uses a fresh workspace per row goroutine:
-	// prepare-stage staging never aliases compute-stage buffers, so a
-	// pipelined prepare for batch t+1 cannot stomp batch t's encode.
-	decRows := e.encodeRows(p)
-
-	gen, err := e.Model.GenerateBatchCached(decRows, p.caps)
-	if err != nil {
-		return nil, err
-	}
-	for ri := range p.rows {
-		e.freezeRowPrefixes(p, ri, decRows[ri].EncOut)
-	}
-	var results []Result
-	for ri, row := range p.rows {
-		for i, it := range row.Items {
-			results = append(results, Result{ID: it.ID, Output: gen[ri][i].Tokens, Steps: gen[ri][i].Steps})
-		}
 	}
 	return results, nil
 }

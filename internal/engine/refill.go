@@ -1,15 +1,16 @@
-// Continuous batching: the engine-side refill loop. RunPreparedRefill
-// decodes a prepared batch step by step like the fused path, but treats the
-// launch as a persistent execution context: the moment a segment finishes it
-// is delivered through the hook, its KV state removed from the fused decode
+// The engine's fused decode loop. RunPreparedRefill decodes a prepared batch
+// step by step through one BatchDecodeState and treats the launch as a
+// persistent execution context: the moment a segment finishes it is
+// delivered through the hook, its KV state removed from the fused decode
 // state, and its share of the device reservation shrunk (§4.2.2's early
 // memory cleaning, generalized from the post-hoc simulation into the live
 // loop). Between steps the hook is consulted for queued requests that fit
 // the freed token capacity; admitted requests are encoded, inserted into the
 // running state, and decode alongside the survivors. With a hook that never
-// admits anything, the loop performs exactly the removals the fused path's
-// skip-finished gather performs implicitly, so outputs are bitwise identical
-// to RunPrepared.
+// admits anything — what RunPrepared passes — the loop is plain
+// batch-at-a-time decoding: the removals are the ones a skip-finished gather
+// performs implicitly, so outputs are bitwise identical to
+// model.GenerateBatchCached over the same rows (the test oracle).
 package engine
 
 import (
@@ -112,22 +113,27 @@ func (p *Prepared) growReservation(bytes int64) error {
 	return p.eng.Mem.Resize(p.memTag, bytes)
 }
 
-// RunPreparedRefill executes a staged batch with mid-flight slot refill. A
-// nil hook degrades to RunPrepared; the refill loop itself requires the
-// fused cached decoder (the default engine configuration).
+// RunPreparedRefill executes a staged batch as a persistent execution
+// context under hook (nil = deliver nothing early, admit nothing). Retiring
+// and admitting mid-flight needs the fused cached decoder; an engine
+// configured without it runs the batch to completion per row and leaves the
+// hook silent, so its caller delivers everything from the report.
 func (e *Engine) RunPreparedRefill(p *Prepared, hook RefillHook) (*Report, error) {
-	if hook == nil {
-		return e.RunPrepared(p)
-	}
-	if e.MaxNew <= 0 || !e.UseCache || !e.FuseDecode {
-		return nil, fmt.Errorf("engine: refill requires MaxNew > 0, UseCache and FuseDecode")
-	}
 	start := time.Now()
-	results, ref, err := e.runFusedRefill(p, hook)
+	rep := &Report{}
+	var err error
+	if e.MaxNew > 0 && e.UseCache && e.FuseDecode {
+		if hook == nil {
+			hook = noRefill{}
+		}
+		rep.Results, rep.Refill, err = e.runFusedRefill(p, hook)
+	} else {
+		rep.Results, err = e.runPerRow(p)
+	}
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Elapsed: time.Since(start), Results: results, Refill: ref}
+	rep.Elapsed = time.Since(start)
 	if !p.DeferCleaning {
 		if err := p.FinishReport(rep); err != nil {
 			return nil, err
@@ -135,6 +141,13 @@ func (e *Engine) RunPreparedRefill(p *Prepared, hook RefillHook) (*Report, error
 	}
 	return rep, nil
 }
+
+// noRefill is the hook of a launch nobody is listening to.
+type noRefill struct{}
+
+func (noRefill) Retire(Result)           {}
+func (noRefill) Refill(int) []Admission  { return nil }
+func (noRefill) Reject(Admission, error) {}
 
 // liveSeg is the engine-side bookkeeping for one flat segment of a
 // refill-enabled launch; the slice of these stays index-aligned with the
@@ -148,8 +161,9 @@ type liveSeg struct {
 	output []int
 }
 
-// runFusedRefill is runFused with the greedy decode loop opened up for
-// per-step retirement and admission.
+// runFusedRefill encodes the staged rows in parallel, then decodes every
+// row's segments together — one GEMM per layer per step across all rows —
+// retiring finished segments and seating admissions between steps.
 func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *RefillReport, error) {
 	ref := &RefillReport{}
 	if len(p.rows) == 0 {
@@ -204,8 +218,7 @@ func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *Refill
 	}
 
 	for len(segs) > 0 {
-		// Zero-cap segments (OutputCap can floor at 0) retire without a step,
-		// matching the fused path's up-front MarkFinished.
+		// Zero-cap segments (OutputCap can floor at 0) retire without a step.
 		for i := len(segs) - 1; i >= 0; i-- {
 			if segs[i].cap <= 0 {
 				retire(i)
@@ -327,8 +340,10 @@ func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *Refill
 	return results, ref, nil
 }
 
-// encodeRows encodes every staged row in parallel — identical to the fused
-// path's encode fan-out. Encoding uses the encoder-side layout (which splits
+// encodeRows encodes every staged row in parallel, each row goroutine on a
+// fresh workspace: prepare-stage staging never aliases compute-stage buffers,
+// so a pipelined prepare for batch t+1 cannot stomp batch t's encode.
+// Encoding uses the encoder-side layout (which splits
 // declared prefixes into their own attention segments); the decode-side
 // layout and any inherited prefixes ride along on the BatchDecodeRow.
 func (e *Engine) encodeRows(p *Prepared) []model.BatchDecodeRow {

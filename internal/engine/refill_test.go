@@ -39,9 +39,28 @@ func refillEngine(t testing.TB, maxNew int) *Engine {
 	return e
 }
 
-// With a hook that never admits, RunPreparedRefill must reproduce
-// RunPrepared's outputs exactly: retiring a finished segment from the state
-// is bitwise equivalent to the fused path skipping it in place.
+// runFusedOracle is the batch-at-a-time fused decode the engine ran before
+// every launch became a refill loop: encode the rows, hand them whole to
+// model.GenerateBatchCached, which skips finished segments in place instead
+// of removing them. Kept as the reference the live loop is pinned to.
+func runFusedOracle(e *Engine, p *Prepared) ([]Result, error) {
+	gen, err := e.Model.GenerateBatchCached(e.encodeRows(p), p.caps)
+	if err != nil {
+		return nil, err
+	}
+	var results []Result
+	for ri, row := range p.rows {
+		for i, it := range row.Items {
+			results = append(results, Result{ID: it.ID, Output: gen[ri][i].Tokens, Steps: gen[ri][i].Steps})
+		}
+	}
+	return results, nil
+}
+
+// With a hook that never admits — and with no hook at all, which is
+// RunPrepared — the refill loop must reproduce the batch-at-a-time oracle
+// exactly: retiring a finished segment from the state is bitwise equivalent
+// to skipping it in place.
 func TestRefillEmptyQueueMatchesRunPrepared(t *testing.T) {
 	src := rng.New(70)
 	tokens, items := makeRequests(src, 2, 7, 3, 5)
@@ -55,7 +74,11 @@ func TestRefillEmptyQueueMatchesRunPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plain.RunPrepared(p1)
+	want, err := runFusedOracle(plain, p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared, err := plain.RunPrepared(p1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,16 +97,18 @@ func TestRefillEmptyQueueMatchesRunPrepared(t *testing.T) {
 	p2.Release()
 
 	byID := map[int64]Result{}
-	for _, r := range want.Results {
+	for _, r := range want {
 		byID[r.ID] = r
 	}
-	if len(got.Results) != len(want.Results) {
-		t.Fatalf("results: %d vs %d", len(got.Results), len(want.Results))
-	}
-	for _, r := range got.Results {
-		w := byID[r.ID]
-		if !equalInts(r.Output, w.Output) || r.Steps != w.Steps {
-			t.Fatalf("request %d: refill %v/%d vs plain %v/%d", r.ID, r.Output, r.Steps, w.Output, w.Steps)
+	for name, rep := range map[string]*Report{"RunPrepared": prepared, "RunPreparedRefill": got} {
+		if len(rep.Results) != len(want) {
+			t.Fatalf("%s results: %d vs %d", name, len(rep.Results), len(want))
+		}
+		for _, r := range rep.Results {
+			w := byID[r.ID]
+			if !equalInts(r.Output, w.Output) || r.Steps != w.Steps {
+				t.Fatalf("%s request %d: %v/%d vs oracle %v/%d", name, r.ID, r.Output, r.Steps, w.Output, w.Steps)
+			}
 		}
 	}
 	if got.Refill == nil {
@@ -242,22 +267,44 @@ func (h *defiantHook) Refill(int) []Admission {
 
 func (h *defiantHook) Reject(adm Admission, err error) { h.rejected = append(h.rejected, adm) }
 
-// The refill loop requires the fused cached decoder; misconfiguration is an
-// error, and a nil hook degrades to the plain prepared path.
-func TestRefillRequiresFusedCache(t *testing.T) {
+// Retiring and admitting mid-flight needs the fused cached decoder. An engine
+// without it must still run a hooked launch — to completion, per row, hook
+// silent — rather than fail it: the serving layer hooks every launch.
+func TestRefillDegradesWithoutFusedCache(t *testing.T) {
 	src := rng.New(74)
-	tokens, items := makeRequests(src, 3)
+	tokens, items := makeRequests(src, 3, 2)
 	b, _ := batch.PackConcat(items, 1, 5)
-	e := testEngine(t, 3) // UseCache false
-	p, err := e.Prepare(b, tokens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Release()
-	if _, err := e.RunPreparedRefill(p, &scriptHook{}); err == nil {
-		t.Fatal("refill without UseCache must fail")
-	}
-	if _, err := e.RunPreparedRefill(p, nil); err != nil {
-		t.Fatalf("nil hook must degrade to RunPrepared: %v", err)
+	for name, mut := range map[string]func(*Engine){
+		"no-cache": func(e *Engine) {},
+		"per-row":  func(e *Engine) { e.UseCache = true; e.FuseDecode = false },
+	} {
+		e := testEngine(t, 3)
+		mut(e)
+		p, err := e.Prepare(b, tokens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hook := &scriptHook{queue: []Admission{{ID: 99, Tokens: []int{5}}}}
+		rep, err := e.RunPreparedRefill(p, hook)
+		p.Release()
+		if err != nil {
+			t.Fatalf("%s: hooked launch must degrade, got %v", name, err)
+		}
+		if hook.offers != 0 || len(hook.retired) != 0 || rep.Refill != nil {
+			t.Fatalf("%s: hook must stay silent (offers %d, retired %d, refill report %v)",
+				name, hook.offers, len(hook.retired), rep.Refill)
+		}
+		if len(rep.Results) != len(items) {
+			t.Fatalf("%s: %d results for %d items", name, len(rep.Results), len(items))
+		}
+		for _, r := range rep.Results {
+			solo, err := e.RunSingle(r.ID, tokens[r.ID])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalInts(r.Output, solo.Output) {
+				t.Fatalf("%s request %d: %v vs solo %v", name, r.ID, r.Output, solo.Output)
+			}
+		}
 	}
 }

@@ -139,9 +139,8 @@ func (f *fixedSlotDAS) Schedule(now float64, pending []*sched.Request, B, L int)
 // batch sizes, it decodes a slotted batch and reports the byte-step
 // integral under whole-batch cleaning vs early slot cleaning, plus the
 // decode-step overlap window the freed slots open for the next batch.
-// Decoding runs through the cached serving path (fused unless the caller's
-// escape hatch disables it); the figure only depends on finish steps, which
-// are identical across decode paths.
+// Decoding runs through the fused cached serving path; the figure only
+// depends on finish steps, which are identical across decode paths.
 func AblationEarlyCleaning(opt Options) (*Figure, error) {
 	cfg := model.Config{
 		VocabSize: 64, DModel: 32, NumHeads: 4, DFF: 64,
@@ -149,7 +148,6 @@ func AblationEarlyCleaning(opt Options) (*Figure, error) {
 	}
 	eng := engine.New(model.New(cfg, 11), 12)
 	eng.UseCache = true
-	eng.FuseDecode = !opt.DisableFusedDecode
 	// Seq2seq output tracks input length, so requests of different lengths
 	// finish at different decoder steps — the §4.2.2 premise.
 	eng.OutputCap = func(inputLen int) int { return inputLen }

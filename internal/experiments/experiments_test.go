@@ -291,19 +291,6 @@ func TestExtFusedDecode(t *testing.T) {
 			t.Fatalf("speedup %v at B=%v", sp, fig.X[i])
 		}
 	}
-	// Escape hatch: the figure must still validate with fusing disabled.
-	off := fastOpt()
-	off.DisableFusedDecode = true
-	fig, err = ExtFusedDecode(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fig.X {
-		sp, _ := fig.Get("speedup", i)
-		if sp != 1 {
-			t.Fatalf("disabled fusing must report 1x, got %v", sp)
-		}
-	}
 }
 
 func TestAblationPacking(t *testing.T) {
@@ -542,19 +529,6 @@ func TestExtPipeline(t *testing.T) {
 		sp, _ := fig.Get("speedup", i)
 		if sp <= 0 {
 			t.Fatalf("speedup %v at B=%v", sp, fig.X[i])
-		}
-	}
-	// Escape hatch: the figure must still validate with the pipeline off.
-	off := fastOpt()
-	off.DisablePipeline = true
-	fig, err = ExtPipeline(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fig.X {
-		sp, _ := fig.Get("speedup", i)
-		if sp != 1 {
-			t.Fatalf("disabled pipeline must report 1x, got %v", sp)
 		}
 	}
 }

@@ -33,7 +33,7 @@ const (
 // Series: good-resp/s (combined goodput of the well-behaved tenants),
 // ratio (good-resp/s over the baseline scenario), and jain-good (Jain's
 // fairness index over the well-behaved tenants' scheduled counts). The CI
-// gate (tcb-bench -fairness-gate) requires both ratio and jain-good at
+// gate (tcb-bench -gate) requires both ratio and jain-good at
 // scenario 2 to clear the gate value.
 func ExtFairness(opt Options) (*Figure, error) {
 	fig := &Figure{
@@ -45,7 +45,7 @@ func ExtFairness(opt Options) (*Figure, error) {
 		Notes: []string{
 			"scenario 0: no flooder, fair on (baseline); 1: flooder, fair off; 2: flooder, fair on",
 			"ratio normalizes the well-behaved tenants' goodput by scenario 0",
-			"gate: scenario 2 must hold ratio and jain-good at or above -fairness-gate",
+			"gate: scenario 2 must hold ratio and jain-good at or above -gate",
 		},
 	}
 	scenarios := []struct {

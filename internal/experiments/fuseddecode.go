@@ -92,11 +92,6 @@ func ExtFusedDecode(opt Options) (*Figure, error) {
 		}
 		fig.X = append(fig.X, float64(B))
 		fig.AddPoint("per-row", pt)
-		if opt.DisableFusedDecode {
-			fig.AddPoint("fused", pt)
-			fig.AddPoint("speedup", 1)
-			continue
-		}
 		ft, fo, err := timeRun(fused)
 		if err != nil {
 			return nil, err
@@ -114,9 +109,6 @@ func ExtFusedDecode(opt Options) (*Figure, error) {
 		}
 		fig.AddPoint("fused", ft)
 		fig.AddPoint("speedup", pt/ft)
-	}
-	if opt.DisableFusedDecode {
-		fig.Notes = append(fig.Notes, "fused decode disabled (-fusedecode=false); fused series mirrors per-row")
 	}
 	fig.Notes = append(fig.Notes,
 		"same batch content and token-identical outputs on both paths; timing includes encode")

@@ -16,28 +16,10 @@ type Options struct {
 	// curves. 0 and 1 both mean a single seed. Real-engine figures
 	// (13–14) ignore it — their noise is wall-clock, handled by Reps.
 	Seeds int
-	// DisableFusedDecode is the escape hatch behind tcb-bench's
-	// -fusedecode=false: real-engine experiments that decode through the
-	// KV cache fall back to the per-row decoder instead of the batch-wide
-	// fused one. Outputs are token-identical either way; only timing moves.
-	DisableFusedDecode bool
-	// DisablePipeline is the escape hatch behind tcb-bench's
-	// -pipeline=false: ext-pipeline skips the pipelined serving run and
-	// mirrors the serial series instead, for A/B isolation on machines
-	// where the overlap cannot help (e.g. single-core runners).
-	DisablePipeline bool
-	// DisableRefill is the escape hatch behind tcb-bench's -refill=false:
-	// ext-refill skips the continuous-batching runs and mirrors the
-	// no-refill series instead, for A/B isolation.
-	DisableRefill bool
-	// DisablePrefix is the escape hatch behind tcb-bench's -prefix=false:
-	// ext-prefix skips the cached runs and mirrors the no-cache series
-	// instead, for A/B isolation.
-	DisablePrefix bool
 	// Quantize routes every real-engine experiment's projections through
-	// the int8 per-channel quantized GEMM (tcb-bench -quantize, and implied
-	// by -kernel=int8). ext-quantized ignores it: that experiment always
-	// runs both paths to measure the gap.
+	// the int8 per-channel quantized GEMM (tcb-bench -kernel=int8).
+	// ext-quantized ignores it: that experiment always runs both paths to
+	// measure the gap.
 	Quantize bool
 }
 

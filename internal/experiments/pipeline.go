@@ -105,11 +105,6 @@ func ExtPipeline(opt Options) (*Figure, error) {
 		}
 		fig.X = append(fig.X, float64(B))
 		fig.AddPoint("serial", serialTput)
-		if opt.DisablePipeline {
-			fig.AddPoint("pipelined", serialTput)
-			fig.AddPoint("speedup", 1)
-			continue
-		}
 		pipeTput, pipeOuts, st, err := runMode(true)
 		if err != nil {
 			return nil, fmt.Errorf("ext-pipeline: pipelined B=%d: %w", B, err)
@@ -135,9 +130,6 @@ func ExtPipeline(opt Options) (*Figure, error) {
 			float64(st.ScheduleNs)/1e6,
 			float64(st.ComputeNs)/1e6,
 			float64(st.CleanupNs)/1e6))
-	}
-	if opt.DisablePipeline {
-		fig.Notes = append(fig.Notes, "pipeline disabled (-pipeline=false); pipelined series mirrors serial")
 	}
 	fig.Notes = append(fig.Notes,
 		"wall-clock over a pre-queued backlog; per-request outputs verified identical across modes")

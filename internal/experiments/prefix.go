@@ -190,19 +190,6 @@ func ExtPrefix(opt Options) (*Figure, error) {
 			return float64(n) / wall, outs, st, nil
 		}
 
-		if opt.DisablePrefix {
-			baseTput, _, _, err := runMode(false, false, false)
-			if err != nil {
-				return nil, fmt.Errorf("ext-prefix: no-cache reuse=%g: %w", reuse, err)
-			}
-			fig.X = append(fig.X, reuse)
-			fig.AddPoint("no-cache", baseTput)
-			fig.AddPoint("cache", baseTput)
-			fig.AddPoint("speedup", 1)
-			fig.AddPoint("speedup-best", 1)
-			continue
-		}
-
 		// Wall time on a shared core is noisy in bursts longer than one run,
 		// so measure back-to-back (no-cache, cache) pairs — a burst covering
 		// a whole pair cancels out of its ratio — and keep the median pair.
@@ -257,9 +244,6 @@ func ExtPrefix(opt Options) (*Figure, error) {
 			}
 			fig.Notes = append(fig.Notes, "cache+refill+pipeline outputs verified identical at reuse=0.75")
 		}
-	}
-	if opt.DisablePrefix {
-		fig.Notes = append(fig.Notes, "prefix cache disabled (-prefix=false); cache series mirrors no-cache")
 	}
 	fig.Notes = append(fig.Notes,
 		fmt.Sprintf("every request is a %d-token prefix + %d-token suffix; reusing requests share a pool of %d declared prompts;", prefixLen, suffixLen, poolSize),

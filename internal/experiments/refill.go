@@ -153,20 +153,6 @@ func ExtRefill(opt Options) (*Figure, error) {
 			return float64(n) / wall, lat.Percentile(99) * 1e3, outs, st, nil
 		}
 
-		if opt.DisableRefill {
-			baseTput, baseP99, _, _, err := runMode(false, false)
-			if err != nil {
-				return nil, fmt.Errorf("ext-refill: no-refill B=%d: %w", B, err)
-			}
-			fig.X = append(fig.X, float64(B))
-			fig.AddPoint("no-refill", baseTput)
-			fig.AddPoint("p99-no-refill-ms", baseP99)
-			fig.AddPoint("refill", baseTput)
-			fig.AddPoint("p99-refill-ms", baseP99)
-			fig.AddPoint("speedup", 1)
-			continue
-		}
-
 		// Outputs are deterministic per mode, but wall time on a shared core
 		// is not, and interference arrives in bursts longer than one run. So
 		// measure in back-to-back (no-refill, refill) pairs — a burst that
@@ -216,9 +202,6 @@ func ExtRefill(opt Options) (*Figure, error) {
 		fig.Notes = append(fig.Notes, fmt.Sprintf(
 			"B=%d refill: %d admitted mid-flight, %d retired early, occupancy %.0f%%, slot-idle steps %d",
 			B, st.RefillsAdmitted, st.SegmentsRetiredEarly, st.BatchOccupancyPct, st.SlotIdleSteps))
-	}
-	if opt.DisableRefill {
-		fig.Notes = append(fig.Notes, "refill disabled (-refill=false); refill series mirrors no-refill")
 	}
 	fig.Notes = append(fig.Notes,
 		"Poisson arrivals, heavy-tailed lengths (85% short / 15% long), OutputCap = input length;",

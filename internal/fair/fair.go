@@ -22,9 +22,9 @@
 //     first, lowest utility first within the tenant.
 //
 // Everything here is mechanism, not policy: tenants and classes are
-// configuration (Registry, ClassSet), and the whole layer is disabled by
-// construction when a server runs without it — the escape hatch back to
-// the single global pool.
+// configuration (Registry, ClassSet); a server running without it puts every
+// request in one virtual tenant, which makes the same mechanisms the single
+// global pool.
 package fair
 
 import (

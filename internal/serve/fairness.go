@@ -2,19 +2,20 @@ package serve
 
 import (
 	"sort"
-	"time"
 
 	"tcb/internal/fair"
 	"tcb/internal/sched"
 )
 
 // This file is the server side of the multi-tenant fairness layer
-// (package fair): WFQ-ordered candidate pools for the scheduler,
-// tenant-fair shedding under breaker-open degradation, and the per-tenant
-// / per-class accounting surfaced through Stats. Everything here is gated
-// on Config.Fair except the accounting, which is maintained whenever
-// requests carry tenant identity — counters must not change scheduling
-// behaviour, so they are safe (and useful) either way.
+// (package fair): the WFQ-ordered candidate pool for the scheduler, the
+// refill-admission orderings, share-based shedding under breaker-open
+// degradation, and the per-tenant / per-class accounting surfaced through
+// Stats. There is one implementation of each; Config.Fair only decides
+// whose share a request counts against (fairTenant) and how wide the
+// candidate window is. The accounting always uses the real tenant —
+// counters must not change scheduling behaviour, so they are safe (and
+// useful) either way.
 
 // TenantStats is one tenant's terminal-outcome tally in Stats.
 type TenantStats struct {
@@ -93,42 +94,46 @@ func (s *Server) counterLocked(p *pending) *tenantCounter {
 	return c
 }
 
-// noteDeliveredLocked records a successful delivery (callers hold s.mu).
-func (s *Server) noteDeliveredLocked(p *pending, served time.Time) {
-	s.counterLocked(p).delivered++
-	if p.class != "" {
-		r := s.classLat[p.class]
-		if r == nil {
-			r = &latRing{}
-			s.classLat[p.class] = r
-		}
-		r.add(served.Sub(p.queued).Seconds() * 1000)
+// fairTenant is the tenant whose WFQ horizon and shed share p counts against:
+// its own when Config.Fair is on, otherwise the single virtual tenant every
+// request shares.
+func (s *Server) fairTenant(p *pending) string {
+	if !s.cfg.Fair {
+		return fair.DefaultTenant
 	}
+	return tenantOf(p)
 }
 
-// wfqRelease settles the request's WFQ stamp exactly once: dispatched
-// requests advance the virtual clock; abandoned ones (expired, shed,
-// failed without ever running) just release their tenant's backlog.
-func (s *Server) wfqRelease(p *pending, dispatched bool) {
-	if s.wfq == nil || p.stampDone {
-		return
+// stampBefore orders by WFQ virtual finish time — arrival order within a
+// tenant, weighted interleaving across tenants.
+func stampBefore(a, b *pending) bool {
+	if a.vfinish != b.vfinish {
+		return a.vfinish < b.vfinish
 	}
-	p.stampDone = true
-	if dispatched {
-		s.wfq.Dispatched(tenantOf(p), p.vfinish)
-	} else {
-		s.wfq.Abandoned(tenantOf(p))
-	}
+	return a.req.ID < b.req.ID
 }
 
-// fairPoolLocked builds the scheduler's candidate pool in WFQ order: the
-// eligible queue sorted by virtual finish time, truncated to the fair
-// window. The window is the enforcement point — the scheduler (DAS sorts
-// by utility internally) only ever sees a candidate set in which every
-// backlogged tenant is represented near its weighted share, so a flooding
-// tenant cannot crowd the others out of consideration no matter how deep
-// its backlog runs. Callers hold s.mu.
-func (s *Server) fairPoolLocked(now float64) []*sched.Request {
+// utilityBefore is the DAS ordering: highest utility first, deadline then ID
+// breaking ties.
+func utilityBefore(a, b *pending) bool {
+	if ua, ub := a.req.Utility(), b.req.Utility(); ua != ub {
+		return ua > ub
+	}
+	if a.req.Deadline != b.req.Deadline {
+		return a.req.Deadline < b.req.Deadline
+	}
+	return a.req.ID < b.req.ID
+}
+
+// poolLocked builds the scheduler's candidate pool: the eligible queue in
+// WFQ stamp order, truncated to the fair window. With Config.Fair on the
+// window is the enforcement point — the scheduler (DAS sorts by utility
+// internally) only ever sees a candidate set in which every backlogged
+// tenant is represented near its weighted share, so a flooding tenant cannot
+// crowd the others out of consideration no matter how deep its backlog runs.
+// Off, the window is unbounded and the pool is the whole eligible queue in
+// arrival order. Callers hold s.mu.
+func (s *Server) poolLocked(now float64) []*sched.Request {
 	cands := make([]*pending, 0, len(s.queue))
 	for _, p := range s.queue {
 		if p.notBefore > now {
@@ -136,17 +141,8 @@ func (s *Server) fairPoolLocked(now float64) []*sched.Request {
 		}
 		cands = append(cands, p)
 	}
-	if len(cands) == 0 {
-		return nil
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].vfinish != cands[j].vfinish {
-			return cands[i].vfinish < cands[j].vfinish
-		}
-		return cands[i].req.ID < cands[j].req.ID
-	})
-	window := s.cfg.FairWindow
-	if window > 0 && len(cands) > window {
+	sort.Slice(cands, func(i, j int) bool { return stampBefore(cands[i], cands[j]) })
+	if window := s.cfg.FairWindow; window > 0 && len(cands) > window {
 		cands = cands[:window]
 	}
 	pool := make([]*sched.Request, len(cands))
@@ -156,22 +152,22 @@ func (s *Server) fairPoolLocked(now float64) []*sched.Request {
 	return pool
 }
 
-// shedFairLocked evicts queued requests beyond OpenQueueCap tenant-fairly:
-// the tenant most over its weighted share of the reduced queue sheds
-// first, lowest utility first within the tenant. A flooding tenant
-// therefore absorbs its own losses — a well-behaved tenant under its share
-// is never touched while anyone is over. Callers hold s.mu.
-func (s *Server) shedFairLocked() {
+// shedLocked evicts queued requests beyond OpenQueueCap by share: the tenant
+// most over its weighted share of the reduced queue sheds first, lowest
+// utility first within the tenant. A flooding tenant therefore absorbs its
+// own losses — a well-behaved tenant under its share is never touched while
+// anyone is over. With Config.Fair off there is one virtual tenant, which
+// makes this the global lowest-utility-first shed. Callers hold s.mu.
+func (s *Server) shedLocked() {
 	excess := len(s.queue) - s.cfg.OpenQueueCap
 	if excess <= 0 {
 		return
 	}
-	// Group the queue by tenant, each group sorted shed-first (lowest
-	// utility, ties to the younger ID — the same victim order the global
-	// shed uses).
+	// Group the queue by tenant, each group sorted keep-first (highest
+	// utility, ties to the older ID) so victims come off the tail.
 	groups := make(map[string][]*pending)
 	for _, p := range s.queue {
-		name := tenantOf(p)
+		name := s.fairTenant(p)
 		groups[name] = append(groups[name], p)
 	}
 	names := make([]string, 0, len(groups))
@@ -187,24 +183,14 @@ func (s *Server) shedFairLocked() {
 		totalWeight += w
 	}
 	sort.Strings(names) // deterministic tie-breaking across tenants
-	for _, name := range names {
-		g := groups[name]
+	for _, g := range groups {
 		sort.Slice(g, func(i, j int) bool {
 			ui, uj := g[i].req.Utility(), g[j].req.Utility()
 			if ui != uj {
-				return ui > uj // keep-first order; shed from the tail
+				return ui > uj
 			}
 			return g[i].req.ID < g[j].req.ID
 		})
-		groups[name] = g
-	}
-	shed := func(p *pending) {
-		p.out <- Response{ID: p.req.ID, Err: ErrShed, Queued: p.queued}
-		delete(s.queue, p.req.ID)
-		s.shed++
-		s.counterLocked(p).shed++
-		s.wfqRelease(p, false)
-		p.prefix.Release()
 	}
 	for n := 0; n < excess; n++ {
 		// Most-over-share tenant: maximize queued/share. share_i is the
@@ -222,11 +208,8 @@ func (s *Server) shedFairLocked() {
 				worst, victimName = over, name
 			}
 		}
-		if victimName == "" {
-			return // queue emptied early
-		}
 		g := groups[victimName]
-		shed(g[len(g)-1])
+		s.finish(g[len(g)-1], outcome{kind: shed, err: ErrShed})
 		groups[victimName] = g[:len(g)-1]
 	}
 }

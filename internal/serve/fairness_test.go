@@ -96,14 +96,12 @@ func TestFairShedFloodingTenantFirst(t *testing.T) {
 	}
 }
 
-// TestGlobalShedUnchangedWhenFairOff pins the escape hatch: with Fair off
-// the shed is the original global lowest-utility order, tenants ignored.
+// TestGlobalShedUnchangedWhenFairOff: with Fair off every request shares one
+// virtual tenant, so the share-based shed is the original global
+// lowest-utility order, tenants ignored.
 func TestGlobalShedUnchangedWhenFairOff(t *testing.T) {
 	src := rng.New(8)
 	s := fairServer(t, func(c *Config) { c.Fair = false; c.QueueCap = 64; c.OpenQueueCap = 5 })
-	if s.wfq != nil {
-		t.Fatal("fair=false must not build a WFQ")
-	}
 	// Flooder short (high utility), light tenant long (low utility): the
 	// global order evicts light first even though flood is over any share.
 	for i := 0; i < 6; i++ {
@@ -150,7 +148,7 @@ func TestFairPoolWindowsFlooder(t *testing.T) {
 		lightIDs = append(lightIDs, s.next)
 	}
 	s.mu.Lock()
-	pool := s.fairPoolLocked(s.clock())
+	pool := s.poolLocked(s.clock())
 	s.mu.Unlock()
 	if len(pool) != 16 {
 		t.Fatalf("pool = %d candidates, want the 16-wide window", len(pool))
@@ -184,13 +182,9 @@ func TestRequeuePreservesTenantAndAttempts(t *testing.T) {
 	for _, q := range s.queue {
 		p = q
 	}
-	delete(s.queue, p.req.ID) // simulate selection
-	s.mu.Unlock()
+	s.dispatch(p) // simulate selection
 	arrival, queuedAt := p.req.Arrival, p.queued
-
-	s.handleBatchFailure([]*pending{p}, errors.New("engine exploded"), time.Now())
-
-	s.mu.Lock()
+	s.failAttempt(p, errors.New("engine exploded"), s.clock(), time.Now())
 	back := s.queue[p.req.ID]
 	s.mu.Unlock()
 	if back == nil {

@@ -2,106 +2,88 @@ package serve
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"tcb/internal/batch"
 	"tcb/internal/engine"
 )
 
-// refillHook connects one running launch back to the server's queue — the
-// serving half of continuous batching. The engine calls it between decode
-// steps: Retire delivers a finished request immediately (its response does
-// not wait for the batch), Refill admits queued requests into the freed
-// token capacity, Reject returns admissions the engine could not seat.
+// refillHook connects one running launch back to the server: it holds the
+// launch's members and is what the engine calls between decode steps. Retire
+// delivers a finished request immediately (its response does not wait for
+// the batch), Refill admits queued requests into the freed token capacity,
+// Reject returns admissions the engine could not seat.
 //
-// One hook exists per launch and completeBatch closes it before reconciling
-// the launch's results. Closing matters for supervision: a
-// watchdog-abandoned engine goroutine keeps stepping in the background, and
-// without the closed gate it would keep draining the queue and racing
-// deliveries against the retry path (a second send on a request's
-// capacity-1 response channel would wedge it for good).
+// Every launch has one — a launch that must not admit (Config.Refill off, a
+// half-open probe, an engine without the refill path) simply has a hook whose
+// Refill offers nothing — and completeBatch closes it before settling the
+// launch. Closing matters for supervision: a watchdog-abandoned engine
+// goroutine keeps stepping in the background, and a closed hook ignores it,
+// so it can neither drain the queue nor touch requests the server has since
+// failed, requeued or launched again elsewhere.
+//
+// All hook state is guarded by Server.mu, the lock the lifecycle transitions
+// need anyway, so each callback is one critical section.
 type refillHook struct {
-	s *Server
-
-	mu     sync.Mutex
+	s      *Server
+	admit  bool // whether Refill draws from the queue at all
 	closed bool
 	// members maps every request currently inside the launch (initial
-	// selection plus admissions) to its pending entry.
+	// selection plus admissions, minus retirements and rejections) to its
+	// pending entry.
 	members map[int64]*pending
-	// admitted lists mid-flight admissions in admission order; on close they
-	// join the launch's selection so completeBatch can reconcile them.
-	admitted []*pending
-	// delivered marks requests already answered by an early retire.
-	delivered map[int64]bool
 }
 
 // newRefillHook builds the hook for a launch over its initial selection.
-func newRefillHook(s *Server, selected []*pending) *refillHook {
+func newRefillHook(s *Server, selected []*pending, admit bool) *refillHook {
 	members := make(map[int64]*pending, len(selected))
 	for _, p := range selected {
 		members[p.req.ID] = p
 	}
-	return &refillHook{s: s, members: members, delivered: make(map[int64]bool)}
+	return &refillHook{s: s, admit: admit, members: members}
 }
 
-// close seals the hook and hands its state to completeBatch. After close
-// every hook method is a no-op (Refill puts raced admissions back).
-func (h *refillHook) close() (admitted []*pending, delivered map[int64]bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+// close seals the hook and hands its members to the caller, which owns them
+// from here on. After close every hook method is a no-op.
+func (h *refillHook) close() map[int64]*pending {
+	h.s.mu.Lock()
+	defer h.s.mu.Unlock()
 	h.closed = true
-	return h.admitted, h.delivered
+	return h.members
 }
 
 // Retire delivers one finished request immediately — the §4.2.2 moment its
 // memory frees is also the moment its caller stops waiting.
 func (h *refillHook) Retire(res engine.Result) {
-	h.mu.Lock()
-	if h.closed || h.delivered[res.ID] {
-		h.mu.Unlock()
-		return
-	}
-	p := h.members[res.ID]
-	if p == nil {
-		h.mu.Unlock()
-		return
-	}
-	h.delivered[res.ID] = true
-	h.mu.Unlock()
-	served := time.Now()
-	p.out <- Response{ID: res.ID, Output: res.Output, Queued: p.queued, Served: served}
 	s := h.s
 	s.mu.Lock()
-	s.served++
-	s.noteDeliveredLocked(p, served)
-	p.prefix.Release()
+	if !h.closed {
+		if p := h.members[res.ID]; p != nil {
+			delete(h.members, res.ID) // a long-lived launch must not pin every request it ever served
+			s.finish(p, outcome{kind: delivered, output: res.Output, served: time.Now()})
+		}
+	}
 	s.mu.Unlock()
 	s.notify() // Drain watches for progress
 }
 
-// Refill picks queued requests for the launch's freed token capacity:
-// highest utility first (deadline, then ID breaking ties — the DAS ordering
-// the scheduler itself uses), skipping requests still backing off and
-// requests whose deadlines already passed. With the fairness layer on the
-// draw is in WFQ virtual-finish order instead, so mid-flight admission
-// cannot become a side door around tenant isolation. Chosen requests leave
-// the queue exactly like a scheduled selection; requeue paths (Reject,
-// batch failure) keep their original arrival times and attempt counters.
+// Refill picks queued requests for the launch's freed token capacity in the
+// server's admission order — highest utility first (the DAS ordering the
+// scheduler itself uses), or WFQ stamp order when Config.Fair is on, so
+// mid-flight admission cannot become a side door around tenant isolation —
+// skipping requests still backing off and requests whose deadlines already
+// passed. Chosen requests are dispatched exactly like a scheduled selection.
 func (h *refillHook) Refill(free int) []engine.Admission {
-	if free <= 0 {
+	if !h.admit || free <= 0 {
 		return nil
 	}
 	s := h.s
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return nil
-	}
-	h.mu.Unlock()
-
 	now := s.clock()
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if h.closed {
+		return nil
+	}
 	var cands []*pending
 	for _, p := range s.queue {
 		if p.notBefore > now || p.req.Deadline < now || p.req.Len > free {
@@ -110,91 +92,39 @@ func (h *refillHook) Refill(free int) []engine.Admission {
 		cands = append(cands, p)
 	}
 	if len(cands) == 0 {
-		s.mu.Unlock()
-		return nil
+		return nil // the common case between steps; sort.Slice allocates even for nothing
 	}
-	if s.wfq != nil {
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].vfinish != cands[j].vfinish {
-				return cands[i].vfinish < cands[j].vfinish
-			}
-			return cands[i].req.ID < cands[j].req.ID
-		})
-	} else {
-		sort.Slice(cands, func(i, j int) bool {
-			ri, rj := cands[i].req, cands[j].req
-			if ui, uj := ri.Utility(), rj.Utility(); ui != uj {
-				return ui > uj
-			}
-			if ri.Deadline != rj.Deadline {
-				return ri.Deadline < rj.Deadline
-			}
-			return ri.ID < rj.ID
-		})
-	}
-	budget := free
-	chosen := cands[:0]
+	sort.Slice(cands, func(i, j int) bool { return s.admitBefore(cands[i], cands[j]) })
+	var adms []engine.Admission
 	for _, p := range cands {
-		if p.req.Len > budget {
+		if p.req.Len > free {
 			continue
 		}
-		budget -= p.req.Len
-		chosen = append(chosen, p)
-		delete(s.queue, p.req.ID)
-		s.wfqRelease(p, true)
-	}
-	s.mu.Unlock()
-
-	h.mu.Lock()
-	if h.closed {
-		// Raced the close (watchdog fired between the queue draw and here):
-		// hand everything straight back.
-		h.mu.Unlock()
-		s.mu.Lock()
-		for _, p := range chosen {
-			s.queue[p.req.ID] = p
-		}
-		s.mu.Unlock()
-		return nil
-	}
-	adms := make([]engine.Admission, 0, len(chosen))
-	for _, p := range chosen {
+		free -= p.req.Len
+		s.dispatch(p)
 		h.members[p.req.ID] = p
-		h.admitted = append(h.admitted, p)
 		adms = append(adms, engine.Admission{
 			ID: p.req.ID, Tokens: p.tokens,
 			PrefixLen: p.prefixLen, CachedLen: p.cachedLen,
 		})
 	}
-	h.mu.Unlock()
 	return adms
 }
 
 // Reject puts an admission the engine could not seat (memory grow refused,
 // over-long input) back in the queue, parked for a Poll without charging an
-// attempt — the same treatment as a Prepare failure. Arrival time and
-// attempt counters are untouched, so DAS utility ordering and backoff caps
-// survive the round trip.
-func (h *refillHook) Reject(adm engine.Admission, err error) {
-	_ = err // the admission never ran; nothing to report
-	h.mu.Lock()
-	p := h.members[adm.ID]
-	delete(h.members, adm.ID)
-	for i, q := range h.admitted {
-		if q == p {
-			h.admitted = append(h.admitted[:i], h.admitted[i+1:]...)
-			break
+// attempt — the same treatment as a Prepare failure. After close the
+// admission is no longer this launch's to return: completeBatch settled it.
+func (h *refillHook) Reject(adm engine.Admission, _ error) {
+	s := h.s
+	park := s.clock() + s.cfg.Poll.Seconds()
+	s.mu.Lock()
+	if !h.closed {
+		if p := h.members[adm.ID]; p != nil {
+			delete(h.members, adm.ID)
+			s.requeue(p, park, false)
 		}
 	}
-	h.mu.Unlock()
-	if p == nil {
-		return
-	}
-	s := h.s
-	now := s.clock()
-	s.mu.Lock()
-	p.notBefore = now + s.cfg.Poll.Seconds()
-	s.queue[p.req.ID] = p
 	s.mu.Unlock()
 	s.notify()
 }

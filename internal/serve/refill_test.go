@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -235,7 +237,7 @@ func TestRefillRequeuePreservesArrivalAndAttempts(t *testing.T) {
 	arrival := p.req.Arrival
 	s.mu.Unlock()
 
-	hook := newRefillHook(s, nil)
+	hook := newRefillHook(s, nil, true)
 	adms := hook.Refill(10)
 	if len(adms) != 1 || adms[0].ID != p.req.ID {
 		t.Fatalf("Refill = %v, want the queued request", adms)
@@ -263,7 +265,10 @@ func TestRefillRequeuePreservesArrivalAndAttempts(t *testing.T) {
 	}
 
 	// A failed batch charges exactly one attempt and still keeps arrival.
-	s.handleBatchFailure([]*pending{p}, fmt.Errorf("engine down"), time.Now())
+	s.mu.Lock()
+	s.dispatch(p)
+	s.failAttempt(p, fmt.Errorf("engine down"), s.clock(), time.Now())
+	s.mu.Unlock()
 	if p.attempts != 2 {
 		t.Fatalf("batch failure must charge one attempt, got %d", p.attempts)
 	}
@@ -276,7 +281,7 @@ func TestRefillRequeuePreservesArrivalAndAttempts(t *testing.T) {
 	s.mu.Lock()
 	p.notBefore = 0
 	s.mu.Unlock()
-	hook2 := newRefillHook(s, nil)
+	hook2 := newRefillHook(s, nil, true)
 	adms = hook2.Refill(10)
 	if len(adms) != 1 || adms[0].ID != p.req.ID {
 		t.Fatalf("re-admission failed: %v", adms)
@@ -293,7 +298,7 @@ func TestRefillHookClosedIsInert(t *testing.T) {
 	if _, err := s.Submit([]int{5, 6}, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	hook := newRefillHook(s, nil)
+	hook := newRefillHook(s, nil, true)
 	hook.close()
 	if adms := hook.Refill(10); adms != nil {
 		t.Fatalf("closed hook admitted %v", adms)
@@ -305,5 +310,144 @@ func TestRefillHookClosedIsInert(t *testing.T) {
 	hook.Retire(engine.Result{ID: 1, Output: []int{9}})
 	if st := s.Stats(); st.Served != 0 {
 		t.Fatalf("closed hook delivered: %+v", st)
+	}
+}
+
+// lateRejectRunner is a real engine whose first launch acts out the
+// watchdog race: it draws admissions from the hook, then sits (as if seating
+// them) until the test releases it — by which time the watchdog has fired
+// and the server has settled the launch — and only then rejects them.
+type lateRejectRunner struct {
+	*engine.Engine
+	started  atomic.Bool
+	release  chan struct{}
+	rejected chan int
+}
+
+func (r *lateRejectRunner) RunPreparedRefill(p *engine.Prepared, hook engine.RefillHook) (*engine.Report, error) {
+	if r.started.Swap(true) {
+		return r.Engine.RunPreparedRefill(p, hook)
+	}
+	adms := hook.Refill(1 << 20)
+	<-r.release
+	for _, adm := range adms {
+		hook.Reject(adm, errors.New("engine: batch reservation already released"))
+	}
+	r.rejected <- len(adms)
+	return nil, errors.New("abandoned run")
+}
+
+// Regression: a Reject arriving after the watchdog closed the hook must not
+// put an already-settled request back in the queue. Before the lifecycle,
+// the straggler requeued requests completeBatch had just failed; they ran
+// again and answered their capacity-1 channels a second time under s.mu.
+func TestRefillRejectAfterCloseIsInert(t *testing.T) {
+	cfg := model.Config{
+		VocabSize: testVocab, DModel: 32, NumHeads: 4, DFF: 64,
+		EncLayers: 1, DecLayers: 1, MaxLen: 256, Eps: 1e-5,
+	}
+	e := engine.New(model.New(cfg, 5), 4)
+	e.UseCache = true
+	runner := &lateRejectRunner{Engine: e, release: make(chan struct{}), rejected: make(chan int, 1)}
+	s, err := New(Config{
+		Engine: runner, Scheduler: sched.FCFS{}, Scheme: batch.Concat,
+		B: 1, L: 64, Poll: 200 * time.Microsecond, Refill: true,
+		PredictBatch:     func(*batch.Batch) time.Duration { return time.Millisecond },
+		MinBatchTimeout:  20 * time.Millisecond,
+		Retry:            RetryPolicy{MaxAttempts: 1}, // the timed-out launch fails its members outright
+		BreakerThreshold: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(93)
+	var chans []<-chan Response
+	for i := 0; i < 5; i++ {
+		// 40 of 64 tokens: one per launch, so four wait for Refill to draw.
+		ch, err := s.Submit(randTokens(src, 40), time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans = append(chans, ch)
+	}
+	s.Start()
+	st := waitStats(t, s, func(st Stats) bool { return st.Failed == 5 })
+	if st.Timeouts != 1 || st.Queued != 0 {
+		t.Fatalf("want one watchdog kill settling all five requests: %+v", st)
+	}
+	close(runner.release)
+	if n := <-runner.rejected; n != 4 {
+		t.Fatalf("first launch drew %d admissions, want 4", n)
+	}
+	if n := s.QueueLen(); n != 0 {
+		t.Fatalf("late Reject requeued %d settled requests", n)
+	}
+	drained := make(chan struct{})
+	go func() { s.Drain(); close(drained) }()
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain hung: a settled request was answered twice")
+	}
+	for i, ch := range chans {
+		if resp := <-ch; !errors.Is(resp.Err, ErrBatchTimeout) {
+			t.Fatalf("request %d: %v, want the watchdog's verdict", i, resp.Err)
+		}
+		select {
+		case resp := <-ch:
+			t.Fatalf("request %d answered twice: %+v", i, resp)
+		default:
+		}
+	}
+	st = s.Stats()
+	if st.Submitted != st.Served+st.Missed+st.Failed+st.Shed || st.Batches != 1 {
+		t.Fatalf("accounting after the late Reject: %+v", st)
+	}
+}
+
+// Regression: Config.Refill over an engine that cannot refill (engine.New's
+// default has no KV-cached decoder) must serve batch-at-a-time, not fail
+// every launch until the retries run out and the breaker trips.
+func TestRefillOverPlainEngineServes(t *testing.T) {
+	cfg := model.Config{
+		VocabSize: testVocab, DModel: 32, NumHeads: 4, DFF: 64,
+		EncLayers: 1, DecLayers: 1, MaxLen: 256, Eps: 1e-5,
+	}
+	e := engine.New(model.New(cfg, 5), 3)
+	s, err := New(Config{
+		Engine: e, Scheduler: sched.NewDAS(), Scheme: batch.Concat,
+		B: 4, L: 64, Poll: 200 * time.Microsecond, Refill: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(94)
+	var reqs [][]int
+	var chans []<-chan Response
+	for i := 0; i < 12; i++ {
+		toks := randTokens(src, src.IntRange(2, 20))
+		ch, err := s.Submit(toks, time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs, chans = append(reqs, toks), append(chans, ch)
+	}
+	s.Start()
+	s.Drain()
+	for i, ch := range chans {
+		resp := <-ch
+		if resp.Err != nil {
+			t.Fatalf("request %d: %v", i, resp.Err)
+		}
+		solo, err := e.RunSingle(int64(1000+i), reqs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(resp.Output) != fmt.Sprint(solo.Output) {
+			t.Fatalf("request %d: served %v vs solo %v", i, resp.Output, solo.Output)
+		}
+	}
+	if st := s.Stats(); st.Retried != 0 || st.BreakerTrips != 0 || st.Served != 12 {
+		t.Fatalf("plain engine under Refill must serve cleanly: %+v", st)
 	}
 }

@@ -19,7 +19,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,13 +127,15 @@ type Config struct {
 	// unbounded behaviour.
 	DrainTimeout time.Duration
 
-	// Pipeline enables the three-stage serve pipeline (pipeline.go): stage
-	// A schedules, lays out and stages batch t+1 while stage B computes
-	// batch t and stage C delivers, requeues and memory-cleans batch t−1.
-	// Outputs are identical to the serial loop (concat isolation: each
-	// request's output depends only on its own tokens); only overlap
-	// changes. Requires an Engine implementing PreparedRunner for full
-	// overlap; plain Runners still work, stage A just stops at layout.
+	// Pipeline runs the serving loop's compute and cleanup stages on their
+	// own goroutines (pipeline.go): stage A schedules, lays out and stages
+	// batch t+1 while stage B computes batch t and stage C delivers,
+	// requeues and memory-cleans batch t−1. Off, the same three stages run
+	// back to back on the loop goroutine. Outputs are identical either way
+	// (concat isolation: each request's output depends only on its own
+	// tokens); only overlap changes. Requires an Engine implementing
+	// PreparedRunner for full overlap; plain Runners still work, stage A
+	// just stops at layout.
 	Pipeline bool
 	// ReserveCores is how many logical cores the pipeline withholds from
 	// the tensor kernel worker plan (tensor.Reserve) so its non-compute
@@ -142,21 +143,22 @@ type Config struct {
 	// to 1 when Pipeline is set; ignored otherwise.
 	ReserveCores int
 	// PredictStages, when non-nil, predicts a batch's prepare and cleanup
-	// stage durations (e.g. cost.Params.PredictStageDurations); a pipelined
-	// stage exceeding its prediction × TimeoutSlack counts as a stage
-	// overrun in Stats. The compute stage is covered by PredictBatch and
+	// stage durations (e.g. cost.Params.PredictStageDurations); a stage
+	// exceeding its prediction × TimeoutSlack counts as a stage overrun in
+	// Stats. The compute stage is covered by PredictBatch and
 	// the supervision watchdog instead.
 	PredictStages func(b *batch.Batch) (prepare, cleanup time.Duration)
 
-	// Refill enables continuous batching: a launched batch becomes a
-	// persistent execution context — finished requests are delivered and
-	// memory-cleaned the moment they retire, and queued requests whose
-	// lengths fit the freed token capacity are admitted into the running
-	// batch between decode steps (utility-ordered, backoff- and
-	// deadline-respecting, like the scheduler's own admission). Requires an
-	// Engine implementing RefillRunner; otherwise batches run the plain
-	// path unchanged. Works in both the serial loop and the pipeline.
-	// Half-open breaker probes never refill — a probe must stay minimal.
+	// Refill enables continuous batching. Every prepared launch is a
+	// persistent execution context whose finished requests are delivered
+	// and memory-cleaned the moment they retire; with Refill set, queued
+	// requests whose lengths fit the freed token capacity are also admitted
+	// into the running batch between decode steps (utility-ordered,
+	// backoff- and deadline-respecting, like the scheduler's own
+	// admission). Admission needs an Engine implementing RefillRunner whose
+	// decoder can take mid-flight insertions; any other engine runs each
+	// batch to completion and the setting is inert. Half-open breaker
+	// probes never refill — a probe must stay minimal.
 	Refill bool
 	// PredictAdmission, when non-nil, predicts the extra wall-clock budget
 	// one refill admission of the given input length adds to the running
@@ -165,13 +167,15 @@ type Config struct {
 	// so the watchdog keeps tracking the batch's composition as it changes.
 	PredictAdmission func(lenTokens int) time.Duration
 
-	// Fair enables the multi-tenant fairness layer (package fair): requests
-	// are stamped with WFQ virtual finish times at submission, the scheduler
-	// draws its candidates in WFQ order truncated to FairWindow, and
-	// breaker-open shedding evicts within the tenant most over its weighted
-	// share instead of globally. Off (the default) keeps the scheduler's
-	// global candidate pool and global lowest-utility shedding exactly as
-	// before — the escape hatch the fairness tests pin down.
+	// Fair enables multi-tenant isolation (package fair). Requests are always
+	// stamped with WFQ virtual finish times at submission and the scheduler
+	// always draws its candidates in stamp order; with Fair set the stamps
+	// are per tenant, the draw is truncated to FairWindow, refill admission
+	// follows stamp order, and breaker-open shedding evicts within the
+	// tenant most over its weighted share. Off (the default) every request
+	// belongs to one virtual tenant and the window is unbounded: the
+	// scheduler sees the whole eligible queue in arrival order and shedding
+	// is global lowest-utility-first.
 	Fair bool
 	// FairWindow caps how many WFQ-ordered candidates the scheduler sees per
 	// round when Fair is set. The window is the isolation lever: DAS itself
@@ -237,18 +241,19 @@ type Stats struct {
 	ScheduleNs int64
 	ComputeNs  int64
 	CleanupNs  int64
-	// StageOverruns counts pipelined prepare/cleanup stage executions that
-	// exceeded their PredictStages budget × TimeoutSlack.
+	// StageOverruns counts prepare/cleanup stage executions that exceeded
+	// their PredictStages budget × TimeoutSlack.
 	StageOverruns int64
-	// Pipelined reports whether the three-stage pipeline is active.
+	// Pipelined reports whether the stages run on their own goroutines.
 	Pipelined bool
 
-	// Continuous-batching counters (Config.Refill): RefillsAdmitted counts
-	// requests admitted into a running batch mid-flight;
-	// SegmentsRetiredEarly counts requests delivered and memory-cleaned
-	// while their batch was still decoding; SlotIdleSteps accumulates
-	// per-step retired-but-unfilled slots; BatchOccupancyPct is the mean
-	// live-token occupancy of refill-enabled launches across decode steps.
+	// Persistent-launch counters: RefillsAdmitted counts requests admitted
+	// into a running batch mid-flight (Config.Refill); SegmentsRetiredEarly
+	// counts requests delivered and memory-cleaned while their batch was
+	// still decoding; SlotIdleSteps accumulates per-step
+	// retired-but-unfilled slots; BatchOccupancyPct is the mean live-token
+	// occupancy of launches across decode steps. All but the first are
+	// populated whenever the engine runs the fused cached decoder.
 	RefillsAdmitted      int64
 	SegmentsRetiredEarly int64
 	SlotIdleSteps        int64
@@ -280,7 +285,7 @@ type Stats struct {
 	// milliseconds over a bounded recent window; nil until a classed request
 	// is delivered.
 	ClassP99MS map[string]float64
-	// FairEnabled reports whether the WFQ fairness layer is active.
+	// FairEnabled reports whether per-tenant isolation (Config.Fair) is on.
 	FairEnabled bool
 }
 
@@ -324,14 +329,16 @@ type pending struct {
 	tokens []int
 	out    chan Response
 	queued time.Time
+	// state is the request's lifecycle position (lifecycle.go), guarded by
+	// Server.mu like everything below it.
+	state reqState
 	// attempts counts failed engine runs this request was part of;
 	// notBefore gates rescheduling until its backoff elapses.
 	attempts  int
 	notBefore float64
 	// class is the request's SLO class name ("" = unclassed); vfinish its
-	// WFQ virtual finish stamp (meaningful only when the server is fair);
-	// stampDone records that the stamp was settled (dispatched or
-	// abandoned) so requeues cannot settle it twice.
+	// WFQ virtual finish stamp; stampDone records that the stamp was settled
+	// (dispatched or abandoned) so requeues cannot settle it twice.
 	class     string
 	vfinish   float64
 	stampDone bool
@@ -353,16 +360,15 @@ type Server struct {
 	// preparer is cfg.Engine's prepared-batch handoff, when it has one;
 	// nil servers run every batch through the plain Run path.
 	preparer PreparedRunner
-	// refiller is cfg.Engine's refill path, set only when Config.Refill is
-	// on and the engine supports it; nil keeps every launch on the plain
-	// prepared path.
-	refiller RefillRunner
-	mu       sync.Mutex
-	queue    map[int64]*pending
-	next     int64
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
+	// refilling records that launches admit queued requests mid-flight:
+	// Config.Refill is on and the engine has the refill path.
+	refilling bool
+	mu        sync.Mutex
+	queue     map[int64]*pending
+	next      int64
+	stop      chan struct{}
+	stopOnce  sync.Once
+	done      chan struct{}
 	// drainOnce/drainDone make Drain idempotent: the first caller runs the
 	// drain sequence, every later or concurrent caller waits on the same
 	// completion (and the same DrainTimeout deadline).
@@ -375,11 +381,14 @@ type Server struct {
 	wake chan struct{}
 	base time.Time
 
-	// wfq stamps and orders requests across tenants when Config.Fair is on;
-	// nil otherwise (the global-pool escape hatch). classes is the resolved
-	// SLO class set (never nil).
-	wfq     *fair.WFQ
-	classes *fair.ClassSet
+	// wfq stamps every request at submission; the stamps order the
+	// scheduler's candidate pool (per tenant when Config.Fair is on, one
+	// virtual tenant otherwise). admitBefore is the refill-admission order:
+	// stamp order when fair, DAS utility order otherwise. classes is the
+	// resolved SLO class set (never nil).
+	wfq         *fair.WFQ
+	admitBefore func(a, b *pending) bool
+	classes     *fair.ClassSet
 	// tenantStats and classLat back the per-tenant / per-class Stats
 	// breakdown (guarded by mu).
 	tenantStats map[string]*tenantCounter
@@ -398,22 +407,21 @@ type Server struct {
 	scheduleNs, computeNs, cleanupNs atomic.Int64
 	stageOverruns                    atomic.Int64
 
-	// Continuous-batching accumulators, folded in from each launch's
-	// RefillReport; atomic because the pipeline's cleanup stage and Stats
-	// readers race.
+	// Persistent-launch accumulators, folded in from each launch's
+	// RefillReport; atomic because the cleanup stage and Stats readers race.
 	refillsAdmitted, segsRetiredEarly, slotIdleSteps atomic.Int64
 	liveTokenSteps, capTokenSteps                    atomic.Int64
 }
 
 // launch is one scheduled batch moving through the serve stages: selected
 // and laid out in stage A, executed in stage B, delivered and cleaned in
-// stage C.
+// stage C. hook holds the launch's members — the selection plus whatever it
+// admits mid-flight — until stage C closes it.
 type launch struct {
-	selected []*pending
-	tokens   map[int64][]int
-	b        *batch.Batch
-	ep       *engine.Prepared // non-nil on the prepared handoff path
-	hook     *refillHook      // non-nil on refill-enabled launches
+	tokens map[int64][]int
+	b      *batch.Batch
+	ep     *engine.Prepared // nil when the engine has no prepared handoff
+	hook   *refillHook
 }
 
 // New validates cfg and returns an unstarted server.
@@ -466,7 +474,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Pipeline && cfg.ReserveCores == 0 {
 		cfg.ReserveCores = 1
 	}
-	if cfg.Fair && cfg.FairWindow <= 0 {
+	if !cfg.Fair {
+		cfg.FairWindow = 0 // one virtual tenant: nothing to window
+	} else if cfg.FairWindow <= 0 {
 		cfg.FairWindow = 4 * cfg.B
 		if cfg.FairWindow < 16 {
 			cfg.FairWindow = 16
@@ -488,12 +498,14 @@ func New(cfg Config) (*Server, error) {
 		tenantStats: make(map[string]*tenantCounter),
 		classLat:    make(map[string]*latRing),
 	}
+	var weight func(string) float64
+	if cfg.Registry != nil {
+		weight = cfg.Registry.Weight
+	}
+	s.wfq = fair.NewWFQ(cfg.PredictRequestCost, weight)
+	s.admitBefore = utilityBefore
 	if cfg.Fair {
-		var weight func(string) float64
-		if cfg.Registry != nil {
-			weight = cfg.Registry.Weight
-		}
-		s.wfq = fair.NewWFQ(cfg.PredictRequestCost, weight)
+		s.admitBefore = stampBefore
 	}
 	if cfg.BreakerThreshold > 0 {
 		s.breaker = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
@@ -510,20 +522,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.runner = &SupervisedRunner{Inner: cfg.Engine, Timeout: timeout, Breaker: s.breaker}
 	s.preparer, _ = cfg.Engine.(PreparedRunner)
-	if cfg.Refill {
-		s.refiller, _ = cfg.Engine.(RefillRunner)
+	if _, ok := cfg.Engine.(RefillRunner); ok {
+		s.refilling = cfg.Refill
 	}
 	return s, nil
 }
 
-// Start launches the scheduling loop (or the three-stage pipeline).
-func (s *Server) Start() {
-	if s.cfg.Pipeline {
-		go s.pipelineLoop()
-		return
-	}
-	go s.loop()
-}
+// Start launches the serving loop.
+func (s *Server) Start() { go s.loop() }
 
 // Stop shuts the server down; queued requests fail with ErrServerClosed.
 // It blocks until the loop exits. Safe to call more than once and
@@ -586,8 +592,8 @@ func (s *Server) drainLoop() {
 		case <-s.done:
 			// Stopped out from under the drain (a concurrent Stop, or a
 			// supervisor tearing the server down): the loop's exit failAll
-			// already answered the queue; sweep anything that slipped in
-			// between and finish without waiting for in-flight work that
+			// already answered the queue; sweep anything a late requeue
+			// put back and finish without waiting for in-flight work that
 			// can no longer complete.
 			s.failAll(ErrServerClosed)
 			return
@@ -711,9 +717,7 @@ func (s *Server) SubmitOpts(tokens []int, deadline time.Duration, opt SubmitOpti
 		cachedLen: cachedLen,
 		prefix:    pin,
 	}
-	if s.wfq != nil {
-		p.vfinish = s.wfq.Stamp(tenantOf(p), resident)
-	}
+	p.vfinish = s.wfq.Stamp(s.fairTenant(p), resident)
 	s.queue[id] = p
 	s.submitted++
 	s.counterLocked(p).admitted++
@@ -768,9 +772,9 @@ func (s *Server) Stats() Stats {
 		SegmentsRetiredEarly: s.segsRetiredEarly.Load(),
 		SlotIdleSteps:        s.slotIdleSteps.Load(),
 		BatchOccupancyPct:    occupancy,
-		Refilling:            s.refiller != nil,
+		Refilling:            s.refilling,
 		Kernels:              tensor.KernelCounters(),
-		FairEnabled:          s.wfq != nil,
+		FairEnabled:          s.cfg.Fair,
 	}
 	if s.cfg.PrefixCache != nil {
 		st.Prefix = s.cfg.PrefixCache.Stats()
@@ -856,56 +860,11 @@ func (s *Server) clearPrefixCache() {
 	}
 }
 
-func (s *Server) loop() {
-	defer close(s.done)
-	defer s.clearPrefixCache()
-	for {
-		select {
-		case <-s.stop:
-			s.failAll(ErrServerClosed)
-			return
-		default:
-		}
-		batchReady := s.scheduleOnce()
-		if !batchReady {
-			// Idle: block until a Submit signals work. Poll stays as a
-			// fallback so queued requests still get their deadline-expiry
-			// sweep (and the breaker its cooldown checks) with no new
-			// arrivals.
-			select {
-			case <-s.stop:
-				s.failAll(ErrServerClosed)
-				return
-			case <-s.wake:
-			case <-time.After(s.cfg.Poll):
-			}
-		}
-	}
-}
-
-// scheduleOnce runs one serial scheduler+engine round: the three stages
-// back to back on the loop goroutine. It returns false when the queue
-// offered nothing to run (or the breaker refused to run it).
-func (s *Server) scheduleOnce() bool {
-	t0 := time.Now()
-	l := s.selectBatch()
-	s.scheduleNs.Add(time.Since(t0).Nanoseconds())
-	if l == nil {
-		return false
-	}
-	t1 := time.Now()
-	rep, err := s.executeBatch(l)
-	served := time.Now()
-	s.computeNs.Add(served.Sub(t1).Nanoseconds())
-	s.completeBatch(l, rep, err, served)
-	s.cleanupNs.Add(time.Since(served).Nanoseconds())
-	return true
-}
-
 // selectBatch is stage A: sweep expired deadlines, consult the breaker,
 // schedule, lay the decision out and stage the batch's host-side tensors.
 // It returns nil when nothing is runnable. On success the chosen requests
-// are out of the queue and counted in-flight until completeBatch.
+// are running — out of the queue, members of the launch's hook — and the
+// launch is counted in-flight until completeBatch.
 func (s *Server) selectBatch() *launch {
 	now := s.clock()
 	state := BreakerClosed
@@ -916,12 +875,7 @@ func (s *Server) selectBatch() *launch {
 	s.mu.Lock()
 	for _, p := range s.queue {
 		if p.req.Deadline < now {
-			p.out <- Response{ID: p.req.ID, Err: ErrDeadlineExceeded, Queued: p.queued}
-			delete(s.queue, p.req.ID)
-			s.missed++
-			s.counterLocked(p).missed++
-			s.wfqRelease(p, false)
-			p.prefix.Release()
+			s.finish(p, outcome{kind: missed, err: ErrDeadlineExceeded})
 		}
 	}
 	if state == BreakerOpen {
@@ -937,17 +891,7 @@ func (s *Server) selectBatch() *launch {
 		s.mu.Unlock()
 		return nil
 	}
-	var pool []*sched.Request
-	if s.wfq != nil {
-		pool = s.fairPoolLocked(now)
-	} else {
-		for _, p := range s.queue {
-			if p.notBefore > now {
-				continue // backing off after a failed batch
-			}
-			pool = append(pool, p.req)
-		}
-	}
+	pool := s.poolLocked(now)
 	if len(pool) == 0 {
 		s.mu.Unlock()
 		return nil
@@ -971,13 +915,13 @@ func (s *Server) selectBatch() *launch {
 		p := s.queue[r.ID]
 		selected = append(selected, p)
 		tokens[r.ID] = p.tokens
-		delete(s.queue, r.ID)
-		s.wfqRelease(p, true)
+		s.dispatch(p)
 	}
 	s.inFlight++
 	s.mu.Unlock()
 
-	l := &launch{selected: selected, tokens: tokens}
+	// Probes stay minimal: their hook admits nothing.
+	l := &launch{tokens: tokens, hook: newRefillHook(s, selected, s.refilling && state != BreakerHalfOpen)}
 	if state == BreakerHalfOpen {
 		items := []batch.Item{itemFor(selected[0])}
 		l.b, _ = batch.PackNaive(items, 1, s.cfg.L)
@@ -988,14 +932,13 @@ func (s *Server) selectBatch() *launch {
 		ep, err := s.preparer.Prepare(l.b, l.tokens)
 		if err != nil {
 			// Staging or memory admission failed before the engine ran:
-			// park the selection for a Poll without charging an attempt
-			// (mirrors the ErrBreakerOpen race path). An expired deadline
-			// still retires it on a later sweep.
-			now = s.clock()
+			// park the selection for a Poll without charging an attempt. An
+			// expired deadline still retires it on a later sweep.
+			park := s.clock() + s.cfg.Poll.Seconds()
+			members := l.hook.close()
 			s.mu.Lock()
-			for _, p := range l.selected {
-				p.notBefore = now + s.cfg.Poll.Seconds()
-				s.queue[p.req.ID] = p
+			for _, p := range members {
+				s.requeue(p, park, false)
 			}
 			s.inFlight--
 			s.mu.Unlock()
@@ -1003,32 +946,24 @@ func (s *Server) selectBatch() *launch {
 			return nil
 		}
 		// ep may be nil (a wrapper around a plain Runner): fall back to Run.
-		l.ep = ep
-		if l.ep != nil && s.cfg.Pipeline {
-			// Move the cleaning report into stage C, overlapped with the
-			// next batch's compute.
-			l.ep.DeferCleaning = true
-		}
-		if l.ep != nil && s.refiller != nil && state != BreakerHalfOpen {
-			// The launch becomes a persistent execution context: the hook
-			// delivers retires immediately and feeds queued requests into
-			// freed slots. Probes stay minimal — no hook for them.
-			l.hook = newRefillHook(s, l.selected)
+		if l.ep = ep; ep != nil {
+			// The cleaning report belongs to stage C, where the pipeline
+			// overlaps it with the next batch's compute.
+			ep.DeferCleaning = true
 		}
 	}
 	return l
 }
 
-// executeBatch is stage B: the supervised engine invocation.
+// executeBatch is stage B: the supervised engine invocation. Every prepared
+// launch runs as a persistent execution context under its hook; engines
+// without the prepared handoff get the plain call.
 func (s *Server) executeBatch(l *launch) (*engine.Report, error) {
 	var rep *engine.Report
 	var err error
-	switch {
-	case l.hook != nil:
+	if l.ep != nil {
 		rep, err = s.runner.RunPreparedRefill(l.ep, l.hook, s.admissionBudget)
-	case l.ep != nil:
-		rep, err = s.runner.RunPrepared(l.ep)
-	default:
+	} else {
 		rep, err = s.runner.Run(l.b, l.tokens)
 	}
 	s.mu.Lock()
@@ -1037,183 +972,66 @@ func (s *Server) executeBatch(l *launch) (*engine.Report, error) {
 	return rep, err
 }
 
-// completeBatch is stage C: deliver results, requeue retries and losses,
-// finish the deferred memory-cleaning report and release the batch's
-// reservation.
+// completeBatch is stage C: finish the deferred memory-cleaning report,
+// release the batch's reservation, then settle every member still running —
+// deliver its result, or charge it the failed attempt.
 func (s *Server) completeBatch(l *launch, rep *engine.Report, err error, served time.Time) {
-	// Close the refill hook FIRST: from here on a watchdog-abandoned engine
+	// Close the hook FIRST: from here on a watchdog-abandoned engine
 	// goroutine that is still stepping can no longer deliver, admit from the
-	// queue, or requeue — this stage owns the launch's requests now. The
-	// close returns everyone admitted mid-flight (they join the selection)
-	// and everyone already delivered by an early retire (they are done,
-	// whatever the report says).
-	selected := l.selected
-	var delivered map[int64]bool
-	if l.hook != nil {
-		var admitted []*pending
-		admitted, delivered = l.hook.close()
-		if len(admitted) > 0 {
-			selected = make([]*pending, 0, len(l.selected)+len(admitted))
-			selected = append(selected, l.selected...)
-			selected = append(selected, admitted...)
-		}
-	}
-	if err == nil && l.ep != nil && l.ep.DeferCleaning && rep != nil {
+	// queue, or requeue — this stage owns the launch's members now (the ones
+	// still running: early retires and rejections already left the hook).
+	members := l.hook.close()
+	if err == nil && l.ep != nil && rep != nil {
 		err = l.ep.FinishReport(rep)
 	}
-	if err != nil {
-		// Release the reservation BEFORE requeueing: the watchdog abandons
-		// a hung run without freeing anything, so a retried batch would
-		// otherwise deadlock against its own previous reservation.
-		l.ep.Release()
-		s.handleBatchFailure(undelivered(selected, delivered), err, served)
-		s.mu.Lock()
-		s.inFlight--
-		s.mu.Unlock()
-		s.notify()
-		return
-	}
-	if rep != nil && rep.Refill != nil {
-		s.refillsAdmitted.Add(int64(rep.Refill.Admitted))
-		s.segsRetiredEarly.Add(int64(rep.Refill.RetiredEarly))
-		s.slotIdleSteps.Add(rep.Refill.SlotIdleSteps)
-		s.liveTokenSteps.Add(rep.Refill.LiveTokenSteps)
-		s.capTokenSteps.Add(rep.Refill.CapacityTokenSteps)
-	}
-	var results []engine.Result
-	if rep != nil {
-		results = rep.Results
-	}
-	byID := make(map[int64]engine.Result, len(results))
-	for _, r := range results {
-		byID[r.ID] = r
-	}
-	now := s.clock()
-	var okCount int64
-	s.mu.Lock()
-	for _, p := range selected {
-		if delivered[p.req.ID] {
-			continue // already delivered by an early retire
-		}
-		r, ok := byID[p.req.ID]
-		if !ok {
-			// The engine dropped this result. Requeue like a failed batch
-			// member; its batchmates are unaffected.
-			lostErr := fmt.Errorf("serve: request %d lost by engine", p.req.ID)
-			s.retireOrRequeueLocked(p, lostErr, now, served)
-			continue
-		}
-		okCount++
-		p.out <- Response{ID: p.req.ID, Output: r.Output, Queued: p.queued, Served: served}
-		s.noteDeliveredLocked(p, served)
-		p.prefix.Release()
-	}
-	s.served += okCount
-	s.inFlight--
-	s.mu.Unlock()
+	// Release the reservation BEFORE requeueing: the watchdog abandons a
+	// hung run without freeing anything, so a retried batch would otherwise
+	// deadlock against its own previous reservation.
 	l.ep.Release()
-	s.notify()
-}
-
-// undelivered filters a selection down to the requests an early retire did
-// not already answer.
-func undelivered(selected []*pending, delivered map[int64]bool) []*pending {
-	if len(delivered) == 0 {
-		return selected
-	}
-	out := make([]*pending, 0, len(selected))
-	for _, p := range selected {
-		if !delivered[p.req.ID] {
-			out = append(out, p)
+	var byID map[int64]engine.Result
+	if err == nil && rep != nil {
+		if ref := rep.Refill; ref != nil {
+			s.refillsAdmitted.Add(int64(ref.Admitted))
+			s.segsRetiredEarly.Add(int64(ref.RetiredEarly))
+			s.slotIdleSteps.Add(ref.SlotIdleSteps)
+			s.liveTokenSteps.Add(ref.LiveTokenSteps)
+			s.capTokenSteps.Add(ref.CapacityTokenSteps)
+		}
+		byID = make(map[int64]engine.Result, len(rep.Results))
+		for _, r := range rep.Results {
+			byID[r.ID] = r
 		}
 	}
-	return out
-}
-
-// handleBatchFailure disposes of a failed batch's requests: unexpired
-// requests with attempts left are requeued under backoff; the rest fail.
-// An ErrBreakerOpen refusal never reached the engine, so it requeues
-// everything without consuming attempts.
-func (s *Server) handleBatchFailure(selected []*pending, err error, served time.Time) {
 	now := s.clock()
 	var pe *PanicError
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	switch {
 	case errors.As(err, &pe):
 		s.panics++
 	case errors.Is(err, ErrBatchTimeout):
 		s.timeouts++
 	}
-	if errors.Is(err, ErrBreakerOpen) {
-		// Raced a breaker trip between the state check and the run: park
-		// the whole selection for the loop to reconsider.
-		for _, p := range selected {
-			p.notBefore = now + s.cfg.Poll.Seconds()
-			s.queue[p.req.ID] = p
+	for _, p := range members {
+		r, ok := byID[p.req.ID]
+		switch {
+		case errors.Is(err, ErrBreakerOpen):
+			// Raced a breaker trip between the state check and the run: the
+			// engine never saw the batch, so park it for the loop to
+			// reconsider without consuming an attempt.
+			s.requeue(p, now+s.cfg.Poll.Seconds(), false)
+		case err != nil:
+			s.failAttempt(p, err, now, served)
+		case ok:
+			s.finish(p, outcome{kind: delivered, output: r.Output, served: served})
+		default:
+			// The engine dropped this result. Retry it like a failed batch
+			// member; its batchmates are unaffected.
+			s.failAttempt(p, fmt.Errorf("serve: request %d lost by engine", p.req.ID), now, served)
 		}
-		return
 	}
-	for _, p := range selected {
-		s.retireOrRequeueLocked(p, err, now, served)
-	}
-}
-
-// retireOrRequeueLocked charges p one failed attempt, then requeues it
-// under backoff, or fails it if its attempts are exhausted, or expires it
-// if its deadline already passed. Callers hold s.mu.
-func (s *Server) retireOrRequeueLocked(p *pending, err error, now float64, served time.Time) {
-	p.attempts++
-	switch {
-	case p.req.Deadline < now:
-		p.out <- Response{ID: p.req.ID, Err: ErrDeadlineExceeded, Queued: p.queued, Served: served}
-		s.missed++
-		s.counterLocked(p).missed++
-		s.wfqRelease(p, false)
-		p.prefix.Release()
-	case p.attempts >= s.cfg.Retry.MaxAttempts:
-		p.out <- Response{ID: p.req.ID, Err: err, Queued: p.queued, Served: served}
-		s.failed++
-		s.counterLocked(p).failed++
-		s.wfqRelease(p, false)
-		p.prefix.Release()
-	default:
-		p.notBefore = now + s.backoff(p.attempts)
-		s.queue[p.req.ID] = p
-		s.retried++
-	}
-}
-
-// shedLocked evicts the lowest-utility queued requests beyond OpenQueueCap —
-// globally when the fairness layer is off (the original behaviour, kept
-// bit-for-bit), tenant-fairly when it is on. Callers hold s.mu.
-func (s *Server) shedLocked() {
-	if s.wfq != nil {
-		s.shedFairLocked()
-		return
-	}
-	excess := len(s.queue) - s.cfg.OpenQueueCap
-	if excess <= 0 {
-		return
-	}
-	victims := make([]*pending, 0, len(s.queue))
-	for _, p := range s.queue {
-		victims = append(victims, p)
-	}
-	sort.Slice(victims, func(i, j int) bool {
-		ui, uj := victims[i].req.Utility(), victims[j].req.Utility()
-		if ui != uj {
-			return ui < uj
-		}
-		return victims[i].req.ID > victims[j].req.ID
-	})
-	for _, p := range victims[:excess] {
-		p.out <- Response{ID: p.req.ID, Err: ErrShed, Queued: p.queued}
-		delete(s.queue, p.req.ID)
-		s.shed++
-		s.counterLocked(p).shed++
-		p.prefix.Release()
-	}
+	s.inFlight--
+	s.mu.Unlock()
+	s.notify()
 }
 
 // probeDecision selects the single highest-utility request as a one-row
@@ -1286,18 +1104,5 @@ func (s *Server) layout(dec sched.Decision, selected []*pending) *batch.Batch {
 			b.Rows = append(b.Rows, r)
 		}
 		return b
-	}
-}
-
-func (s *Server) failAll(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id, p := range s.queue {
-		p.out <- Response{ID: id, Err: err, Queued: p.queued}
-		delete(s.queue, id)
-		s.failed++
-		s.counterLocked(p).failed++
-		s.wfqRelease(p, false)
-		p.prefix.Release()
 	}
 }

@@ -182,56 +182,33 @@ type SupervisedRunner struct {
 // result discarded); an open breaker refuses the run with ErrBreakerOpen
 // without touching the engine or recording an outcome.
 func (s *SupervisedRunner) Run(b *batch.Batch, tokens map[int64][]int) (*engine.Report, error) {
-	return s.supervise(b, func() (*engine.Report, error) { return s.Inner.Run(b, tokens) })
+	return s.supervise(b, func(*deadline) (*engine.Report, error) { return s.Inner.Run(b, tokens) })
 }
 
-// RunPrepared executes a staged batch under the identical supervision
-// envelope (panic capture, watchdog, breaker). An inner runner without
-// prepared-handoff support degrades to the plain Run path. Note a
-// watchdog-abandoned run keeps computing in its goroutine — it never frees
-// the batch's memory reservation, which is why the serve loop releases the
-// Prepared before requeueing (see completeBatch).
-func (s *SupervisedRunner) RunPrepared(p *engine.Prepared) (*engine.Report, error) {
-	inner, ok := s.Inner.(PreparedRunner)
-	if !ok {
-		return s.Run(p.Batch, p.Tokens)
-	}
-	return s.supervise(p.Batch, func() (*engine.Report, error) { return inner.RunPrepared(p) })
-}
-
-// RunPreparedRefill executes a refill-enabled launch under supervision. The
-// watchdog budget is extendable: every admission the hook accepts adds
-// extend(adm) to the deadline, so the budget tracks the batch's composition
-// as it changes instead of killing a healthy launch for serving more work
-// than it was born with. An inner runner without the refill path degrades
-// to RunPrepared — the hook stays silent and the serve loop's completion
-// path delivers everything, exactly the no-refill behaviour.
+// RunPreparedRefill executes a staged launch under the identical supervision
+// envelope. The watchdog budget is extendable: every admission the hook
+// accepts adds extend(adm) to the deadline, so the budget tracks the batch's
+// composition as it changes instead of killing a healthy launch for serving
+// more work than it was born with. An inner runner without the refill path
+// runs the batch to completion through its prepared (or plain) path — the
+// hook stays silent and the serve loop's completion stage delivers
+// everything. Note a watchdog-abandoned run keeps computing in its goroutine
+// — it never frees the batch's memory reservation, which is why the serve
+// loop releases the Prepared before requeueing (see completeBatch).
 func (s *SupervisedRunner) RunPreparedRefill(p *engine.Prepared, hook engine.RefillHook,
 	extend func(engine.Admission) time.Duration) (*engine.Report, error) {
-	inner, ok := s.Inner.(RefillRunner)
-	if !ok {
-		return s.RunPrepared(p)
-	}
-	if s.Breaker != nil && !s.Breaker.Allow() {
-		return nil, ErrBreakerOpen
-	}
-	var budget time.Duration
-	if s.Timeout != nil {
-		budget = s.Timeout(p.Batch)
-	}
-	if budget <= 0 {
-		// No watchdog: plain panic capture plus breaker accounting.
-		return s.superviseStarted(p.Batch, nil, func() (*engine.Report, error) {
+	return s.supervise(p.Batch, func(dl *deadline) (*engine.Report, error) {
+		switch inner := s.Inner.(type) {
+		case RefillRunner:
+			if dl != nil && extend != nil {
+				hook = &extendingHook{RefillHook: hook, extend: extend, dl: dl}
+			}
 			return inner.RunPreparedRefill(p, hook)
-		})
-	}
-	dl := &deadline{at: time.Now().Add(budget)}
-	wrapped := hook
-	if extend != nil {
-		wrapped = &extendingHook{RefillHook: hook, extend: extend, dl: dl}
-	}
-	return s.superviseStarted(p.Batch, dl, func() (*engine.Report, error) {
-		return inner.RunPreparedRefill(p, wrapped)
+		case PreparedRunner:
+			return inner.RunPrepared(p)
+		default:
+			return s.Inner.Run(p.Batch, p.Tokens)
+		}
 	})
 }
 
@@ -273,12 +250,21 @@ func (h *extendingHook) Refill(free int) []engine.Admission {
 	return adms
 }
 
-// superviseStarted runs one engine invocation under panic capture, breaker
-// accounting and an optional extendable deadline (nil disables the
-// watchdog). The run goroutine is abandoned, never killed, on timeout —
-// identical semantics to supervise, with a movable deadline instead of a
-// fixed timer.
-func (s *SupervisedRunner) superviseStarted(b *batch.Batch, dl *deadline, run func() (*engine.Report, error)) (*engine.Report, error) {
+// supervise runs one engine invocation under breaker gating, panic capture
+// and the per-batch watchdog. run receives the watchdog's movable deadline
+// (nil when the batch has no budget) so it can extend it; on timeout the run
+// goroutine is abandoned, never killed.
+func (s *SupervisedRunner) supervise(b *batch.Batch, run func(*deadline) (*engine.Report, error)) (*engine.Report, error) {
+	if s.Breaker != nil && !s.Breaker.Allow() {
+		return nil, ErrBreakerOpen
+	}
+	var dl *deadline
+	var budget time.Duration
+	if s.Timeout != nil {
+		if budget = s.Timeout(b); budget > 0 {
+			dl = &deadline{at: time.Now().Add(budget)}
+		}
+	}
 	type outcome struct {
 		rep *engine.Report
 		err error
@@ -290,7 +276,7 @@ func (s *SupervisedRunner) superviseStarted(b *batch.Batch, dl *deadline, run fu
 				ch <- outcome{nil, &PanicError{Value: r, Stack: debug.Stack()}}
 			}
 		}()
-		rep, err := run()
+		rep, err := run(dl)
 		ch <- outcome{rep, err}
 	}()
 	if dl == nil {
@@ -302,7 +288,7 @@ func (s *SupervisedRunner) superviseStarted(b *batch.Batch, dl *deadline, run fu
 		wait := time.Until(dl.get())
 		if wait <= 0 {
 			s.record(false)
-			return nil, fmt.Errorf("%w: %d items exceeded extendable budget", ErrBatchTimeout, b.NumItems())
+			return nil, fmt.Errorf("%w: %d items exceeded budget %v (before extensions)", ErrBatchTimeout, b.NumItems(), budget)
 		}
 		t := time.NewTimer(wait)
 		select {
@@ -313,46 +299,6 @@ func (s *SupervisedRunner) superviseStarted(b *batch.Batch, dl *deadline, run fu
 		case <-t.C:
 			// The deadline may have moved while we slept; loop re-checks.
 		}
-	}
-}
-
-// supervise runs one engine invocation under panic capture, the per-batch
-// watchdog and breaker accounting — the shared core of Run and RunPrepared.
-func (s *SupervisedRunner) supervise(b *batch.Batch, run func() (*engine.Report, error)) (*engine.Report, error) {
-	if s.Breaker != nil && !s.Breaker.Allow() {
-		return nil, ErrBreakerOpen
-	}
-	type outcome struct {
-		rep *engine.Report
-		err error
-	}
-	ch := make(chan outcome, 1) // buffered: an abandoned run must not leak its goroutine
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- outcome{nil, &PanicError{Value: r, Stack: debug.Stack()}}
-			}
-		}()
-		rep, err := run()
-		ch <- outcome{rep, err}
-	}()
-
-	var watchdog <-chan time.Time
-	var budget time.Duration
-	if s.Timeout != nil {
-		if budget = s.Timeout(b); budget > 0 {
-			t := time.NewTimer(budget)
-			defer t.Stop()
-			watchdog = t.C
-		}
-	}
-	select {
-	case o := <-ch:
-		s.record(o.err == nil)
-		return o.rep, o.err
-	case <-watchdog:
-		s.record(false)
-		return nil, fmt.Errorf("%w: %d items exceeded budget %v", ErrBatchTimeout, b.NumItems(), budget)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 //
 // Unlike the float32 kernels, this path trades bits for speed: outputs
 // carry a bounded quantization error instead of bitwise identity, so it is
-// strictly opt-in (Engine.Quantize / tcb-serve -quantize). What it keeps:
+// strictly opt-in (Engine.Quantize / tcb-serve -kernel int8). What it keeps:
 // per-row activation scales are row-local and int32 accumulation is exact,
 // so quantized outputs are *still* independent of GEMM height, worker
 // chunking and batch composition — fused vs per-row decode, serial vs
