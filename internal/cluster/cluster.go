@@ -122,10 +122,11 @@ type Config struct {
 	// server is torn down regardless. Zero means 2s.
 	RespawnDeadline time.Duration
 
-	// Limiter is the cluster-level token-bucket admission front, enforced by
-	// the HTTP handler before any replica sees the request (replica servers
-	// should NOT carry their own limiter — failover resubmissions must not be
-	// double-charged). Nil admits everything.
+	// Limiter is the token-bucket admission front — the only admission site
+	// in the stack. The HTTP handler charges it once per request before any
+	// replica sees it (replica servers have no limiter, so failover
+	// resubmissions are never re-charged), and Stats folds its throttle
+	// counts into the tenant table. Nil admits everything.
 	Limiter *fair.Limiter
 	// Classes resolves SLO class deadline defaults for SubmitOpts calls that
 	// pass no deadline. Nil means fair.DefaultClasses. Replica servers should

@@ -1,127 +1,33 @@
 package cluster
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
-	"time"
 
 	"tcb/internal/serve"
 )
 
-// NewHTTPHandler exposes a cluster over HTTP with the same surface as a
-// single server's handler, plus per-replica introspection:
+// NewHTTPHandler exposes a cluster over HTTP. It is serve's front handler
+// (POST /v1/infer, GET /v1/stats, GET /healthz — one implementation, see
+// serve.NewFrontHandler) over the cluster's routed, failed-over SubmitOpts,
+// with the cluster's limiter as the one admission site, plus:
 //
-//	POST /v1/infer    — submit one request, blocks until the response;
-//	                    routed, health-tiered and failed over transparently
-//	GET  /v1/stats    — aggregated cluster counters (cluster.Stats)
-//	GET  /v1/replicas — per-replica rows: state, health, server counters
-//	GET  /healthz     — 200 while at least one replica is fully
-//	                    serviceable; 503 with per-replica breaker and
-//	                    ejection detail otherwise
+//	GET /v1/stats    — aggregated cluster counters (cluster.Stats), the
+//	                   per-server serve.Stats under replicas[i].stats
+//	GET /v1/replicas — per-replica rows: state, health, server counters
+//	GET /healthz     — 200 while at least one replica is fully
+//	                   serviceable; 503 with per-replica breaker and
+//	                   ejection detail otherwise
 //
-// The handler does not own the cluster's lifecycle (call Start/Stop
-// yourself).
+// and ErrNoReplicas answered 503. The handler does not own the cluster's
+// lifecycle (call Start/Stop yourself).
 func NewHTTPHandler(c *Cluster) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/infer", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-			return
-		}
-		r.Body = http.MaxBytesReader(w, r.Body, serve.MaxInferBody)
-		var req serve.InferRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", tooBig.Limit))
-				return
-			}
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
-			return
-		}
-		if req.DeadlineMS <= 0 && req.Class == "" {
-			req.DeadlineMS = 1000
-		}
-		// Same front contract as the single-server handler: tenant identity
-		// on X-Tenant, token-bucket admission before any replica is touched
-		// (failover resubmissions inside the cluster are not re-charged).
-		tenant := r.Header.Get(serve.TenantHeader)
-		if ok, retry := c.cfg.Limiter.Take(tenant, len(req.Tokens)); !ok {
-			secs := int64((retry + time.Second - 1) / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-			writeErr(w, http.StatusTooManyRequests,
-				fmt.Errorf("cluster: tenant admission rate exceeded, retry in %s", retry))
-			return
-		}
-		ch, err := c.SubmitOpts(req.Tokens, time.Duration(req.DeadlineMS)*time.Millisecond,
-			serve.SubmitOptions{Tenant: tenant, Class: req.Class})
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, serve.ErrQueueFull) {
-				status = http.StatusTooManyRequests
-			} else if errors.Is(err, serve.ErrBreakerOpen) || errors.Is(err, serve.ErrServerClosed) || errors.Is(err, ErrNoReplicas) {
-				status = http.StatusServiceUnavailable
-			}
-			writeErr(w, status, err)
-			return
-		}
-		select {
-		case resp := <-ch:
-			switch {
-			case errors.Is(resp.Err, serve.ErrDeadlineExceeded):
-				writeErr(w, http.StatusGatewayTimeout, resp.Err)
-			case errors.Is(resp.Err, serve.ErrBreakerOpen):
-				writeErr(w, http.StatusServiceUnavailable, resp.Err)
-			case resp.Err != nil:
-				writeErr(w, http.StatusInternalServerError, resp.Err)
-			default:
-				writeJSON(w, http.StatusOK, serve.InferResponse{
-					Output:    append([]int{}, resp.Output...),
-					LatencyMS: resp.Served.Sub(resp.Queued).Seconds() * 1000,
-				})
-			}
-		case <-r.Context().Done():
-			writeErr(w, http.StatusRequestTimeout, r.Context().Err())
-		}
+	mux := serve.NewFrontHandler(serve.Front{
+		Submit:      c.SubmitOpts,
+		Admit:       c.cfg.Limiter.Take,
+		Stats:       func() any { return c.Stats() },
+		Health:      func() (any, bool) { h := c.Health(); return h, h.Serviceable },
+		Unavailable: ErrNoReplicas,
 	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-			return
-		}
-		writeJSON(w, http.StatusOK, c.Stats())
-	})
-	mux.HandleFunc("/v1/replicas", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-			return
-		}
-		writeJSON(w, http.StatusOK, c.Stats().Replicas)
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		h := c.Health()
-		status := http.StatusOK
-		if !h.Serviceable {
-			status = http.StatusServiceUnavailable
-		}
-		writeJSON(w, status, h)
-	})
+	mux.HandleFunc("/v1/replicas", serve.GetJSON(func() any { return c.Stats().Replicas }))
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, struct {
-		Error string `json:"error"`
-	}{err.Error()})
 }

@@ -5,9 +5,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
+	"tcb/internal/engine"
+	"tcb/internal/gpu"
+	"tcb/internal/model"
+	"tcb/internal/prefixcache"
 	"tcb/internal/serve"
 )
 
@@ -113,5 +118,85 @@ func TestHTTPClusterHealthz(t *testing.T) {
 	}
 	if len(h2.Replicas) != 2 || h2.Replicas[0].Health.State != "stopped" {
 		t.Fatalf("503 body must carry per-replica detail: %+v", h2)
+	}
+}
+
+// TestHTTPClusterPrefixLenSurvives is the regression test for the forked
+// cluster front, which rebuilt SubmitOptions without prefix_len: the prefix
+// cache could never hit behind `tcb-serve -replicas N -http`. The same
+// declared-prefix request POSTed twice must hit on the second pass and
+// answer exactly what the undeclared request answers.
+func TestHTTPClusterPrefixLenSurvives(t *testing.T) {
+	m := model.New(model.Config{
+		VocabSize: 64, DModel: 32, NumHeads: 4, DFF: 64,
+		EncLayers: 1, DecLayers: 1, MaxLen: 256, Eps: 1e-5,
+	}, 21)
+	c, err := New(Config{Replicas: 1, Spawn: func(int) (*serve.Server, func(), error) {
+		eng := engine.New(m, 3)
+		eng.UseCache = true
+		pc := prefixcache.New(0, gpu.NewMemoryManager(0))
+		eng.PrefixCache = pc
+		srv, err := testServe(eng, func(cfg *serve.Config) { cfg.PrefixCache = pc })
+		return srv, nil, err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHTTPHandler(c))
+	t.Cleanup(func() { ts.Close(); c.Stop() })
+
+	post := func(req serve.InferRequest) []int {
+		t.Helper()
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		var out serve.InferResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Output
+	}
+	declared := serve.InferRequest{Tokens: tokens(16), DeadlineMS: 5000, PrefixLen: 12}
+	cold := post(declared) // miss: encodes and freezes the prefix
+	hit := post(declared)
+	plain := post(serve.InferRequest{Tokens: tokens(16), DeadlineMS: 5000})
+	if st := c.Stats(); st.Prefix.Hits < 1 {
+		t.Fatalf("prefix_len did not reach the replica: prefix stats %+v", st.Prefix)
+	}
+	if !reflect.DeepEqual(cold, plain) || !reflect.DeepEqual(hit, plain) {
+		t.Fatalf("outputs differ: cold %v hit %v undeclared %v", cold, hit, plain)
+	}
+}
+
+// TestHTTPClusterNoReplicas503: the one status the cluster front adds to the
+// shared handler's mapping — nobody to route to is a 503, not a 400.
+func TestHTTPClusterNoReplicas503(t *testing.T) {
+	c, ts := httpCluster(t)
+	c.mu.Lock()
+	for _, r := range c.replicas {
+		r.respawning = true // the router skips respawning members
+	}
+	c.mu.Unlock()
+	t.Cleanup(func() {
+		c.mu.Lock()
+		for _, r := range c.replicas {
+			r.respawning = false
+		}
+		c.mu.Unlock()
+	})
+	body, _ := json.Marshal(serve.InferRequest{Tokens: tokens(5), DeadlineMS: 5000})
+	resp, err := http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503", resp.StatusCode)
 	}
 }

@@ -209,10 +209,10 @@ func (p Params) PredictBatchDuration(b *batch.Batch) time.Duration {
 // unchanged: a hit request decodes every round like any other segment,
 // attending over the frozen prefix rows.
 //
-// The simulator subtracts this per hit from the batch time it charges
-// (System.PrefixCache); the live serving layer needs no discount because
-// hit items enter layouts with Len already shrunk to the uncached suffix,
-// so PredictBatchDuration sees the reduced work directly.
+// The live serving layer needs no discount on the batches it predicts — hit
+// items enter layouts with Len already shrunk to the uncached suffix, so
+// PredictBatchDuration sees the reduced work directly. BatchPrefixSavings is
+// the per-batch sum for callers that start from a full-length prediction.
 func (p Params) PrefixSavings(cachedLen int) float64 {
 	if cachedLen <= 0 {
 		return 0

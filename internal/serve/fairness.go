@@ -214,14 +214,9 @@ func (s *Server) shedLocked() {
 	}
 }
 
-// tenantStatsLocked snapshots the per-tenant tallies, folding in the
-// admission limiter's throttle counts. Callers hold s.mu.
+// tenantStatsLocked snapshots the per-tenant tallies. Callers hold s.mu.
 func (s *Server) tenantStatsLocked() (map[string]TenantStats, float64) {
-	var lim map[string]fair.AdmissionCounts
-	if s.cfg.Limiter != nil {
-		lim = s.cfg.Limiter.Counts()
-	}
-	if len(s.tenantStats) == 0 && len(lim) == 0 {
+	if len(s.tenantStats) == 0 {
 		return nil, 1
 	}
 	out := make(map[string]TenantStats, len(s.tenantStats))
@@ -233,11 +228,6 @@ func (s *Server) tenantStatsLocked() (map[string]TenantStats, float64) {
 			Failed:    c.failed,
 			Shed:      c.shed,
 		}
-	}
-	for name, c := range lim {
-		t := out[name]
-		t.Throttled = c.Throttled
-		out[name] = t
 	}
 	goodput := make(map[string]int64, len(out))
 	for name, t := range out {

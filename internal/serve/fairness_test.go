@@ -228,14 +228,20 @@ func TestSubmitOptsClassDefaults(t *testing.T) {
 	}
 }
 
-// TestHTTPTenantThrottle429: the admission bucket refuses a tenant past its
-// budget with 429 + Retry-After, and the per-tenant stats record it.
+// TestHTTPTenantThrottle429: the shared front charges its injected Admit
+// once per request, by input length under the X-Tenant identity; a refusal is
+// 429 + Retry-After and never reaches the server.
 func TestHTTPTenantThrottle429(t *testing.T) {
 	reg := fair.NewRegistry(fair.TenantConfig{Name: "meter", BucketRate: 1, BucketBurst: 8})
+	lim := fair.NewLimiter(reg)
 	srv, _ := testServer(t, batch.Concat, sched.NewDAS())
-	srv.cfg.Limiter = fair.NewLimiter(reg)
 	srv.Start()
-	ts := httptest.NewServer(NewHTTPHandler(srv))
+	ts := httptest.NewServer(NewFrontHandler(Front{
+		Submit: srv.SubmitOpts,
+		Admit:  lim.Take,
+		Stats:  func() any { return srv.Stats() },
+		Health: func() (any, bool) { return srv.Health(), true },
+	}))
 	t.Cleanup(func() { ts.Close(); srv.Stop() })
 
 	post := func(tenant string, n int) *http.Response {
@@ -267,12 +273,12 @@ func TestHTTPTenantThrottle429(t *testing.T) {
 	if resp := post("", 8); resp.StatusCode != http.StatusOK {
 		t.Fatalf("default tenant: status %d", resp.StatusCode)
 	}
-	st := srv.Stats()
-	if st.Tenants["meter"].Throttled != 1 {
-		t.Fatalf("meter throttled = %d, want 1", st.Tenants["meter"].Throttled)
+	if c := lim.Counts()["meter"]; c.Allowed != 1 || c.Throttled != 1 {
+		t.Fatalf("meter admission counts = %+v, want 1 allowed 1 throttled", c)
 	}
+	st := srv.Stats()
 	if st.Tenants["meter"].Admitted != 1 || st.Tenants[fair.DefaultTenant].Admitted != 1 {
-		t.Fatalf("admitted counts = %+v", st.Tenants)
+		t.Fatalf("the throttled request reached the server: %+v", st.Tenants)
 	}
 }
 

@@ -130,17 +130,13 @@ func (h *refillHook) Reject(adm engine.Admission, _ error) {
 }
 
 // admissionBudget predicts the watchdog extension one admission earns its
-// running batch: PredictAdmission when configured, else the cost model's
-// prediction for a one-item batch of that length, scaled like the base
-// budget (TimeoutSlack). The running total keeps the watchdog calibrated to
-// the batch's current composition.
+// running batch: the cost model's prediction for a one-item batch of that
+// length, scaled like the base budget (TimeoutSlack). The running total
+// keeps the watchdog calibrated to the batch's current composition.
 func (s *Server) admissionBudget(adm engine.Admission) time.Duration {
 	// A prefix-cache hit only encodes (and occupies) its uncached suffix, so
 	// the budget tracks the resident length.
 	n := adm.Resident()
-	if s.cfg.PredictAdmission != nil {
-		return s.cfg.PredictAdmission(n)
-	}
 	if s.cfg.PredictBatch == nil {
 		return 0
 	}

@@ -160,12 +160,6 @@ type Config struct {
 	// batch to completion and the setting is inert. Half-open breaker
 	// probes never refill — a probe must stay minimal.
 	Refill bool
-	// PredictAdmission, when non-nil, predicts the extra wall-clock budget
-	// one refill admission of the given input length adds to the running
-	// batch's watchdog (e.g. cost.Params.PredictAdmissionDuration scaled by
-	// TimeoutSlack). Nil derives it from PredictBatch over a one-item batch,
-	// so the watchdog keeps tracking the batch's composition as it changes.
-	PredictAdmission func(lenTokens int) time.Duration
 
 	// Fair enables multi-tenant isolation (package fair). Requests are always
 	// stamped with WFQ virtual finish times at submission and the scheduler
@@ -184,21 +178,12 @@ type Config struct {
 	// 4×B (at least 16). Ignored when Fair is off.
 	FairWindow int
 	// Registry resolves tenant WFQ weights and bucket provisioning. Nil
-	// means every tenant weighs 1 (buckets unlimited).
+	// means every tenant weighs 1. Bucket provisioning is read by whoever
+	// owns the admission limiter (the front), never by the server.
 	Registry *fair.Registry
 	// Classes maps SLO class names (SubmitOptions.Class) to SLA weights and
 	// deadline defaults. Nil means fair.DefaultClasses.
 	Classes *fair.ClassSet
-	// Limiter is the token-bucket admission front. The server itself never
-	// consults it — enforcement lives at the HTTP boundary so internal
-	// resubmissions (cluster failover, refill requeues) are not double-
-	// charged — but it is carried here so Stats can fold its per-tenant
-	// throttle counts into the tenant table.
-	Limiter *fair.Limiter
-	// PredictRequestCost predicts one request's service demand from its
-	// token length for WFQ stamping (e.g. a cost.Params-derived seconds
-	// estimate). Nil means raw token count — only ratios matter to WFQ.
-	PredictRequestCost func(lenTokens int) float64
 
 	// PrefixCache enables shared-prompt prefix sharing: a submission that
 	// declares a prefix (SubmitOptions.PrefixLen) whose tokens are resident
@@ -276,7 +261,8 @@ type Stats struct {
 
 	// Tenants breaks terminal outcomes down by tenant (untagged traffic is
 	// the "default" tenant); nil until the first submission. Throttled is
-	// folded in from Config.Limiter when one is attached.
+	// always zero here: admission is charged at the front, which folds its
+	// limiter's counts in (cluster.Stats.Tenants).
 	Tenants map[string]TenantStats
 	// JainGoodput is Jain's fairness index over per-tenant delivered counts
 	// (1 = perfectly even, 1/n = one tenant taking everything).
@@ -502,7 +488,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Registry != nil {
 		weight = cfg.Registry.Weight
 	}
-	s.wfq = fair.NewWFQ(cfg.PredictRequestCost, weight)
+	s.wfq = fair.NewWFQ(nil, weight) // cost = token count; only ratios matter
 	s.admitBefore = utilityBefore
 	if cfg.Fair {
 		s.admitBefore = stampBefore
@@ -1061,48 +1047,36 @@ func (s *Server) layout(dec sched.Decision, selected []*pending) *batch.Batch {
 	for _, p := range selected {
 		byID[p.req.ID] = p
 	}
-	switch s.cfg.Scheme {
-	case batch.Naive:
+	if s.cfg.Scheme == batch.Naive {
 		items := make([]batch.Item, 0, len(dec.Chosen()))
 		for _, r := range dec.Chosen() {
 			items = append(items, itemFor(byID[r.ID]))
 		}
 		b, _ := batch.PackNaive(items, len(items), s.cfg.L)
 		return b
-	case batch.SlottedConcat:
-		// SlottedDAS emits slot-ordered feasible rows; adopt them directly
-		// so no chosen request can be dropped between decision and launch.
-		z := dec.SlotSize
-		if z <= 0 {
-			z = s.cfg.SlotSize
-		}
-		if z <= 0 {
-			z = s.cfg.L
-		}
-		b := &batch.Batch{Scheme: batch.SlottedConcat, SlotSize: z}
-		for _, row := range dec.Rows {
-			if len(row) == 0 {
-				continue
-			}
-			r := batch.Row{PadTo: s.cfg.L}
-			for _, req := range row {
-				r.Items = append(r.Items, itemFor(byID[req.ID]))
-			}
-			b.Rows = append(b.Rows, r)
-		}
-		return b
-	default:
-		b := &batch.Batch{Scheme: batch.Concat}
-		for _, row := range dec.Rows {
-			if len(row) == 0 {
-				continue
-			}
-			r := batch.Row{PadTo: s.cfg.L}
-			for _, req := range row {
-				r.Items = append(r.Items, itemFor(byID[req.ID]))
-			}
-			b.Rows = append(b.Rows, r)
-		}
-		return b
 	}
+	// Both concat schemes adopt the decision's rows directly (SlottedDAS
+	// emits slot-ordered feasible rows), so no chosen request can be dropped
+	// between decision and launch; slotted only adds the slot size.
+	b := &batch.Batch{Scheme: s.cfg.Scheme}
+	if s.cfg.Scheme == batch.SlottedConcat {
+		b.SlotSize = dec.SlotSize
+		if b.SlotSize <= 0 {
+			b.SlotSize = s.cfg.SlotSize
+		}
+		if b.SlotSize <= 0 {
+			b.SlotSize = s.cfg.L
+		}
+	}
+	for _, row := range dec.Rows {
+		if len(row) == 0 {
+			continue
+		}
+		r := batch.Row{PadTo: s.cfg.L}
+		for _, req := range row {
+			r.Items = append(r.Items, itemFor(byID[req.ID]))
+		}
+		b.Rows = append(b.Rows, r)
+	}
+	return b
 }

@@ -100,21 +100,6 @@ type simReplica struct {
 	// Each replica clocks its own fairness: a request failing over to a
 	// survivor is re-stamped there, and a recovered replica starts fresh.
 	fw *simWFQ
-	// prefix is the replica's resident-prefix set under Template.PrefixCache
-	// (nil otherwise). Per-replica like the live cluster's per-engine caches:
-	// a request failing over to a survivor only hits if the survivor has
-	// encoded that prefix itself, and a killed or recovered replica starts
-	// cold.
-	prefix map[int64]bool
-}
-
-// newPrefixSet returns the residency set for one replica (nil when the
-// template has no prefix cache).
-func newPrefixSet(sys System) map[int64]bool {
-	if !sys.PrefixCache {
-		return nil
-	}
-	return make(map[int64]bool)
 }
 
 // pendingTokens is the replica's load for least-loaded routing.
@@ -171,7 +156,7 @@ func RunCluster(cs ClusterSystem, trace []*sched.Request) (*ClusterMetrics, erro
 	}
 	reps := make([]*simReplica, cs.Replicas)
 	for i := range reps {
-		reps[i] = &simReplica{fw: newSimWFQ(sys), prefix: newPrefixSet(sys)}
+		reps[i] = &simReplica{fw: newSimWFQ(sys)}
 	}
 
 	now := 0.0
@@ -250,7 +235,6 @@ func RunCluster(cs ClusterSystem, trace []*sched.Request) (*ClusterMetrics, erro
 				victims := append(r.pool, r.inflight...)
 				r.pool, r.inflight = nil, nil
 				r.fw = newSimWFQ(sys) // dead clock discarded with the pool
-				r.prefix = newPrefixSet(sys)
 				r.freeAt = now
 				for _, v := range victims {
 					assign(v, now, true)
@@ -259,7 +243,6 @@ func RunCluster(cs ClusterSystem, trace []*sched.Request) (*ClusterMetrics, erro
 				r.down = false
 				r.pool, r.inflight = nil, nil
 				r.fw = newSimWFQ(sys)
-				r.prefix = newPrefixSet(sys)
 				r.freeAt = now
 			}
 		}
@@ -326,7 +309,6 @@ func RunCluster(cs ClusterSystem, trace []*sched.Request) (*ClusterMetrics, erro
 				continue
 			}
 			elapsed, used, padded, launches := executeDecision(sys, dec)
-			elapsed = m.applyPrefixDiscount(sys.Cost, chosen, r.prefix, elapsed)
 			m.Batches += launches
 			m.BusySeconds += elapsed
 			m.UsedTokens += int64(used)

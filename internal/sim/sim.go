@@ -58,19 +58,6 @@ type System struct {
 	// FairWeights maps tenant name → WFQ weight; absent tenants weigh 1.
 	// Ignored unless Fair.
 	FairWeights map[string]float64
-	// PrefixCache models a prefix-sharing KV cache in front of the engine:
-	// the first batch to encode a request naming a PrefixID pays full price
-	// and makes that prefix resident; requests naming the same PrefixID in
-	// *later* batches are hits whose batch is discounted by
-	// Cost.PrefixSavings(PrefixLen). Residency follows the engine's
-	// post-encode freeze — same-batch siblings of the first encoder do not
-	// hit — and is unbounded (the byte-budgeted eviction of the live cache
-	// is not modelled). Requests without a PrefixID are untouched, and with
-	// PrefixCache off the simulation is byte-identical to before the cache
-	// existed. The cluster simulator keeps one residency set per replica,
-	// cleared on kill and recovery, matching the live cluster's per-engine
-	// caches.
-	PrefixCache bool
 }
 
 // Validate reports configuration problems.
@@ -110,25 +97,6 @@ type Metrics struct {
 	// into the default tenant). Populated whether or not System.Fair is on,
 	// so fairness can be measured with and without enforcement.
 	Tenants map[string]*TenantMetrics
-	// Prefix-cache counters (System.PrefixCache). Hits and misses count only
-	// scheduled requests that declare a PrefixID; PrefixTokensSaved is
-	// Σ PrefixLen over hits and PrefixSecondsSaved the total batch-time
-	// discount applied, so Throughput with and without PrefixCache isolates
-	// the cache's contribution on an identical trace.
-	PrefixHits         int
-	PrefixMisses       int
-	PrefixTokensSaved  int64
-	PrefixSecondsSaved float64
-}
-
-// PrefixHitRate returns hits / (hits + misses), 0 when no request declared
-// a prefix.
-func (m *Metrics) PrefixHitRate() float64 {
-	total := m.PrefixHits + m.PrefixMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(m.PrefixHits) / float64(total)
 }
 
 // Throughput returns scheduled responses per simulated second.
@@ -161,10 +129,6 @@ func Run(sys System, trace []*sched.Request) (*Metrics, error) {
 		m.tenant(r).Generated++
 	}
 	fw := newSimWFQ(sys)
-	var prefixSeen map[int64]bool
-	if sys.PrefixCache {
-		prefixSeen = make(map[int64]bool)
-	}
 	var pool []*sched.Request
 	next := 0 // next arrival index
 	now := 0.0
@@ -240,7 +204,6 @@ func Run(sys System, trace []*sched.Request) (*Metrics, error) {
 		}
 
 		elapsed, used, padded, launches := executeDecision(sys, dec)
-		elapsed = m.applyPrefixDiscount(sys.Cost, chosen, prefixSeen, elapsed)
 		m.Batches += launches
 		m.BusySeconds += elapsed
 		m.UsedTokens += int64(used)
@@ -279,42 +242,6 @@ func Run(sys System, trace []*sched.Request) (*Metrics, error) {
 	}
 	m.SimSeconds = now
 	return m, nil
-}
-
-// applyPrefixDiscount classifies the chosen requests against the residency
-// set (nil = caching off), tallies hits and misses, and returns the batch's
-// elapsed seconds with the prefix-cache savings subtracted. New prefixes
-// become resident only *after* the whole batch is classified — a prefix is
-// reusable from the batch after the one that first encoded it, matching the
-// engine's post-encode freeze — so same-batch siblings of a fresh prefix
-// all pay full price.
-func (m *Metrics) applyPrefixDiscount(p cost.Params, chosen []*sched.Request, seen map[int64]bool, elapsed float64) float64 {
-	if seen == nil {
-		return elapsed
-	}
-	var saved float64
-	var fresh []int64
-	for _, r := range chosen {
-		if r.PrefixID == 0 || r.PrefixLen <= 0 {
-			continue
-		}
-		if seen[r.PrefixID] {
-			m.PrefixHits++
-			m.PrefixTokensSaved += int64(r.PrefixLen)
-			saved += p.PrefixSavings(r.PrefixLen)
-		} else {
-			m.PrefixMisses++
-			fresh = append(fresh, r.PrefixID)
-		}
-	}
-	for _, id := range fresh {
-		seen[id] = true
-	}
-	if saved > elapsed {
-		saved = elapsed // never discount below free (defensive; encode cost bounds it)
-	}
-	m.PrefixSecondsSaved += saved
-	return elapsed - saved
 }
 
 // executeDecision lays the decision out under the system's scheme and
