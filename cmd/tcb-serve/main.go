@@ -438,7 +438,7 @@ func (r *report) print(w io.Writer) {
 				s.RefillsAdmitted, s.SegmentsRetiredEarly, s.BatchOccupancyPct, s.SlotIdleSteps)
 		}
 	}
-	fmt.Fprintf(w, "kernels: scalar=%d wide=%d int8=%d\n", st.Kernels.Scalar, st.Kernels.Wide, st.Kernels.Int8)
+	fmt.Fprintf(w, "kernels: scalar=%d wide=%d int8=%d isa=%s\n", st.Kernels.Scalar, st.Kernels.Wide, st.Kernels.Int8, st.Kernels.ISA)
 	if st.PrefixEnabled {
 		p := st.Prefix
 		fmt.Fprintf(w, "prefix (live generations): hits=%d misses=%d hit-rate=%.0f%% tokens-saved=%d inserts=%d evictions=%d ledgers-balanced=%v\n",

@@ -585,5 +585,7 @@ func TestStatsKernelsSnapshot(t *testing.T) {
 	defer c.Stop()
 	if got, want := c.Stats().Kernels, tensor.KernelCounters(); got != want {
 		t.Fatalf("cluster kernels = %+v, want the process snapshot %+v", got, want)
+	} else if got.ISA != "avx2" && got.ISA != "go" {
+		t.Fatalf("cluster kernels name no lane-helper body: %+v", got)
 	}
 }

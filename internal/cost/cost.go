@@ -350,7 +350,11 @@ func CalibrateFull(ms []Measurement) (Params, error) {
 		return Params{}, err
 	}
 	if a <= 0 {
-		return Params{}, fmt.Errorf("cost: non-positive per-token time %g", a)
+		// The per-token term is the small difference of two noisy slopes
+		// when attention dominates the measurements; one slow sample can
+		// push it negative. Fit tokens alone (score work folded into the
+		// per-token time) rather than fail the calibration.
+		return Calibrate(ms, 0)
 	}
 	if b < 0 {
 		b = 0 // score term lost in noise; clamp rather than go negative

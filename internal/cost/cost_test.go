@@ -285,6 +285,38 @@ func TestCalibrateFullRecoversConstants(t *testing.T) {
 	}
 }
 
+// The serving benchmark's grid (rows 1, 2, 4 of 128 tokens, whole-row and
+// 16-token-slot attention) on a machine where attention dominates: one slow
+// small-area sample makes the two-regressor per-token term negative. The fit
+// must degrade to tokens alone, not fail.
+func TestCalibrateFullPerTokenLostInNoise(t *testing.T) {
+	truth := Params{PerTokenSeconds: 1e-6, PerScoreSeconds: 2e-8, PerBatchSeconds: 1e-4}
+	var ms []Measurement
+	for _, rows := range []int{1, 2, 4} {
+		for _, area := range []int{rows * 128 * 128, rows * 8 * 16 * 16} {
+			ms = append(ms, Measurement{
+				Tokens: rows * 128, ScoreArea: area,
+				Seconds: truth.PerBatchSeconds +
+					float64(rows*128)*truth.PerTokenSeconds +
+					float64(area)*truth.PerScoreSeconds,
+			})
+		}
+	}
+	ms[1].Seconds += 2e-3 // rows=1, slotted: interrupted once
+	got, err := CalibrateFull(ms)
+	if err != nil {
+		t.Fatalf("CalibrateFull failed instead of degrading: %v", err)
+	}
+	// PerScoreSeconds == 0 is the mark of the tokens-only fit: the full fit
+	// of this fixture has a large positive score term.
+	if got.PerTokenSeconds <= 0 || got.PerScoreSeconds != 0 {
+		t.Fatalf("degraded fit = %+v, want a positive per-token time and no score term", got)
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCalibrateFullErrors(t *testing.T) {
 	if _, err := CalibrateFull(nil); err == nil {
 		t.Fatal("empty input should fail")

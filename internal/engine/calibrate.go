@@ -10,6 +10,13 @@ import (
 	"tcb/internal/vocab"
 )
 
+// A MeasureCost grid point is timed at least reps times and until it has
+// had minPointSeconds of engine time (at most maxPointReps runs).
+const (
+	minPointSeconds = 4e-3
+	maxPointReps    = 64
+)
+
 // MeasureCost times encode-only batches on the real engine across a grid
 // that varies token count (via batch rows) and attention-score area (via
 // slot partitioning at fixed content), producing the independent-regressor
@@ -57,8 +64,11 @@ func MeasureCost(e *Engine, rowLen, reqLen int, rowCounts []int, reps int, seed 
 			return nil, fmt.Errorf("engine: slotted pack left %d items", len(rest))
 		}
 		for _, b := range []*batch.Batch{pure, slotted} {
-			best := 0.0
-			for r := 0; r < reps; r++ {
+			// Interference only ever adds time, so the minimum over repeats
+			// is the estimate; a batch that runs in well under a millisecond
+			// needs more than reps of them for one to come through clean.
+			best, spent := 0.0, 0.0
+			for r := 0; r < reps || (spent < minPointSeconds && r < maxPointReps); r++ {
 				start := time.Now()
 				if _, err := e.Run(b, tokens); err != nil {
 					return nil, err
@@ -67,6 +77,7 @@ func MeasureCost(e *Engine, rowLen, reqLen int, rowCounts []int, reps int, seed 
 				if r == 0 || el < best {
 					best = el
 				}
+				spent += el
 			}
 			out = append(out, cost.Measurement{
 				Tokens:    b.SlottedTokens(),

@@ -177,34 +177,46 @@ func (m *Model) newBatchDecodeState(rows []BatchDecodeRow, reserve int) *BatchDe
 			v:      tensor.New(nSeg, d),
 		}
 		for i := 0; i < nSeg; i++ {
-			lc.selfK[i] = &tensor.Matrix{Cols: d, Data: make([]float32, 0, reserve*d)}
-			lc.selfV[i] = &tensor.Matrix{Cols: d, Data: make([]float32, 0, reserve*d)}
+			lc.selfK[i] = s.emptySelfCache()
+			lc.selfV[i] = s.emptySelfCache()
 		}
 		s.layers = append(s.layers, lc)
 	}
+	// Cross caches: project each row once, then give every segment its own
+	// pooled copy of its span (so RemoveSegment can recycle it, exactly like
+	// a cache InsertSegment built).
+	ws := s.pool()
 	for li, layer := range m.P.Decoder {
 		lc := s.layers[li]
 		for r, row := range rows {
 			if len(row.Layout.Segments) == 0 {
 				continue
 			}
-			k := layer.CrossAttn.WK.Apply(row.EncOut)
-			v := layer.CrossAttn.WV.Apply(row.EncOut)
+			k := ws.Get(row.EncOut.Rows, d)
+			layer.CrossAttn.WK.ApplyIntoWS(k, row.EncOut, ws)
+			v := ws.Get(row.EncOut.Rows, d)
+			layer.CrossAttn.WV.ApplyIntoWS(v, row.EncOut, ws)
 			base := rowStart[r]
 			for si, seg := range row.Layout.Segments {
 				if pk := row.prefixAt(si); pk != nil {
 					// Inherited prefix: frozen prefix rows, own rows after.
-					ck := tensor.New(pk.Len+seg.Len, d)
-					cv := tensor.New(pk.Len+seg.Len, d)
+					ck := ws.Get(pk.Len+seg.Len, d)
+					cv := ws.Get(pk.Len+seg.Len, d)
 					inheritCross(ck, pk.Layers[li].K, k, seg)
 					inheritCross(cv, pk.Layers[li].V, v, seg)
 					lc.crossK[base+si] = ck
 					lc.crossV[base+si] = cv
 					continue
 				}
-				lc.crossK[base+si] = k.Slice(seg.Start, seg.End())
-				lc.crossV[base+si] = v.Slice(seg.Start, seg.End())
+				ck := ws.Get(seg.Len, d)
+				cv := ws.Get(seg.Len, d)
+				copy(ck.Data, k.Data[seg.Start*d:seg.End()*d])
+				copy(cv.Data, v.Data[seg.Start*d:seg.End()*d])
+				lc.crossK[base+si] = ck
+				lc.crossV[base+si] = cv
 			}
+			ws.Put(k)
+			ws.Put(v)
 		}
 	}
 	return s

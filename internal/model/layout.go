@@ -142,6 +142,12 @@ func CrossBlocks(dec, enc RowLayout) []tensor.AttendBlock {
 // −∞ (tensor.NegInf) everywhere else, padding included.
 func (r RowLayout) BuildMask() *tensor.Matrix {
 	m := tensor.New(r.Total, r.Total)
+	r.fillMask(m)
+	return m
+}
+
+// fillMask writes BuildMask's matrix into m, which must be Total×Total.
+func (r RowLayout) fillMask(m *tensor.Matrix) {
 	m.Fill(tensor.NegInf)
 	for _, s := range r.Segments {
 		for i := s.Start; i < s.End(); i++ {
@@ -151,7 +157,6 @@ func (r RowLayout) BuildMask() *tensor.Matrix {
 			}
 		}
 	}
-	return m
 }
 
 // BuildCausalMask is BuildMask restricted additionally to causal order:

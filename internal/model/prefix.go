@@ -145,10 +145,6 @@ func (s *BatchDecodeState) InsertSegmentPrefix(encOut *tensor.Matrix, kv *Prefix
 	seg := Segment{Start: 0, Len: n}
 	for li, layer := range s.m.P.Decoder {
 		lc := s.layers[li]
-		sk := ws.Get(s.reserve, d)
-		sk.Resize(0, d)
-		sv := ws.Get(s.reserve, d)
-		sv.Resize(0, d)
 		// Project the suffix rows, then assemble the inherited-prefix cache:
 		// frozen prefix rows first, own rows after.
 		sufK := ws.Get(n, d)
@@ -161,8 +157,8 @@ func (s *BatchDecodeState) InsertSegmentPrefix(encOut *tensor.Matrix, kv *Prefix
 		inheritCross(cv, kv.Layers[li].V, sufV, seg)
 		ws.Put(sufK)
 		ws.Put(sufV)
-		lc.selfK = append(lc.selfK, sk)
-		lc.selfV = append(lc.selfV, sv)
+		lc.selfK = append(lc.selfK, s.emptySelfCache())
+		lc.selfV = append(lc.selfV, s.emptySelfCache())
 		lc.crossK = append(lc.crossK, ck)
 		lc.crossV = append(lc.crossV, cv)
 	}

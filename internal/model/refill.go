@@ -17,8 +17,8 @@ import (
 // identical to the plain construction-time path.
 
 // pool returns the state's buffer-recycling workspace, creating it on first
-// use. RemoveSegment Puts the retired caches here and InsertSegment Gets
-// its replacements back out, so a warm remove/insert cycle allocates
+// use. RemoveSegment Puts the retired caches here and construction and
+// InsertSegment Get theirs back out, so a warm remove/insert cycle allocates
 // nothing (pinned by an AllocsPerRun regression test).
 func (s *BatchDecodeState) pool() *tensor.Workspace {
 	if s.ws == nil {
@@ -27,9 +27,20 @@ func (s *BatchDecodeState) pool() *tensor.Workspace {
 	return s.ws
 }
 
-// Close returns the state's recycling workspace (if RemoveSegment or
-// InsertSegment ever created one) to the package pool. Safe on states that
-// never recycled anything and on nil.
+// emptySelfCache checks out a self-attention cache holding no rows with room
+// for reserve of them. Every segment's caches come from here — seated at
+// construction or inserted later — because only a pooled buffer survives
+// RemoveSegment's Put to serve the next segment.
+func (s *BatchDecodeState) emptySelfCache() *tensor.Matrix {
+	d := s.m.Cfg.DModel
+	m := s.pool().Get(s.reserve, d)
+	m.Resize(0, d)
+	return m
+}
+
+// Close returns the state's recycling workspace — and with it the caches of
+// every segment removed so far — to the package pool, where the next state's
+// construction finds them. Safe on states that hold no workspace and on nil.
 func (s *BatchDecodeState) Close() {
 	if s == nil || s.ws == nil {
 		return
@@ -104,16 +115,12 @@ func (s *BatchDecodeState) InsertSegment(encOut *tensor.Matrix) (int, error) {
 	i := s.nSeg
 	for li, layer := range s.m.P.Decoder {
 		lc := s.layers[li]
-		sk := ws.Get(s.reserve, d)
-		sk.Resize(0, d)
-		sv := ws.Get(s.reserve, d)
-		sv.Resize(0, d)
 		ck := ws.Get(n, d)
 		layer.CrossAttn.WK.ApplyIntoWS(ck, encOut, ws)
 		cv := ws.Get(n, d)
 		layer.CrossAttn.WV.ApplyIntoWS(cv, encOut, ws)
-		lc.selfK = append(lc.selfK, sk)
-		lc.selfV = append(lc.selfV, sv)
+		lc.selfK = append(lc.selfK, s.emptySelfCache())
+		lc.selfV = append(lc.selfV, s.emptySelfCache())
 		lc.crossK = append(lc.crossK, ck)
 		lc.crossV = append(lc.crossV, cv)
 	}

@@ -2,9 +2,12 @@ package model
 
 import (
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"tcb/internal/rng"
+	"tcb/internal/tensor"
 	"tcb/internal/vocab"
 )
 
@@ -150,9 +153,8 @@ func TestRemoveInsertZeroAllocs(t *testing.T) {
 	newRow, newLayout := buildConcatRow([][]int{newToks}, len(newToks))
 	newEnc := m.EncodeRow(newRow, newLayout, nil, AttDense, true)
 
-	// Warm-up cycle: the first removal drops the construction-time buffers
-	// (their caps are not pooled powers of two) and the first insertion
-	// stocks the pool with recyclable ones.
+	// Warm-up cycle: the first insertion stocks the pool with the new
+	// segment's cross-attention buffers.
 	cycle := func() error {
 		st.RemoveSegment(st.Segments() - 1)
 		_, err := st.InsertSegment(newEnc)
@@ -197,4 +199,59 @@ func TestRemoveSegmentBounds(t *testing.T) {
 		}
 	}()
 	st.RemoveSegment(1)
+}
+
+// Caches seated at construction must be as recyclable as inserted ones: a
+// launch that retires every segment hands all its self-attention buffers back
+// through Close, and an identical second launch builds its caches from them —
+// none of the KV bytes are allocated again — and decodes the same tokens.
+func TestLaunchSeatedCachesRecycleAcrossLaunches(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	serialKernels(t) // one P: Close and the next NewWorkspace meet in one sync.Pool shard
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	m := testModel(t)
+	src := rng.New(63)
+	row, layout := buildConcatRow([][]int{
+		randTokens(src, 5), randTokens(src, 8), randTokens(src, 4),
+	}, 20)
+	enc := m.EncodeRow(row, layout, nil, AttDense, true)
+	const reserve, steps = 48, 6 // 48 × d_model floats: not a power of two
+	kvBytes := uint64(len(m.P.Decoder) * 2 * len(layout.Segments) * reserve * m.Cfg.DModel * 4)
+
+	launch := func() (built uint64, out [][]int) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st := m.NewBatchDecodeStateReserve([]BatchDecodeRow{{EncOut: enc, Layout: layout}}, reserve)
+		runtime.ReadMemStats(&after)
+		toks := []int{vocab.BosID, vocab.BosID, vocab.BosID}
+		for step := 0; step < steps; step++ {
+			logits, err := st.Step(toks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			toks = make([]int, len(logits))
+			for i, l := range logits {
+				toks[i] = tensor.ArgmaxRows(tensor.FromSlice(1, len(l), l))[0]
+			}
+			out = append(out, toks)
+		}
+		for st.Segments() > 0 {
+			st.RemoveSegment(st.Segments() - 1)
+		}
+		st.Close()
+		return after.TotalAlloc - before.TotalAlloc, out
+	}
+	_, want := launch()
+	built, got := launch()
+	// Everything else a state builds (step buffers, tables) is a fraction of
+	// its self-attention caches, so staying under their size means none of
+	// them was allocated again.
+	if built >= kvBytes {
+		t.Fatalf("second launch allocated %d B building its state: its %d B of self-attention caches were not recycled", built, kvBytes)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("second launch decoded %v, first %v", got, want)
+	}
 }

@@ -114,7 +114,11 @@ func (m *Model) EncodeRowWS(tokens []int, layout RowLayout, slots []Slot, mode A
 		rc.blocks = SlotBlocks(slots)
 		rc.segIDs = layout.SegIDs()
 	} else {
-		rc.mask = layout.BuildMask()
+		// The Total×Total mask is as large as the row's hidden states and
+		// dead once the row is encoded: a workspace buffer, not garbage.
+		rc.mask = ws.Get(layout.Total, layout.Total)
+		layout.fillMask(rc.mask)
+		defer ws.Put(rc.mask)
 	}
 	d := m.Cfg.DModel
 	for _, layer := range m.P.Encoder {

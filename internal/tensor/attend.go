@@ -67,7 +67,6 @@ func MultiHeadAttendInto(out, q, k, v *Matrix, heads int, scale float32, mask, s
 // query rows, so the shared scores scratch is written without overlap.
 func attendRange(out, q, k, v *Matrix, heads, dh int, scale float32, mask, scores *Matrix, lo, hi int) {
 	nk := k.Rows
-	ks, kd := k.stride(), k.Data
 	for h := 0; h < heads; h++ {
 		c0 := h * dh
 		for i := lo; i < hi; i++ {
@@ -77,8 +76,9 @@ func attendRange(out, q, k, v *Matrix, heads, dh int, scale float32, mask, score
 			if mask != nil {
 				mrow = mask.Row(i)
 			}
-			for t := 0; t < nk; t++ {
-				sum := scoreDot(qr, kd, t*ks+c0) * scale
+			scoreKeys(srow, qr, k, 0, c0)
+			for t, dot := range srow {
+				sum := dot * scale
 				if mrow != nil {
 					sum += mrow[t]
 				}
@@ -90,23 +90,15 @@ func attendRange(out, q, k, v *Matrix, heads, dh int, scale float32, mask, score
 	}
 }
 
-// scoreDot is the query·key inner product of the attention kernels: four
-// independent accumulators over the head slice kd[off : off+len(qr)]. Small
-// enough to inline into the score loops, which call it once per (row, key).
-func scoreDot(qr, kd []float32, off int) float32 {
-	kr := kd[off : off+len(qr)]
-	var s0, s1, s2, s3 float32
-	j := 0
-	for ; j+4 <= len(qr); j += 4 {
-		s0 += qr[j] * kr[j]
-		s1 += qr[j+1] * kr[j+1]
-		s2 += qr[j+2] * kr[j+2]
-		s3 += qr[j+3] * kr[j+3]
+// scoreKeys writes srow[t] = qr · k.Row(first+t)[c0 : c0+len(qr)]: one query
+// head against a run of consecutive key rows, in one scoreRow call so the
+// (non-inlinable) lane helper is paid per query row, not per key.
+func scoreKeys(srow, qr []float32, k *Matrix, first, c0 int) {
+	if len(srow) == 0 {
+		return
 	}
-	for ; j < len(qr); j++ {
-		s0 += qr[j] * kr[j]
-	}
-	return s0 + s1 + s2 + s3
+	ks := k.stride()
+	scoreRow(srow, qr, k.Data[first*ks+c0:], ks)
 }
 
 // weighedSumRows computes dst = Σ_t w[t] · v[kOff+t][c0:c0+dh], four value
@@ -123,23 +115,19 @@ func weighedSumRows(dst, w []float32, v *Matrix, kOff, c0, dh int) {
 		if w0 == 0 && w1 == 0 && w2 == 0 && w3 == 0 {
 			continue
 		}
-		v0 := v.Row(kOff + t)[c0 : c0+dh]
-		v1 := v.Row(kOff + t + 1)[c0 : c0+dh]
-		v2 := v.Row(kOff + t + 2)[c0 : c0+dh]
-		v3 := v.Row(kOff + t + 3)[c0 : c0+dh]
-		for j := range dst {
-			dst[j] += w0*v0[j] + w1*v1[j] + w2*v2[j] + w3*v3[j]
-		}
+		quadAxpy1(dst,
+			v.Row(kOff + t)[c0:c0+dh],
+			v.Row(kOff + t + 1)[c0:c0+dh],
+			v.Row(kOff + t + 2)[c0:c0+dh],
+			v.Row(kOff + t + 3)[c0:c0+dh],
+			w0, w1, w2, w3)
 	}
 	for ; t < len(w); t++ {
 		a := w[t]
 		if a == 0 {
 			continue
 		}
-		vr := v.Row(kOff + t)[c0 : c0+dh]
-		for j, vv := range vr {
-			dst[j] += a * vv
-		}
+		tailAxpy1(dst, v.Row(kOff + t)[c0:c0+dh], a)
 	}
 }
 
@@ -209,7 +197,6 @@ func BlockAttendInto(out, q, k, v *Matrix, heads int, scale float32,
 
 func blockAttendRange(out, q, k, v *Matrix, heads, dh int, scale float32,
 	blocks []AttendBlock, qSeg, kSeg []int, causal bool, scores *Matrix, bLo, bHi int) {
-	ks, kd := k.stride(), k.Data
 	for bi := bLo; bi < bHi; bi++ {
 		b := blocks[bi]
 		k0, kw := b.K.Start, b.K.Len()
@@ -232,8 +219,10 @@ func blockAttendRange(out, q, k, v *Matrix, heads, dh int, scale float32,
 						kEnd = 0
 					}
 				}
-				for t := 0; t < kEnd; t++ {
-					sum := scoreDot(qr, kd, (k0+t)*ks+c0) * scale
+				srow = srow[:kEnd]
+				scoreKeys(srow, qr, k, k0, c0)
+				for t, dot := range srow {
+					sum := dot * scale
 					if kSeg != nil && kSeg[k0+t] != si {
 						// Inline concat-isolation mask: same additive NegInf
 						// the dense mask would have applied.
@@ -241,7 +230,6 @@ func blockAttendRange(out, q, k, v *Matrix, heads, dh int, scale float32,
 					}
 					srow[t] = sum
 				}
-				srow = srow[:kEnd]
 				softmaxRow(srow)
 				weighedSumRows(out.Row(i)[c0:c0+dh], srow, v, k0, c0, dh)
 			}
@@ -270,10 +258,9 @@ func attendCachedRow(dst, qrow []float32, keys, vals *Matrix, heads, dh int, sca
 	for h := 0; h < heads; h++ {
 		c0 := h * dh
 		maxv := float32(math.Inf(-1))
-		qr := qrow[c0 : c0+dh]
-		ks, kd := keys.stride(), keys.Data
-		for t := 0; t < n; t++ {
-			sum := scoreDot(qr, kd, t*ks+c0) * scale
+		scoreKeys(srow, qrow[c0:c0+dh], keys, 0, c0)
+		for t, dot := range srow {
+			sum := dot * scale
 			srow[t] = sum
 			if sum > maxv {
 				maxv = sum
@@ -291,11 +278,7 @@ func attendCachedRow(dst, qrow []float32, keys, vals *Matrix, heads, dh int, sca
 			dstH[j] = 0
 		}
 		for t := 0; t < n; t++ {
-			a := srow[t] * inv
-			vr := vals.Row(t)[c0 : c0+dh]
-			for j, vv := range vr {
-				dstH[j] += a * vv
-			}
+			tailAxpy1(dstH, vals.Row(t)[c0:c0+dh], srow[t]*inv)
 		}
 	}
 }

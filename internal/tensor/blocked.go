@@ -2,15 +2,17 @@ package tensor
 
 import "fmt"
 
-// blockSize is the tile edge for the blocked kernel: 64×64 float32 tiles
-// (16 KiB per operand tile) fit comfortably in L1/L2 alongside the
-// accumulator tile.
-const blockSize = 64
+// blockSize is the tile edge for the blocked kernel: 128×128 float32 tiles
+// (64 KiB per operand tile) keep the a, b and dst tiles L2-resident while
+// giving the lane helpers 128-column rows to amortize their call over.
+const blockSize = 128
 
-// matMulThreshold is the operand size (in total multiply-adds) above which
-// MatMulInto switches to the blocked kernel. Below it, the streaming ikj
-// kernel's lower bookkeeping wins.
-const matMulThreshold = 1 << 21 // ~2M MACs ≈ 128³
+// matMulThreshold is the size of the right operand (k×p floats) from which
+// MatMulInto and MatMulTInto switch to the blocked kernel. The streaming
+// kernel re-reads all of b for every dst row (pair); that costs nothing while
+// b stays in L2, and its longer rows and lower bookkeeping win there at every
+// height measured. Past ~2 MiB of b, tiling wins (EXPERIMENTS.md, PR 15).
+const matMulThreshold = 1 << 19
 
 // MatMulBlocked computes dst = a × b with cache-blocked tiling. Exposed for
 // benchmarks and tests; MatMulInto dispatches to it automatically for large

@@ -10,16 +10,15 @@ import (
 // (k-quads then a scalar tail, independent of GEMM height, worker chunking
 // and row pairing), so switching kernels never changes a single output bit —
 // the wide kernel is the default and the scalar kernel remains as the
-// reference and A/B escape hatch.
+// reference the equality tests and A/B benchmarks compare against.
 type Kernel int32
 
 const (
-	// KernelWide is the 8-lane j-blocked form of the 2×4 register-blocked
-	// kernel: the innermost column loop runs over fixed-size 8-float lanes
-	// (unsafe array-pointer blocks on the default build, plain slices under
-	// the purego build tag), eliminating per-element bounds checks while
-	// keeping each element's k-accumulation order bitwise identical to the
-	// scalar kernel's.
+	// KernelWide is the 8-lane form of the 2×4 register-blocked kernel: the
+	// innermost column loop runs through the lane helpers of
+	// lanes_generic.go — AVX2 assembly on amd64 CPUs that have it, plain Go
+	// elsewhere — keeping each element's k-accumulation order bitwise
+	// identical to the scalar kernel's.
 	KernelWide Kernel = iota
 	// KernelScalar is the PR 2 reference: 2×4 register blocking with plain
 	// slice indexing.
@@ -58,7 +57,7 @@ var activeKernel atomic.Int32 // KernelWide (zero value) by default
 
 // SetKernel selects the float32 GEMM kernel for every subsequent MatMul
 // dispatch, process-wide. Outputs are bitwise identical either way; the
-// switch exists for A/B benchmarking and as an escape hatch.
+// switch exists for A/B benchmarking against the reference.
 func SetKernel(k Kernel) { activeKernel.Store(int32(k)) }
 
 // ActiveKernel returns the current float32 kernel selection.
@@ -80,6 +79,9 @@ type KernelCounts struct {
 	Scalar uint64 `json:"scalar"` // 2×4 register-blocked float32 dispatches
 	Wide   uint64 `json:"wide"`   // 8-lane float32 dispatches
 	Int8   uint64 `json:"int8"`   // per-channel quantized int8 GEMMs
+	// ISA names the body serving the wide kernel's and the attention
+	// kernels' lane helpers: "avx2" (assembly) or "go".
+	ISA string `json:"isa"`
 }
 
 // KernelCounters returns the process-wide kernel dispatch counters.
@@ -88,7 +90,15 @@ func KernelCounters() KernelCounts {
 		Scalar: scalarCalls.Load(),
 		Wide:   wideCalls.Load(),
 		Int8:   int8Calls.Load(),
+		ISA:    laneISA(),
 	}
+}
+
+func laneISA() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "go"
 }
 
 // ResetKernelCounters zeroes the dispatch counters (tests and benchmarks).
@@ -98,13 +108,13 @@ func ResetKernelCounters() {
 	int8Calls.Store(0)
 }
 
-// mulDispatch picks the float32 kernel by problem size and the process-wide
+// mulDispatch picks the float32 kernel by the size of b and the process-wide
 // kernel selection. Every path computes each dst row with the identical
 // per-row accumulation order, so the choice is invisible in the output.
 func mulDispatch(dst, a, b *Matrix) {
 	if ActiveKernel() == KernelWide {
 		wideCalls.Add(1)
-		if a.Rows*a.Cols*b.Cols >= matMulThreshold {
+		if b.Rows*b.Cols >= matMulThreshold {
 			MatMulWideBlocked(dst, a, b)
 			return
 		}
@@ -112,7 +122,7 @@ func mulDispatch(dst, a, b *Matrix) {
 		return
 	}
 	scalarCalls.Add(1)
-	if a.Rows*a.Cols*b.Cols >= matMulThreshold {
+	if b.Rows*b.Cols >= matMulThreshold {
 		MatMulBlocked(dst, a, b)
 		return
 	}

@@ -331,15 +331,15 @@ func TestMatMulTBlockedOverwritesDst(t *testing.T) {
 }
 
 func TestMatMulTDispatchCrossesThreshold(t *testing.T) {
-	// 160×90×160: 160*90*160 = 2.3M ≥ threshold → blocked kernel.
-	a := randMatrix(160, 90, 15)
-	b := randMatrix(160, 90, 16)
-	if a.Rows*a.Cols*b.Rows < matMulThreshold {
-		t.Fatalf("test operands below threshold: %d", a.Rows*a.Cols*b.Rows)
+	// b is 730×730 = 533k floats ≥ threshold → blocked kernel.
+	a := randMatrix(160, 730, 15)
+	b := randMatrix(730, 730, 16)
+	if b.Rows*b.Cols < matMulThreshold {
+		t.Fatalf("test operands below threshold: %d", b.Rows*b.Cols)
 	}
-	viaDispatch := New(160, 160)
+	viaDispatch := New(160, 730)
 	MatMulTInto(viaDispatch, a, b)
-	small := New(160, 160)
+	small := New(160, 730)
 	matMulTSmallRange(small, a, b, 0, a.Rows)
 	if !viaDispatch.AllClose(small, 1e-4) {
 		t.Fatalf("dispatch and small kernel differ by %g", viaDispatch.MaxAbsDiff(small))
@@ -545,9 +545,9 @@ func TestMatMulIntoZeroAllocs(t *testing.T) {
 		t.Fatalf("MatMulInto (small kernel) allocated %g times per run", allocs)
 	}
 	// Large operands cross into the blocked kernel; still zero allocations.
-	la := randMatrix(192, 96, 63)
-	lb := randMatrix(96, 192, 64)
-	ldst := New(192, 192)
+	la := randMatrix(192, 730, 63)
+	lb := randMatrix(730, 730, 64) // ≥ matMulThreshold floats
+	ldst := New(192, 730)
 	allocs = testing.AllocsPerRun(5, func() { MatMulInto(ldst, la, lb) })
 	if allocs != 0 {
 		t.Fatalf("MatMulInto (blocked kernel) allocated %g times per run", allocs)

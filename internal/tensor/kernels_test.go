@@ -7,7 +7,7 @@ import (
 
 // withKernel selects a float32 kernel for the test and restores the previous
 // selection afterwards (the selection is process-wide).
-func withKernel(t *testing.T, k Kernel) {
+func withKernel(t testing.TB, k Kernel) {
 	t.Helper()
 	old := ActiveKernel()
 	SetKernel(k)
@@ -79,10 +79,13 @@ func TestWideBlockedMatchesScalarBlockedBitwise(t *testing.T) {
 }
 
 // A product crossing the small→blocked dispatch threshold must stay bitwise
-// identical between kernel selections (130³ > matMulThreshold).
+// identical between kernel selections (b at 730² floats > matMulThreshold).
 func TestWideDispatchCrossesThreshold(t *testing.T) {
-	a := randMatrix(130, 130, 41)
-	b := randMatrix(130, 130, 42)
+	a := randMatrix(130, 730, 41)
+	b := randMatrix(730, 730, 42)
+	if b.Rows*b.Cols < matMulThreshold {
+		t.Fatalf("test operands below threshold: %d", b.Rows*b.Cols)
+	}
 	sprinkleZeros(a)
 	withKernel(t, KernelScalar)
 	want := MatMul(a, b)
@@ -133,7 +136,7 @@ func TestKernelCounters(t *testing.T) {
 	MatMulInto(dst, a, b)
 	MatMulQuantizedInto(dst, a, q, nil)
 	got := KernelCounters()
-	want := KernelCounts{Scalar: 1, Wide: 2, Int8: 1}
+	want := KernelCounts{Scalar: 1, Wide: 2, Int8: 1, ISA: laneISA()}
 	if got != want {
 		t.Fatalf("counters = %+v, want %+v", got, want)
 	}
@@ -151,9 +154,9 @@ func TestWideKernelZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("wide small kernel allocated %g times per run", allocs)
 	}
-	la := randMatrix(192, 96, 63)
-	lb := randMatrix(96, 192, 64)
-	ldst := New(192, 192)
+	la := randMatrix(192, 730, 63)
+	lb := randMatrix(730, 730, 64) // ≥ matMulThreshold floats
+	ldst := New(192, 730)
 	allocs = testing.AllocsPerRun(5, func() { MatMulInto(ldst, la, lb) })
 	if allocs != 0 {
 		t.Fatalf("wide blocked kernel allocated %g times per run", allocs)

@@ -142,7 +142,7 @@ func MatMulTInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulT dst %dx%d != %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	if a.Rows*a.Cols*b.Rows >= matMulThreshold {
+	if b.Rows*b.Cols >= matMulThreshold {
 		MatMulTBlocked(dst, a, b)
 		return
 	}

@@ -471,10 +471,13 @@ func TestBlockedShapePanics(t *testing.T) {
 
 func TestDispatchCrossesThreshold(t *testing.T) {
 	// A product right at the dispatch boundary must be correct either way.
-	a := randMatrix(130, 130, 5)
-	b := randMatrix(130, 130, 6)
-	got := MatMul(a, b) // dispatches to blocked (130³ > threshold)
-	want := New(130, 130)
+	a := randMatrix(130, 730, 5)
+	b := randMatrix(730, 730, 6)
+	if b.Rows*b.Cols < matMulThreshold {
+		t.Fatalf("test operands below threshold: %d", b.Rows*b.Cols)
+	}
+	got := MatMul(a, b) // dispatches to blocked
+	want := New(130, 730)
 	matMulSmall(want, a, b)
 	if !got.AllClose(want, 1e-4) {
 		t.Fatalf("dispatch mismatch: %g", got.MaxAbsDiff(want))

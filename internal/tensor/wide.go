@@ -4,13 +4,12 @@ import "fmt"
 
 // The wide float32 kernel: the same 2×4 register blocking and cache tiling
 // as matmul.go/blocked.go, with the innermost column loops routed through
-// the 8-lane helpers of lanes.go (unsafe array-pointer blocks; pure-Go
-// fallback under the purego build tag). The per-row accumulation order — k
-// quads left to right, then a scalar k tail, with the single-row paths
-// skipping zero multipliers on the tail exactly like the scalar kernel — is
-// unchanged, so every dst element is bitwise identical to the scalar
-// kernel's. mulDispatch routes here by default; SetKernel(KernelScalar) is
-// the escape hatch.
+// the 8-lane helpers of lanes_generic.go (AVX2 assembly on amd64, plain Go
+// elsewhere). The per-row accumulation order — k quads left to right, then
+// a scalar k tail, with the single-row paths skipping zero multipliers on
+// the tail exactly like the scalar kernel — is unchanged, so every dst
+// element is bitwise identical to the scalar kernel's. mulDispatch routes
+// here by default; SetKernel(KernelScalar) selects the reference.
 
 // matMulWideSmall is the streaming ikj kernel for small operands, wide form.
 func matMulWideSmall(dst, a, b *Matrix) {
