@@ -433,6 +433,7 @@ func (r *report) print(w io.Writer) {
 			rs.Index, rs.State, rs.Respawns, s.Served, s.Failed, s.Retried, s.Panics, s.Timeouts, s.Shed, s.BreakerState, s.BreakerTrips)
 		fmt.Fprintf(w, "    stages (pipelined=%v): schedule=%.1fms compute=%.1fms cleanup=%.1fms overruns=%d\n",
 			s.Pipelined, float64(s.ScheduleNs)/1e6, float64(s.ComputeNs)/1e6, float64(s.CleanupNs)/1e6, s.StageOverruns)
+		fmt.Fprintf(w, "    encoded: tokens=%d scores=%d\n", s.EncodedTokens, s.EncodedScores)
 		if s.Refilling {
 			fmt.Fprintf(w, "    refill: admitted=%d retired-early=%d occupancy=%.0f%% slot-idle-steps=%d\n",
 				s.RefillsAdmitted, s.SegmentsRetiredEarly, s.BatchOccupancyPct, s.SlotIdleSteps)

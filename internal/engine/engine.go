@@ -5,10 +5,13 @@
 // auto-regressive decoder, and returns per-request outputs together with
 // wall-clock timing and simulated-memory accounting.
 //
-// The engine supports all batching schemes: Naive and Turbo rows hold a
-// single segment (the padded baseline layouts), Concat rows hold many
-// segments with dense masked attention, and SlottedConcat rows use the
-// per-slot attention of §4.2 plus early memory cleaning.
+// The engine supports all batching schemes, and encodes every one of them
+// through the block attention kernel. TCB rows are staged pad-free — a row's
+// tensor height is what it holds; Row.PadTo is its capacity and memory
+// budget, never multiplied — with one block per request for Concat and one
+// per slot (§4.2) for SlottedConcat, which also gets early memory cleaning.
+// Naive and Turbo rows hold a single segment and keep their padding inside
+// one whole-row block: that waste is the baselines' definition.
 package engine
 
 import (
@@ -108,6 +111,11 @@ type Report struct {
 	HasEarly   bool
 	// Refill is present on refill-enabled launches (RunPreparedRefill).
 	Refill *RefillReport
+	// EncodedTokens and EncodedScores count the encoder work the launch
+	// executed, launch rows and mid-flight admissions alike: rows embedded,
+	// projected and FFN'd, and attention scores computed per layer and head.
+	EncodedTokens int64
+	EncodedScores int64
 }
 
 // Run executes b. tokens maps item IDs to their input token sequences; the
@@ -125,10 +133,10 @@ func (e *Engine) Run(b *batch.Batch, tokens map[int64][]int) (*Report, error) {
 }
 
 // Prepared is a batch staged for execution: validated, its device memory
-// reserved, and every row's host-side tensors built (concatenated + padded
-// token ids, concat layout, slot descriptors, generation caps). Staging is
-// pure host work touching no model state, so the pipeline's prepare stage
-// runs it for batch t+1 while batch t computes.
+// reserved, and every row's host-side tensors built (concatenated token ids —
+// padded only under Naive/Turbo — concat layout, slot descriptors, generation
+// caps). Staging is pure host work touching no model state, so the pipeline's
+// prepare stage runs it for batch t+1 while batch t computes.
 type Prepared struct {
 	Batch  *batch.Batch
 	Tokens map[int64][]int
@@ -138,14 +146,15 @@ type Prepared struct {
 	// the next batch's compute.
 	DeferCleaning bool
 
-	mode model.AttentionMode
 	// Staged per non-empty row, in batch-row order. layouts is the decode
 	// (item) layout — one segment per item, spanning its resident tokens.
 	// encLayouts is the encoder layout: identical except that items with a
 	// declared, uncached prefix are split into two segments (prefix, then
 	// suffix), each with its own positional-encoding restart and isolation.
 	// Items without prefixes produce identical layouts and encLayouts is
-	// the same slice value — the pre-prefix path, bit for bit.
+	// the same slice value — the pre-prefix path, bit for bit. slots[ri] is
+	// the row's attention partition; nil (Concat) means one block per
+	// encoder segment.
 	rows       []batch.Row
 	rowTokens  [][]int
 	layouts    []model.RowLayout
@@ -202,16 +211,13 @@ func (e *Engine) Prepare(b *batch.Batch, tokens map[int64][]int) (*Prepared, err
 			return nil, fmt.Errorf("engine: item %d expects a cached prefix but the engine has no prefix cache", it.ID)
 		}
 	}
-	p := &Prepared{Batch: b, Tokens: tokens, mode: model.AttDense, eng: e}
-	if b.Scheme == batch.SlottedConcat {
-		p.mode = model.AttSlotted
-	}
+	p := &Prepared{Batch: b, Tokens: tokens, eng: e}
 	for _, row := range b.Rows {
 		if len(row.Items) == 0 {
 			continue
 		}
 		ri := len(p.rows)
-		rowTokens, layout, encLayout, slots, prefixes, err := e.rowLayout(b, row, tokens, p.mode, ri, &p.inserts)
+		rowTokens, layout, encLayout, slots, prefixes, err := e.rowLayout(b, row, tokens, ri, &p.inserts)
 		if err != nil {
 			return nil, err
 		}
@@ -289,14 +295,18 @@ func (p *Prepared) FinishReport(rep *Report) error {
 var launchSeq atomic.Uint64
 
 // rowLayout concatenates a row's item tokens (resident suffix only for
-// prefix-cache hits), pads to the row capacity and builds the decode (item)
-// layout, the encoder layout (declared-but-uncached prefixes split into
-// their own segments), the slot descriptors (for slotted batches), the
-// attached frozen prefixes (for hits) and the pending cache inserts (for
-// cold declared prefixes).
-func (e *Engine) rowLayout(b *batch.Batch, row batch.Row, tokens map[int64][]int, mode model.AttentionMode, ri int, inserts *[]prefixInsert) (rowTokens []int, layout, encLayout model.RowLayout, slots []model.Slot, prefixes []*model.PrefixKV, err error) {
+// prefix-cache hits) and builds the decode (item) layout, the encoder layout
+// (declared-but-uncached prefixes split into their own segments), the slot
+// descriptors, the attached frozen prefixes (for hits) and the pending cache
+// inserts (for cold declared prefixes). A TCB row is staged at the height it
+// holds; only the padding baselines materialize PadTo.
+func (e *Engine) rowLayout(b *batch.Batch, row batch.Row, tokens map[int64][]int, ri int, inserts *[]prefixInsert) (rowTokens []int, layout, encLayout model.RowLayout, slots []model.Slot, prefixes []*model.PrefixKV, err error) {
+	height := row.Used()
+	if b.Scheme == batch.Naive || b.Scheme == batch.Turbo {
+		height = row.PadTo
+	}
 	lengths := make([]int, len(row.Items))
-	rowTokens = make([]int, 0, row.PadTo)
+	rowTokens = make([]int, 0, height)
 	encLengths := make([]int, 0, len(row.Items))
 	segCounts := make([]int, len(row.Items))
 	split := false
@@ -336,106 +346,145 @@ func (e *Engine) rowLayout(b *batch.Batch, row batch.Row, tokens map[int64][]int
 		}
 		start += it.Len
 	}
-	for len(rowTokens) < row.PadTo {
+	for len(rowTokens) < height {
 		rowTokens = append(rowTokens, vocab.PadID)
 	}
-	layout = model.ConcatLayout(lengths, row.PadTo)
+	layout = model.ConcatLayout(lengths, height)
 	encLayout = layout
 	if split {
-		encLayout = model.ConcatLayout(encLengths, row.PadTo)
+		encLayout = model.ConcatLayout(encLengths, height)
 	}
-	if mode == model.AttSlotted {
+	// Concat rows carry no slots: one block per encoder segment.
+	if b.Scheme != batch.Concat {
 		slots = e.slotsForRow(b, row, encLayout, segCounts)
+		if b.Scheme != batch.SlottedConcat {
+			slots[0].Len = height // a baseline row is one block, padding included
+		}
 	}
 	return rowTokens, layout, encLayout, slots, prefixes, nil
 }
 
-// rowCaps returns the per-item generation caps of a row (MaxNew clamped by
-// OutputCap).
+// rowCaps returns the per-item generation caps of a row.
 func (e *Engine) rowCaps(row batch.Row) []int {
 	caps := make([]int, len(row.Items))
 	for i, it := range row.Items {
-		caps[i] = e.MaxNew
-		if e.OutputCap != nil {
-			// The cap depends on the request's full input length — a cache
-			// hit must generate exactly what a cold run would.
-			if c := e.OutputCap(it.Len + it.CachedLen); c < caps[i] {
-				caps[i] = c
-			}
-		}
-		if caps[i] < 0 {
-			caps[i] = 0
-		}
+		caps[i] = e.genCap(it.Len + it.CachedLen)
 	}
 	return caps
 }
 
-// runPerRow executes every staged row end to end in its own goroutine — the
-// batch dimension of a real GPU launch. It is the path for engines that do
-// not decode through the fused cached state: encode-only (MaxNew = 0), the
-// mask-based decoder (UseCache off) and per-row cached decoding (FuseDecode
-// off).
-func (e *Engine) runPerRow(p *Prepared) ([]Result, error) {
-	type rowOut struct {
-		results []Result
-		err     error
-	}
-	outs := make([]rowOut, len(p.rows))
-	var wg sync.WaitGroup
-	for ri := range p.rows {
-		wg.Add(1)
-		go func(ri int) {
-			defer wg.Done()
-			res, err := e.runRow(p, ri)
-			outs[ri] = rowOut{res, err}
-		}(ri)
-	}
-	wg.Wait()
-	var results []Result
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
+// genCap returns the generation cap of a request: MaxNew clamped by
+// OutputCap, floored at 0. inputLen is the request's full input length — a
+// cache hit must generate exactly what a cold run would.
+func (e *Engine) genCap(inputLen int) int {
+	c := e.MaxNew
+	if e.OutputCap != nil {
+		if oc := e.OutputCap(inputLen); oc < c {
+			c = oc
 		}
-		results = append(results, o.results...)
 	}
-	return results, nil
+	if c < 0 {
+		c = 0
+	}
+	return c
 }
 
-// freezeRowPrefixes runs row ri's staged insert-on-completion jobs: each
-// cold declared prefix's encoder rows are copied out of the row, projected
-// into frozen cross K/V, and offered to the cache. Failures (over budget,
-// out of device memory) just mean the next identical request encodes cold
-// again.
-func (e *Engine) freezeRowPrefixes(p *Prepared, ri int, enc *tensor.Matrix) {
-	if e.PrefixCache == nil || enc == nil {
+// fanOut runs job(i, ws) for every i in [0, n) and waits. Several jobs run
+// concurrently — the batch dimension of a real GPU launch — each on its own
+// pooled workspace; a lone job runs inline on ws, because a one-request
+// launch or a single admission is a couple of milliseconds of compute and a
+// goroutine hand-off plus a cold workspace would show in it.
+func fanOut(n int, ws *tensor.Workspace, job func(i int, ws *tensor.Workspace)) {
+	if n == 1 {
+		job(0, ws)
 		return
 	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws := tensor.NewWorkspace()
+			defer ws.Close()
+			job(i, ws)
+		}()
+	}
+	wg.Wait()
+}
+
+// encode is the engine's one encoder call — launch rows, mid-flight
+// admissions and cold prefixes alike: block attention, separate positional
+// encoding, no dense mask.
+func (e *Engine) encode(tokens []int, layout model.RowLayout, slots []model.Slot, ws *tensor.Workspace) *tensor.Matrix {
+	return e.Model.EncodeRowWS(tokens, layout, slots, model.AttSlotted, true, ws)
+}
+
+// addEncodeWork charges rep with one encode: every row of the layout is
+// embedded, projected and FFN'd, and attention scores exactly its blocks —
+// one per slot, or one per segment where there are no slots.
+func (rep *Report) addEncodeWork(layout model.RowLayout, slots []model.Slot) {
+	rep.EncodedTokens += int64(layout.Total)
+	if len(slots) > 0 {
+		rep.EncodedScores += int64(model.ScoreArea(slots))
+		return
+	}
+	for _, s := range layout.Segments {
+		rep.EncodedScores += int64(s.Len * s.Len)
+	}
+}
+
+// runPerRow executes every staged row end to end, rows side by side. It is
+// the path for engines that do not decode through the fused cached state:
+// encode-only (MaxNew = 0), the mask-based decoder (UseCache off) and per-row
+// cached decoding (FuseDecode off).
+func (e *Engine) runPerRow(p *Prepared, rep *Report) error {
+	outs := make([][]Result, len(p.rows))
+	errs := make([]error, len(p.rows))
+	ws := tensor.NewWorkspace()
+	defer ws.Close()
+	fanOut(len(p.rows), ws, func(ri int, ws *tensor.Workspace) {
+		outs[ri], errs[ri] = e.runRow(p, ri, ws)
+	})
+	for ri := range p.rows {
+		if errs[ri] != nil {
+			return errs[ri]
+		}
+		rep.Results = append(rep.Results, outs[ri]...)
+		rep.addEncodeWork(p.encLayouts[ri], p.slots[ri])
+	}
+	return nil
+}
+
+// freezeRowPrefixes runs row ri's staged insert-on-completion jobs.
+func (e *Engine) freezeRowPrefixes(p *Prepared, ri int, enc *tensor.Matrix) {
 	for _, job := range p.inserts {
-		if job.ri != ri {
-			continue
+		if job.ri == ri {
+			e.freezePrefix(p.Tokens[job.id], job.n, enc, job.start)
 		}
-		seq := p.Tokens[job.id]
-		if e.PrefixCache.Contains(seq, job.n) {
-			continue // a concurrent launch froze it first
-		}
-		rows := enc.Slice(job.start, job.start+job.n) // deep copy; cache owns it
-		kv, err := e.Model.BuildPrefixKV(rows)
-		if err != nil {
-			continue
-		}
-		e.PrefixCache.Insert(seq, job.n, rows, kv)
+	}
+}
+
+// freezePrefix offers a cold declared prefix — the first n tokens of seq,
+// just encoded as rows [start, start+n) of enc, in a launch row or as an
+// admission — to the cache: the rows are copied out, projected into frozen
+// cross K/V and inserted. Best-effort: a failure (over budget, out of device
+// memory) or a concurrent launch that froze it first only means the next
+// identical request may encode cold again.
+func (e *Engine) freezePrefix(seq []int, n int, enc *tensor.Matrix, start int) {
+	if e.PrefixCache == nil || enc == nil || e.PrefixCache.Contains(seq, n) {
+		return
+	}
+	rows := enc.Slice(start, start+n) // deep copy; cache owns it
+	if kv, err := e.Model.BuildPrefixKV(rows); err == nil {
+		e.PrefixCache.Insert(seq, n, rows, kv)
 	}
 }
 
 // runRow executes one staged row: encode, decode, split results per item.
-func (e *Engine) runRow(p *Prepared, ri int) ([]Result, error) {
+// Layer intermediates are checked out of ws and released inside the encoder.
+func (e *Engine) runRow(p *Prepared, ri int, ws *tensor.Workspace) ([]Result, error) {
 	row := p.rows[ri]
-	// One workspace per row goroutine: layer intermediates are checked out
-	// and released inside the encoder/decoder, and the buffers themselves
-	// are recycled across batches through the package pool.
-	ws := tensor.NewWorkspace()
-	defer ws.Close()
-	encOut := e.Model.EncodeRowWS(p.rowTokens[ri], p.encLayouts[ri], p.slots[ri], p.mode, true, ws)
+	encOut := e.encode(p.rowTokens[ri], p.encLayouts[ri], p.slots[ri], ws)
 	if e.MaxNew == 0 {
 		e.freezeRowPrefixes(p, ri, encOut)
 		out := make([]Result, len(row.Items))
@@ -452,7 +501,13 @@ func (e *Engine) runRow(p *Prepared, ri int) ([]Result, error) {
 			return nil, err
 		}
 	} else {
-		gen = e.Model.GenerateRowCapped(encOut, p.layouts[ri], p.slots[ri], p.caps[ri], p.mode)
+		// The mask-based re-run decoder is the dense reference; only slotted
+		// batches carry their slot partition into it.
+		mode := model.AttDense
+		if p.Batch.Scheme == batch.SlottedConcat {
+			mode = model.AttSlotted
+		}
+		gen = e.Model.GenerateRowCapped(encOut, p.layouts[ri], p.slots[ri], p.caps[ri], mode)
 	}
 	e.freezeRowPrefixes(p, ri, encOut)
 	out := make([]Result, len(row.Items))

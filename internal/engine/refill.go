@@ -16,7 +16,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"tcb/internal/model"
@@ -126,9 +125,9 @@ func (e *Engine) RunPreparedRefill(p *Prepared, hook RefillHook) (*Report, error
 		if hook == nil {
 			hook = noRefill{}
 		}
-		rep.Results, rep.Refill, err = e.runFusedRefill(p, hook)
+		err = e.runFusedRefill(p, hook, rep)
 	} else {
-		rep.Results, err = e.runPerRow(p)
+		err = e.runPerRow(p, rep)
 	}
 	if err != nil {
 		return nil, err
@@ -161,13 +160,23 @@ type liveSeg struct {
 	output []int
 }
 
+// seat is one admission on its way into a running launch: accepted against
+// the free capacity and the reservation, then encoded, then inserted.
+type seat struct {
+	adm    Admission
+	layout model.RowLayout // encoder layout: prefix | suffix when cold-declared
+	enc    *tensor.Matrix
+}
+
 // runFusedRefill encodes the staged rows in parallel, then decodes every
 // row's segments together — one GEMM per layer per step across all rows —
-// retiring finished segments and seating admissions between steps.
-func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *RefillReport, error) {
+// retiring finished segments and seating admissions between steps. It fills
+// rep's results, refill summary and encode-work counters.
+func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook, rep *Report) error {
 	ref := &RefillReport{}
+	rep.Refill = ref
 	if len(p.rows) == 0 {
-		return nil, ref, nil
+		return nil
 	}
 	decRows := e.encodeRows(p)
 	// Freeze declared prefixes as soon as the encode lands — refill launches
@@ -175,6 +184,7 @@ func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *Refill
 	// same family hit the cache mid-flight.
 	for ri := range p.rows {
 		e.freezeRowPrefixes(p, ri, decRows[ri].EncOut)
+		rep.addEncodeWork(p.encLayouts[ri], p.slots[ri])
 	}
 	st := e.Model.NewBatchDecodeStateReserve(decRows, e.MaxNew)
 	defer st.Close()
@@ -191,11 +201,15 @@ func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *Refill
 	}
 	capacityTokens := int64(p.Batch.TotalTokens())
 
-	var results []Result
 	freeTokens, freeSlots := 0, 0
 	next := make([]int, 0, len(segs))
 	var finishedIdx []int
 	step := 0
+	// One workspace and one seat list serve every admission round of the
+	// launch: a saturated launch lives for thousands of them.
+	ws := tensor.NewWorkspace()
+	defer ws.Close()
+	var seated []seat
 
 	// retire removes segment i from the state and the bookkeeping, shrinks
 	// its share of the reservation, and delivers its result through the hook.
@@ -210,7 +224,7 @@ func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *Refill
 		freeSlots++
 		p.shrinkReservation(int64(sg.inLen) * e.BytesPerToken)
 		res := Result{ID: sg.id, Output: sg.output, Steps: sg.steps}
-		results = append(results, res)
+		rep.Results = append(rep.Results, res)
 		hook.Retire(res)
 		if len(segs) > 0 {
 			ref.RetiredEarly++
@@ -231,7 +245,7 @@ func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *Refill
 			}
 			logits, err := st.Step(next)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			step++
 			ref.Steps = step
@@ -269,41 +283,42 @@ func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *Refill
 		// when every segment just finished: the launch stays alive as long
 		// as the queue keeps feeding it.
 		if freeTokens > 0 {
-			seated := make([]Admission, 0, 4)
+			seated = seated[:0]
 			for _, adm := range hook.Refill(freeTokens) {
-				if adm.Resident() <= 0 || adm.Resident() > freeTokens {
-					hook.Reject(adm, fmt.Errorf("engine: admission of %d tokens for %d free", adm.Resident(), freeTokens))
-					continue
+				var err error
+				switch {
+				case adm.Resident() <= 0 || adm.Resident() > freeTokens:
+					err = fmt.Errorf("engine: admission of %d tokens for %d free", adm.Resident(), freeTokens)
+				case len(adm.Tokens) > e.Model.P.PosEnc.Rows:
+					err = fmt.Errorf("engine: admission of %d tokens beyond MaxLen %d", len(adm.Tokens), e.Model.P.PosEnc.Rows)
+				case adm.CachedLen > 0 && e.PrefixCache == nil:
+					err = fmt.Errorf("engine: admission %d expects a cached prefix but the engine has no prefix cache", adm.ID)
+				default:
+					err = p.growReservation(int64(adm.Resident()) * e.BytesPerToken)
 				}
-				if adm.CachedLen > 0 && e.PrefixCache == nil {
-					hook.Reject(adm, fmt.Errorf("engine: admission %d expects a cached prefix but the engine has no prefix cache", adm.ID))
-					continue
-				}
-				if err := p.growReservation(int64(adm.Resident()) * e.BytesPerToken); err != nil {
+				if err != nil {
 					hook.Reject(adm, err)
 					continue
 				}
 				freeTokens -= adm.Resident()
-				seated = append(seated, adm)
+				seated = append(seated, seat{adm: adm})
 			}
-			// Encode the whole offer in parallel — the admission-side mirror
-			// of the launch's row-encode fan-out — then insert in admission
-			// order so the state layout stays deterministic.
-			encOuts := e.encodeAdmissions(seated)
-			for ai, adm := range seated {
-				encOut, err := encOuts[ai], error(nil)
-				if encOut == nil {
-					err = fmt.Errorf("engine: admission of %d tokens beyond MaxLen %d", len(adm.Tokens), e.Model.P.PosEnc.Rows)
-				} else if adm.CachedLen > 0 {
-					var kv *model.PrefixKV
-					var ok bool
-					if _, kv, ok = e.PrefixCache.Peek(adm.Tokens, adm.CachedLen); !ok {
+			// Encode the whole offer side by side — the admission-side mirror
+			// of the launch's row encode — then insert in admission order so
+			// the state layout stays deterministic.
+			e.encodeAdmissions(seated, ws)
+			for _, s := range seated {
+				adm := s.adm
+				rep.addEncodeWork(s.layout, nil)
+				var err error
+				if adm.CachedLen > 0 {
+					if _, kv, ok := e.PrefixCache.Peek(adm.Tokens, adm.CachedLen); !ok {
 						err = fmt.Errorf("engine: admission %d's cached prefix is not resident (pin not held?)", adm.ID)
 					} else {
-						_, err = st.InsertSegmentPrefix(encOut, kv)
+						_, err = st.InsertSegmentPrefix(s.enc, kv)
 					}
 				} else {
-					_, err = st.InsertSegment(encOut)
+					_, err = st.InsertSegment(s.enc)
 				}
 				if err != nil {
 					freeTokens += adm.Resident()
@@ -312,19 +327,10 @@ func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *Refill
 					continue
 				}
 				if adm.PrefixLen > 0 && adm.CachedLen == 0 {
-					e.freezeAdmissionPrefix(adm, encOuts[ai])
-				}
-				cap := e.MaxNew
-				if e.OutputCap != nil {
-					if c := e.OutputCap(len(adm.Tokens)); c < cap {
-						cap = c
-					}
-				}
-				if cap < 0 {
-					cap = 0
+					e.freezePrefix(adm.Tokens, adm.PrefixLen, s.enc, 0)
 				}
 				segs = append(segs, &liveSeg{
-					id: adm.ID, cap: cap, inLen: adm.Resident(), next: vocab.BosID,
+					id: adm.ID, cap: e.genCap(len(adm.Tokens)), inLen: adm.Resident(), next: vocab.BosID,
 				})
 				liveTokens += int64(adm.Resident())
 				if freeSlots > 0 {
@@ -337,87 +343,45 @@ func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *Refill
 			ref.SlotIdleSteps += int64(freeSlots)
 		}
 	}
-	return results, ref, nil
+	return nil
 }
 
-// encodeRows encodes every staged row in parallel, each row goroutine on a
-// fresh workspace: prepare-stage staging never aliases compute-stage buffers,
-// so a pipelined prepare for batch t+1 cannot stomp batch t's encode.
-// Encoding uses the encoder-side layout (which splits
-// declared prefixes into their own attention segments); the decode-side
-// layout and any inherited prefixes ride along on the BatchDecodeRow.
+// encodeRows encodes every staged row, rows side by side, on workspaces of
+// its own: prepare-stage staging never aliases compute-stage buffers, so a
+// pipelined prepare for batch t+1 cannot stomp batch t's encode. Encoding
+// uses the encoder-side layout (which splits declared prefixes into their own
+// attention segments); the decode-side layout and any inherited prefixes ride
+// along on the BatchDecodeRow.
 func (e *Engine) encodeRows(p *Prepared) []model.BatchDecodeRow {
 	decRows := make([]model.BatchDecodeRow, len(p.rows))
-	var wg sync.WaitGroup
-	for ri := range p.rows {
-		wg.Add(1)
-		go func(ri int) {
-			defer wg.Done()
-			ws := tensor.NewWorkspace()
-			defer ws.Close()
-			decRows[ri] = model.BatchDecodeRow{
-				EncOut:   e.Model.EncodeRowWS(p.rowTokens[ri], p.encLayouts[ri], p.slots[ri], p.mode, true, ws),
-				Layout:   p.layouts[ri],
-				Prefixes: p.prefixes[ri],
-			}
-		}(ri)
-	}
-	wg.Wait()
+	ws := tensor.NewWorkspace()
+	defer ws.Close()
+	fanOut(len(p.rows), ws, func(ri int, ws *tensor.Workspace) {
+		decRows[ri] = model.BatchDecodeRow{
+			EncOut:   e.encode(p.rowTokens[ri], p.encLayouts[ri], p.slots[ri], ws),
+			Layout:   p.layouts[ri],
+			Prefixes: p.prefixes[ri],
+		}
+	})
 	return decRows
 }
 
-// encodeAdmissions encodes each admitted request as its own pad-free row,
-// fanning the encoder forwards out in parallel like the launch-time row
-// encode. Concatenation isolation makes each result identical to what the
+// encodeAdmissions encodes each seated request as a pad-free row of its own
+// through the same encode the launch rows took, filling in layout and enc.
+// One block per segment makes each result identical, to the bit, to what the
 // request would see inside any batch row, so admitted outputs match the
 // no-refill run of the same request. A prefix-cache hit encodes the uncached
 // suffix only; a cold declared prefix encodes prefix and suffix as two
-// isolated segments (so the prefix rows can be frozen for reuse). Over-long
-// requests yield a nil entry for the caller to reject.
-func (e *Engine) encodeAdmissions(adms []Admission) []*tensor.Matrix {
-	outs := make([]*tensor.Matrix, len(adms))
-	var wg sync.WaitGroup
-	for i, adm := range adms {
-		if len(adm.Tokens) > e.Model.P.PosEnc.Rows {
-			continue
+// isolated segments (so the prefix rows can be frozen for reuse).
+func (e *Engine) encodeAdmissions(seated []seat, ws *tensor.Workspace) {
+	fanOut(len(seated), ws, func(i int, ws *tensor.Workspace) {
+		s := &seated[i]
+		tokens := s.adm.Tokens[s.adm.CachedLen:]
+		if n := len(tokens); s.adm.PrefixLen > s.adm.CachedLen {
+			s.layout = model.ConcatLayout([]int{s.adm.PrefixLen, n - s.adm.PrefixLen}, n)
+		} else {
+			s.layout = model.SingleSegment(n, n)
 		}
-		wg.Add(1)
-		go func(i int, adm Admission) {
-			defer wg.Done()
-			ws := tensor.NewWorkspace()
-			defer ws.Close()
-			var layout model.RowLayout
-			tokens := adm.Tokens
-			switch {
-			case adm.CachedLen > 0:
-				tokens = adm.Tokens[adm.CachedLen:]
-				layout = model.SingleSegment(len(tokens), len(tokens))
-			case adm.PrefixLen > 0:
-				layout = model.ConcatLayout([]int{adm.PrefixLen, len(tokens) - adm.PrefixLen}, len(tokens))
-			default:
-				layout = model.SingleSegment(len(tokens), len(tokens))
-			}
-			outs[i] = e.Model.EncodeRowWS(tokens, layout, nil, model.AttDense, true, ws)
-		}(i, adm)
-	}
-	wg.Wait()
-	return outs
-}
-
-// freezeAdmissionPrefix inserts a cold-declared admission's just-encoded
-// prefix rows into the prefix cache. Best-effort: a full cache only costs
-// future hits.
-func (e *Engine) freezeAdmissionPrefix(adm Admission, encOut *tensor.Matrix) {
-	if e.PrefixCache == nil || encOut == nil || adm.PrefixLen <= 0 {
-		return
-	}
-	if e.PrefixCache.Contains(adm.Tokens, adm.PrefixLen) {
-		return
-	}
-	rows := encOut.Slice(0, adm.PrefixLen)
-	kv, err := e.Model.BuildPrefixKV(rows)
-	if err != nil {
-		return
-	}
-	e.PrefixCache.Insert(adm.Tokens, adm.PrefixLen, rows, kv)
+		s.enc = e.encode(tokens, s.layout, nil, ws)
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"tcb/internal/engine"
 	"tcb/internal/model"
 )
 
@@ -152,6 +153,39 @@ func TestSlottedSpeedupShape(t *testing.T) {
 	best, _ := fig.Get("speedup", len(fig.X)-1)
 	if best <= 1 {
 		t.Fatalf("slotting should speed up the engine, best %v", best)
+	}
+}
+
+// The figure's baseline must stay the paper's pure ConcatBatching cost — one
+// dense RowLen × RowLen score block per row — now that the engine's own
+// Concat scheme attends per request: the engine executes rows · RowLen²
+// scores at one slot and n · ReqLen² at one request per slot.
+func TestSlottedBaselineIsDenseRow(t *testing.T) {
+	opt := DefaultSlottedOptions(3)
+	opt.RowLen, opt.ReqLen = 120, 10
+	perRow := opt.RowLen / opt.ReqLen
+	items, tokens := slottedContent(opt)
+	n := len(items)
+	eng := engine.New(model.New(opt.Model, opt.Seed), 0)
+	for _, c := range []struct{ slots, wantArea int }{
+		{1, opt.BatchRows * opt.RowLen * opt.RowLen},
+		{perRow, n * opt.ReqLen * opt.ReqLen},
+	} {
+		b, err := slottedBatch(items, opt, c.slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.ScoreArea(); got != c.wantArea {
+			t.Fatalf("%d slots: layout score area %d, want %d", c.slots, got, c.wantArea)
+		}
+		rep, err := eng.Run(b, tokens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.EncodedScores != int64(c.wantArea) || rep.EncodedTokens != int64(n*opt.ReqLen) {
+			t.Fatalf("%d slots: engine ran %d tokens / %d scores, want %d / %d",
+				c.slots, rep.EncodedTokens, rep.EncodedScores, n*opt.ReqLen, c.wantArea)
+		}
 	}
 }
 

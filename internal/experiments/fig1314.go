@@ -62,21 +62,7 @@ func SlottedSpeedup(opt SlottedOptions) (*Figure, error) {
 	}
 	eng := engine.New(model.New(opt.Model, opt.Seed), 0) // encode-only timing
 	eng.Quantize = opt.Quantize
-	src := rng.New(opt.Seed)
-
-	perRow := opt.RowLen / opt.ReqLen
-	n := opt.BatchRows * perRow
-	items := make([]batch.Item, n)
-	tokens := make(map[int64][]int, n)
-	for i := 0; i < n; i++ {
-		id := int64(i + 1)
-		items[i] = batch.Item{ID: id, Len: opt.ReqLen}
-		seq := make([]int, opt.ReqLen)
-		for j := range seq {
-			seq[j] = src.IntRange(vocab.FirstWordID, opt.Model.VocabSize-1)
-		}
-		tokens[id] = seq
-	}
+	items, tokens := slottedContent(opt)
 
 	timeBatch := func(b *batch.Batch) (float64, error) {
 		best := 0.0
@@ -93,9 +79,13 @@ func SlottedSpeedup(opt SlottedOptions) (*Figure, error) {
 		return best, nil
 	}
 
-	pure, rest := batch.PackConcat(items, opt.BatchRows, opt.RowLen)
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("experiments: pure pack left %d items", len(rest))
+	// The baseline is the one-slot row: a single RowLen × RowLen block with
+	// the inline segment mask, the paper's pure ConcatBatching cost. (The
+	// engine's own Concat scheme attends per request — the far end of this
+	// curve, not its start.)
+	pure, err := slottedBatch(items, opt, 1)
+	if err != nil {
+		return nil, err
 	}
 	pureTime, err := timeBatch(pure)
 	if err != nil {
@@ -124,10 +114,9 @@ func SlottedSpeedup(opt SlottedOptions) (*Figure, error) {
 			fig.AddPoint("speedup", 1) // pure ConcatBatching is the 1× baseline
 			continue
 		}
-		slotSize := opt.RowLen / k
-		sb, rest := batch.PackSlotted(items, opt.BatchRows, opt.RowLen, slotSize)
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("experiments: %d slots left %d items unpacked", k, len(rest))
+		sb, err := slottedBatch(items, opt, k)
+		if err != nil {
+			return nil, err
 		}
 		st, err := timeBatch(sb)
 		if err != nil {
@@ -138,6 +127,35 @@ func SlottedSpeedup(opt SlottedOptions) (*Figure, error) {
 	fig.Notes = append(fig.Notes,
 		"real Go engine wall-clock; batch content identical across slot counts")
 	return fig, fig.Validate()
+}
+
+// slottedContent generates the figure's requests: BatchRows rows' worth of
+// ReqLen-token requests, every row exactly full.
+func slottedContent(opt SlottedOptions) ([]batch.Item, map[int64][]int) {
+	src := rng.New(opt.Seed)
+	n := opt.BatchRows * (opt.RowLen / opt.ReqLen)
+	items := make([]batch.Item, n)
+	tokens := make(map[int64][]int, n)
+	for i := 0; i < n; i++ {
+		id := int64(i + 1)
+		items[i] = batch.Item{ID: id, Len: opt.ReqLen}
+		seq := make([]int, opt.ReqLen)
+		for j := range seq {
+			seq[j] = src.IntRange(vocab.FirstWordID, opt.Model.VocabSize-1)
+		}
+		tokens[id] = seq
+	}
+	return items, tokens
+}
+
+// slottedBatch packs the figure's content into k slots per row; k = 1 is the
+// dense whole-row baseline.
+func slottedBatch(items []batch.Item, opt SlottedOptions, k int) (*batch.Batch, error) {
+	b, rest := batch.PackSlotted(items, opt.BatchRows, opt.RowLen, opt.RowLen/k)
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("experiments: %d slots left %d items unpacked", k, len(rest))
+	}
+	return b, nil
 }
 
 // Fig13 reproduces "Speedup of slotted ConcatBatching (batch size 10,

@@ -111,10 +111,38 @@ func (r RowLayout) SegIDs() []int {
 func SlotBlocks(slots []Slot) []tensor.AttendBlock {
 	blocks := make([]tensor.AttendBlock, len(slots))
 	for i, s := range slots {
-		sp := tensor.Span{Start: s.Start, End: s.Start + s.Len}
-		blocks[i] = tensor.AttendBlock{Q: sp, K: sp}
+		blocks[i] = selfBlock(s.Start, s.Len)
 	}
 	return blocks
+}
+
+func selfBlock(start, n int) tensor.AttendBlock {
+	sp := tensor.Span{Start: start, End: start + n}
+	return tensor.AttendBlock{Q: sp, K: sp}
+}
+
+// selfBlocks lists the row's encoder self-attention blocks in ws-owned
+// scratch: one per slot, or — no slots, the finest partition — one per
+// segment (pure ConcatBatching is the slotted scheme with slot = request).
+// masked reports whether some block holds anything but exactly one segment
+// (a shared slot, or a padded baseline row) and so needs the inline segment
+// mask; when none does, the kernel runs without segment ids at all.
+func (r RowLayout) selfBlocks(slots []Slot, ws *tensor.Workspace) (blocks []tensor.AttendBlock, masked bool) {
+	if len(slots) == 0 {
+		blocks = ws.Blocks(len(r.Segments))
+		for i, s := range r.Segments {
+			blocks[i] = selfBlock(s.Start, s.Len)
+		}
+		return blocks, false
+	}
+	blocks = ws.Blocks(len(slots))
+	for i, s := range slots {
+		blocks[i] = selfBlock(s.Start, s.Len)
+		if len(s.SegIdx) != 1 || r.Segments[s.SegIdx[0]].Len != s.Len {
+			masked = true
+		}
+	}
+	return blocks, masked
 }
 
 // CrossBlocks pairs each decoder segment with its encoder segment for

@@ -140,14 +140,20 @@ func TestConcatEncodeEqualsStandalone(t *testing.T) {
 		randTokens(src, 3),
 	}
 	row, layout := buildConcatRow(requests, 24)
-	out := m.EncodeRow(row, layout, nil, AttDense, true)
-	for i, req := range requests {
-		solo := m.EncodeSingle(req)
-		seg := layout.Segments[i]
-		got := out.Slice(seg.Start, seg.End())
-		if !got.AllClose(solo, 1e-3) {
-			t.Fatalf("request %d: concat encode differs from standalone by %g",
-				i, got.MaxAbsDiff(solo))
+	// Both routes: the dense mask (the reference) and one block per segment
+	// (AttSlotted without slots, what the engine runs) — and exactly, not
+	// within a tolerance: a segment's floats accumulate in an order that does
+	// not depend on where in the row it sits.
+	for _, mode := range []AttentionMode{AttDense, AttSlotted} {
+		out := m.EncodeRow(row, layout, nil, mode, true)
+		for i, req := range requests {
+			solo := m.EncodeSingle(req)
+			seg := layout.Segments[i]
+			got := out.Slice(seg.Start, seg.End())
+			if !got.Equal(solo) {
+				t.Fatalf("%v, request %d: concat encode differs from standalone by %g",
+					mode, i, got.MaxAbsDiff(solo))
+			}
 		}
 	}
 }
@@ -220,7 +226,7 @@ func TestSlottedEqualsDense(t *testing.T) {
 			t.Fatal(err)
 		}
 		slotted := m.EncodeRow(row, layout, slots, AttSlotted, true)
-		if !slotted.AllClose(dense, 1e-3) {
+		if !slotted.Equal(dense) {
 			t.Fatalf("slot size %d: slotted differs from dense by %g",
 				size, slotted.MaxAbsDiff(dense))
 		}
@@ -234,7 +240,7 @@ func TestSlottedWithWholeRowSlotEqualsDense(t *testing.T) {
 	row, layout := buildConcatRow(requests, 12)
 	dense := m.EncodeRow(row, layout, nil, AttDense, true)
 	slotted := m.EncodeRow(row, layout, layout.WholeRowSlot(), AttSlotted, true)
-	if !slotted.AllClose(dense, 1e-3) {
+	if !slotted.Equal(dense) {
 		t.Fatalf("whole-row slot differs from dense by %g", slotted.MaxAbsDiff(dense))
 	}
 }
@@ -260,7 +266,7 @@ func TestPaddingInvariance(t *testing.T) {
 	rowB, layoutB := buildConcatRow(requests, 20)
 	outA := m.EncodeRow(rowA, layoutA, nil, AttDense, true)
 	outB := m.EncodeRow(rowB, layoutB, nil, AttDense, true)
-	if !outB.Slice(0, 9).AllClose(outA, 1e-3) {
+	if !outB.Slice(0, 9).Equal(outA) {
 		t.Fatalf("padding changed results by %g", outB.Slice(0, 9).MaxAbsDiff(outA))
 	}
 }
@@ -394,7 +400,7 @@ func TestConcatEquivalenceProperty(t *testing.T) {
 		for i, req := range requests {
 			solo := m.EncodeSingle(req)
 			seg := layout.Segments[i]
-			if !out.Slice(seg.Start, seg.End()).AllClose(solo, 5e-3) {
+			if !out.Slice(seg.Start, seg.End()).Equal(solo) {
 				return false
 			}
 		}

@@ -12,10 +12,13 @@ type AttentionMode int
 
 const (
 	// AttDense computes the full row×row score matrix and neutralizes
-	// inter-request entries with the mask M — pure ConcatBatching (§4.1).
+	// inter-request entries with the mask M — pure ConcatBatching as the
+	// paper writes it (§4.1), kept as the reference the block path is
+	// tested against.
 	AttDense AttentionMode = iota
-	// AttSlotted computes attention per slot (Att_CB_S, §4.2.1), skipping
-	// the off-slot score entries entirely.
+	// AttSlotted computes attention per block — per slot (Att_CB_S, §4.2.1)
+	// or, without slots, per segment — skipping the off-block score entries
+	// entirely. Every engine encode takes this route.
 	AttSlotted
 )
 
@@ -87,10 +90,13 @@ func (m *Model) selfAttnInto(dst *tensor.Matrix, w *AttentionWeights, x *tensor.
 // EncodeRow runs the encoder stack over one (possibly concatenated) row.
 //
 // tokens must have length layout.Total with padding positions set to
-// vocab.PadID. For AttSlotted, slots must partition the segments (e.g. from
-// RowLayout.SlotsOfSize); for AttDense, slots is ignored. separatePE must be
-// true whenever the row holds more than one segment, or results are wrong —
-// EncodeRow enforces this.
+// vocab.PadID. AttSlotted is the production path: attention runs per block,
+// one block per slot (slots must partition the segments, e.g. from
+// RowLayout.SlotsOfSize) or, with no slots, one per segment — a request then
+// encodes to the same bits alone or at any offset of any row. AttDense is the
+// reference: the full Total×Total score matrix under the mask M; slots is
+// ignored. separatePE must be true whenever the row holds more than one
+// segment, or results are wrong — EncodeRow enforces this.
 func (m *Model) EncodeRow(tokens []int, layout RowLayout, slots []Slot, mode AttentionMode, separatePE bool) *tensor.Matrix {
 	return m.EncodeRowWS(tokens, layout, slots, mode, separatePE, nil)
 }
@@ -109,10 +115,13 @@ func (m *Model) EncodeRowWS(tokens []int, layout RowLayout, slots []Slot, mode A
 	x := m.embedRow(tokens, layout, separatePE)
 	rc := attnCtx{mode: mode, ws: ws}
 	if mode == AttSlotted {
-		// Slotted rows never materialize the Total×Total mask: the block
-		// list plus segment ids carry the same structure to the kernel.
-		rc.blocks = SlotBlocks(slots)
-		rc.segIDs = layout.SegIDs()
+		// Block rows never materialize the Total×Total mask: the block list
+		// (plus segment ids where a block mixes segments) carries the same
+		// structure to the kernel.
+		var masked bool
+		if rc.blocks, masked = layout.selfBlocks(slots, ws); masked {
+			rc.segIDs = layout.SegIDs()
+		}
 	} else {
 		// The Total×Total mask is as large as the row's hidden states and
 		// dead once the row is encoded: a workspace buffer, not garbage.

@@ -149,6 +149,16 @@ func TestRefillBacklogAdmitsAndMatchesSingles(t *testing.T) {
 	if st.Served != int64(len(subs)) {
 		t.Fatalf("served %d of %d", st.Served, len(subs))
 	}
+	// Launch-seated or admitted, every request was encoded once, at its own
+	// length and against itself only: no padding row, no off-request score.
+	var toks, scores int64
+	for _, sb := range subs {
+		toks += int64(len(sb.tokens))
+		scores += int64(len(sb.tokens) * len(sb.tokens))
+	}
+	if st.EncodedTokens != toks || st.EncodedScores != scores {
+		t.Fatalf("encoded %d tokens / %d scores, want %d / %d", st.EncodedTokens, st.EncodedScores, toks, scores)
+	}
 }
 
 // Seeded chaos with refill on: every request must resolve exactly once —

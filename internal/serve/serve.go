@@ -243,6 +243,11 @@ type Stats struct {
 	SegmentsRetiredEarly int64
 	SlotIdleSteps        int64
 	BatchOccupancyPct    float64
+	// EncodedTokens and EncodedScores are the encoder rows and attention
+	// scores the engine executed (engine.Report): against Served they say
+	// what a request costs to encode, padding and off-block scores included.
+	EncodedTokens int64
+	EncodedScores int64
 	// Refilling reports whether continuous batching is active (Config.Refill
 	// set and the engine supports the refill path).
 	Refilling bool
@@ -397,6 +402,7 @@ type Server struct {
 	// RefillReport; atomic because the cleanup stage and Stats readers race.
 	refillsAdmitted, segsRetiredEarly, slotIdleSteps atomic.Int64
 	liveTokenSteps, capTokenSteps                    atomic.Int64
+	encodedTokens, encodedScores                     atomic.Int64
 }
 
 // launch is one scheduled batch moving through the serve stages: selected
@@ -758,6 +764,8 @@ func (s *Server) Stats() Stats {
 		SegmentsRetiredEarly: s.segsRetiredEarly.Load(),
 		SlotIdleSteps:        s.slotIdleSteps.Load(),
 		BatchOccupancyPct:    occupancy,
+		EncodedTokens:        s.encodedTokens.Load(),
+		EncodedScores:        s.encodedScores.Load(),
 		Refilling:            s.refilling,
 		Kernels:              tensor.KernelCounters(),
 		FairEnabled:          s.cfg.Fair,
@@ -976,6 +984,8 @@ func (s *Server) completeBatch(l *launch, rep *engine.Report, err error, served 
 	l.ep.Release()
 	var byID map[int64]engine.Result
 	if err == nil && rep != nil {
+		s.encodedTokens.Add(rep.EncodedTokens)
+		s.encodedScores.Add(rep.EncodedScores)
 		if ref := rep.Refill; ref != nil {
 			s.refillsAdmitted.Add(int64(ref.Admitted))
 			s.segsRetiredEarly.Add(int64(ref.RetiredEarly))

@@ -102,15 +102,24 @@ func scoreKeys(srow, qr []float32, k *Matrix, first, c0 int) {
 }
 
 // weighedSumRows computes dst = Σ_t w[t] · v[kOff+t][c0:c0+dh], four value
-// rows per accumulator pass. Quads of all-zero weights are skipped outright
-// — masked-out entries after softmax are exactly zero and come in contiguous
-// segment-sized runs, so the skip recovers the block sparsity of the mask.
+// rows per accumulator pass. Weights that are exactly zero at either end are
+// masked keys (another segment's, or padding) and are trimmed before the quads
+// are formed, so the grouping is anchored at the query's first visible key:
+// a segment accumulates in the same order — to the same bits — alone in its
+// own block, in the middle of a shared slot, or behind a dense mask at any
+// row offset. Interior all-zero quads are skipped outright.
 func weighedSumRows(dst, w []float32, v *Matrix, kOff, c0, dh int) {
 	for j := range dst {
 		dst[j] = 0
 	}
-	t := 0
-	for ; t+4 <= len(w); t += 4 {
+	t, end := 0, len(w)
+	for t < end && w[t] == 0 {
+		t++
+	}
+	for end > t && w[end-1] == 0 {
+		end--
+	}
+	for ; t+4 <= end; t += 4 {
 		w0, w1, w2, w3 := w[t], w[t+1], w[t+2], w[t+3]
 		if w0 == 0 && w1 == 0 && w2 == 0 && w3 == 0 {
 			continue
@@ -122,7 +131,7 @@ func weighedSumRows(dst, w []float32, v *Matrix, kOff, c0, dh int) {
 			v.Row(kOff + t + 3)[c0:c0+dh],
 			w0, w1, w2, w3)
 	}
-	for ; t < len(w); t++ {
+	for ; t < end; t++ {
 		a := w[t]
 		if a == 0 {
 			continue
@@ -167,7 +176,7 @@ func BlockAttendInto(out, q, k, v *Matrix, heads int, scale float32,
 	if kSeg != nil && len(kSeg) != nk {
 		panic(fmt.Sprintf("tensor: kSeg len %d != %d key rows", len(kSeg), nk))
 	}
-	maxK := 0
+	maxK, nRows := 0, 0
 	for _, b := range blocks {
 		if b.Q.Start < 0 || b.Q.End > nq || b.K.Start < 0 || b.K.End > nk ||
 			b.Q.Start > b.Q.End || b.K.Start > b.K.End {
@@ -176,6 +185,7 @@ func BlockAttendInto(out, q, k, v *Matrix, heads int, scale float32,
 		if w := b.K.Len(); w > maxK {
 			maxK = w
 		}
+		nRows += b.Q.Len()
 	}
 	if len(blocks) > 0 && (scores.Rows < nq || scores.Cols < maxK) {
 		panic(fmt.Sprintf("tensor: attend scores %dx%d too small for %d rows × %d block width",
@@ -183,26 +193,40 @@ func BlockAttendInto(out, q, k, v *Matrix, heads int, scale float32,
 	}
 	out.Zero()
 	dh := d / heads
-	// Blocks own disjoint query rows, so they can run concurrently when the
-	// machine has spare threads; each worker takes a contiguous run of
-	// blocks. On one hardware thread this stays inline and allocation-free.
-	if planWorkers(len(blocks), 1) == 1 {
-		blockAttendRange(out, q, k, v, heads, dh, scale, blocks, qSeg, kSeg, causal, scores, 0, len(blocks))
+	// The unit of sharding is the query row, not the block: blocks own
+	// disjoint rows, and a row of one long request (one block) must spread
+	// over the workers as evenly as a row of many short ones. Small jobs and
+	// single-thread machines stay inline and allocation-free.
+	if planWorkers(nRows, 8) == 1 {
+		blockAttendRange(out, q, k, v, heads, dh, scale, blocks, qSeg, kSeg, causal, scores, 0, nRows)
 		return
 	}
-	parallelRows(len(blocks), 1, func(lo, hi int) {
+	parallelRows(nRows, 8, func(lo, hi int) {
 		blockAttendRange(out, q, k, v, heads, dh, scale, blocks, qSeg, kSeg, causal, scores, lo, hi)
 	})
 }
 
+// blockAttendRange runs query rows [lo, hi) of the blocks' concatenated
+// query rows (block order).
 func blockAttendRange(out, q, k, v *Matrix, heads, dh int, scale float32,
-	blocks []AttendBlock, qSeg, kSeg []int, causal bool, scores *Matrix, bLo, bHi int) {
-	for bi := bLo; bi < bHi; bi++ {
-		b := blocks[bi]
+	blocks []AttendBlock, qSeg, kSeg []int, causal bool, scores *Matrix, lo, hi int) {
+	off := 0
+	for _, b := range blocks {
+		qLo, qHi := b.Q.Start+lo-off, b.Q.Start+hi-off
+		off += b.Q.Len()
+		if qLo < b.Q.Start {
+			qLo = b.Q.Start
+		}
+		if qHi > b.Q.End {
+			qHi = b.Q.End
+		}
+		if qLo >= qHi {
+			continue
+		}
 		k0, kw := b.K.Start, b.K.Len()
 		for h := 0; h < heads; h++ {
 			c0 := h * dh
-			for i := b.Q.Start; i < b.Q.End; i++ {
+			for i := qLo; i < qHi; i++ {
 				qr := q.Row(i)[c0 : c0+dh]
 				srow := scores.Row(i)[:kw]
 				si := -1

@@ -461,8 +461,21 @@ func TestBlockAttendMatchesDenseMask(t *testing.T) {
 		got := New(20, 8)
 		scores := New(20, 14) // max block K width
 		BlockAttendInto(got, q, k, v, 2, 0.35, blocks, seg, seg, causal, scores)
-		if !got.AllClose(want, 1e-6) {
+		if !got.Equal(want) {
 			t.Fatalf("block-sparse (causal=%v) differs from dense-mask by %g", causal, got.MaxAbsDiff(want))
+		}
+		// One tight block per segment, no segment ids: the same bits again.
+		// Segments start at rows 6 and 14 — off the kernel's groups of four —
+		// so this holds only because masked keys never enter the grouping.
+		tight := []AttendBlock{
+			{Q: Span{0, 6}, K: Span{0, 6}},
+			{Q: Span{6, 14}, K: Span{6, 14}},
+			{Q: Span{14, 18}, K: Span{14, 18}},
+		}
+		perSeg := New(20, 8)
+		BlockAttendInto(perSeg, q, k, v, 2, 0.35, tight, nil, nil, causal, scores)
+		if !perSeg.Equal(want) {
+			t.Fatalf("per-segment blocks (causal=%v) differ from dense-mask by %g", causal, perSeg.MaxAbsDiff(want))
 		}
 		// Padding rows (outside every block) must be exactly zero.
 		for i := 18; i < 20; i++ {

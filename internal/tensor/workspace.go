@@ -26,6 +26,7 @@ const (
 type Workspace struct {
 	free   [maxBucketBits + 1][]*Matrix
 	freeI8 [maxBucketBits + 1][]*I8Matrix
+	blocks []AttendBlock
 }
 
 var wsPool = sync.Pool{New: func() any { return new(Workspace) }}
@@ -108,6 +109,20 @@ func (w *Workspace) Put(m *Matrix) {
 	m.Stride = 0
 	m.Data = m.Data[:c]
 	w.free[b] = append(w.free[b], m)
+}
+
+// Blocks returns an n-entry attention block list backed by the workspace's
+// one reusable array: contents are unspecified, and the list is valid until
+// the next Blocks call on this workspace (one encoder forward holds one list
+// across its layers). A nil workspace degrades to a plain allocation.
+func (w *Workspace) Blocks(n int) []AttendBlock {
+	if w == nil {
+		return make([]AttendBlock, n)
+	}
+	if cap(w.blocks) < n {
+		w.blocks = make([]AttendBlock, n)
+	}
+	return w.blocks[:n]
 }
 
 // GetI8 checks out a rows×cols int8 matrix from the workspace's int8 buckets
