@@ -300,18 +300,3 @@ func BenchmarkExtWeighted(b *testing.B) {
 	v, _ := last.Get("DAS", 1)
 	b.ReportMetric(v, "das_premium_served_frac")
 }
-
-// BenchmarkExtFusedDecode runs the fused-vs-per-row cached decode A/B on the
-// real engine and reports the speedup at the largest batch size.
-func BenchmarkExtFusedDecode(b *testing.B) {
-	var last *experiments.Figure
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.ExtFusedDecode(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = f
-	}
-	v, _ := last.Get("speedup", len(last.X)-1)
-	b.ReportMetric(v, "fused_speedup_b8")
-}

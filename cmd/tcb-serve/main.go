@@ -54,7 +54,6 @@ import (
 	"tcb/internal/sched"
 	"tcb/internal/serve"
 	"tcb/internal/stats"
-	"tcb/internal/tensor"
 	"tcb/internal/vocab"
 )
 
@@ -81,7 +80,7 @@ type options struct {
 	pipeline, refill, prefixCache       bool
 	deadline, batchTimeout              time.Duration
 	stallTimeout, respawnDeadline       time.Duration
-	httpAddr, scheduler, scheme, kernel string
+	httpAddr, scheduler, scheme         string
 	chaos, route, tenants, classes      string
 }
 
@@ -109,12 +108,11 @@ func parseFlags(args []string) options {
 	fs.IntVar(&o.chaosTarget, "chaos-target", -1, "replica index the -chaos spec applies to (-1 = every replica)")
 	fs.DurationVar(&o.stallTimeout, "stall-timeout", time.Second, "cluster watchdog: respawn a replica with pending work but no progress for this long")
 	fs.DurationVar(&o.respawnDeadline, "respawn-deadline", 2*time.Second, "bound on a wedged replica's drain before it is torn down")
-	fs.StringVar(&o.kernel, "kernel", "wide", "GEMM kernel: scalar, wide, or int8 (wide float32 + bounded-error int8 per-channel quantized projections)")
 	fs.StringVar(&o.tenants, "tenants", "", "tenant provisioning name[:weight[:rate[:burst]]],...; turns on weighted fair queueing and the demo stream round-robins over them")
 	fs.StringVar(&o.classes, "slo-classes", "", "SLO class overrides name:weight:deadline,... (default interactive/standard/batch tiers)")
 	fs.Float64Var(&o.bucketRate, "bucket-rate", 0, "default admission bucket refill (request tokens/s) for tenants without their own (0 = unlimited)")
 	fs.Float64Var(&o.bucketBurst, "bucket-burst", 0, "default admission bucket capacity in request tokens (0 = the rate)")
-	fs.BoolVar(&o.prefixCache, "prefix-cache", false, "prefix sharing: encode shared prompt prefixes once and reuse their frozen KV across requests (forces the KV-cached decoder)")
+	fs.BoolVar(&o.prefixCache, "prefix-cache", false, "prefix sharing: encode shared prompt prefixes once and reuse their frozen KV across requests")
 	fs.Int64Var(&o.prefixBudget, "prefix-budget", 0, "prefix cache resident-byte budget (0 = unbounded)")
 	_ = fs.Parse(args) // ExitOnError: never returns an error
 	return o
@@ -184,12 +182,6 @@ var (
 )
 
 func build(o options) (*stack, error) {
-	kernel, err := tensor.ParseKernel(o.kernel)
-	if err != nil {
-		return nil, err
-	}
-	tensor.SetKernel(kernel)
-
 	scheduler, ok := schedulers[o.scheduler]
 	if !ok {
 		return nil, fmt.Errorf("unknown scheduler %q", o.scheduler)
@@ -242,11 +234,6 @@ func build(o options) (*stack, error) {
 	// is what lets the kill/wedge runs prove recovery.
 	spawn := func(i int) (*serve.Server, func(), error) {
 		eng := engine.New(model.New(modelCfg, 42), o.maxNew)
-		eng.Quantize = o.kernel == "int8"
-		// Mid-flight admission and prefix items both need the fused KV-cached
-		// decode loop; outputs are token-identical to the default path
-		// (DESIGN.md §11).
-		eng.UseCache = o.refill || o.prefixCache
 
 		st.mu.Lock()
 		defer st.mu.Unlock()
@@ -439,7 +426,7 @@ func (r *report) print(w io.Writer) {
 				s.RefillsAdmitted, s.SegmentsRetiredEarly, s.BatchOccupancyPct, s.SlotIdleSteps)
 		}
 	}
-	fmt.Fprintf(w, "kernels: scalar=%d wide=%d int8=%d isa=%s\n", st.Kernels.Scalar, st.Kernels.Wide, st.Kernels.Int8, st.Kernels.ISA)
+	fmt.Fprintf(w, "kernels: wide=%d isa=%s\n", st.Kernels.Wide, st.Kernels.ISA)
 	if st.PrefixEnabled {
 		p := st.Prefix
 		fmt.Fprintf(w, "prefix (live generations): hits=%d misses=%d hit-rate=%.0f%% tokens-saved=%d inserts=%d evictions=%d ledgers-balanced=%v\n",

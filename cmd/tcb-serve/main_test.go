@@ -3,11 +3,11 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
 	"tcb/internal/cluster"
-	"tcb/internal/tensor"
 )
 
 // counters pulls the run's counters back out of the printed report, so the
@@ -35,14 +35,11 @@ func counters(t *testing.T, out string) (served, submitted, delivered int64) {
 // accounting matches, prefix ledgers balanced, something served under
 // chaos).
 func TestRunMatrix(t *testing.T) {
-	prev := tensor.ActiveKernel() // -kernel is process-wide
-	t.Cleanup(func() { tensor.SetKernel(prev) })
 	rows := []struct {
 		name, args string
 		minServed  int64
 	}{
 		{"plain chaos", "-n 16 -rate 200 -chaos err=0.2,panic=0.05", 1},
-		{"int8 chaos", "-n 16 -rate 200 -kernel int8 -chaos err=0.2,panic=0.05", 1},
 		{"pipeline chaos", "-n 16 -rate 200 -pipeline -batch-timeout 2s -chaos err=0.2,panic=0.05", 1},
 		{"refill chaos", "-n 16 -refill -rate 300 -chaos err=0.2,panic=0.05,lose=0.05", 1},
 		{"prefix+refill chaos", "-n 24 -prefix-cache -refill -rate 300 -chaos err=0.2,panic=0.05,lose=0.05", 1},
@@ -87,9 +84,26 @@ func TestRunServesNothingFails(t *testing.T) {
 	}
 }
 
+// TestReportKernelsLine: the float32 wide kernel is the only one serving, so
+// the report names its dispatch count and the ISA body behind it and nothing
+// else (scalar and int8 no longer serve, so their counters would always read 0).
+func TestReportKernelsLine(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(parseFlags(strings.Fields("-n 4 -rate 400")), &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	m := regexp.MustCompile(`(?m)^kernels: wide=(\d+) isa=(avx2|go)$`).FindStringSubmatch(out.String())
+	if m == nil || m[1] == "0" {
+		t.Fatalf("want one `kernels: wide=N isa=avx2|go` line with N > 0:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "int8=") || strings.Contains(out.String(), "scalar=") {
+		t.Fatalf("report still prints the retired kernels:\n%s", out.String())
+	}
+}
+
 // TestRunRejectsBadNames: unknown names fail before anything is built.
 func TestRunRejectsBadNames(t *testing.T) {
-	for _, args := range []string{"-scheduler lifo", "-scheme ragged", "-route random", "-kernel fp4", "-chaos oops", "-tenants a:b"} {
+	for _, args := range []string{"-scheduler lifo", "-scheme ragged", "-route random", "-chaos oops", "-tenants a:b"} {
 		if err := run(parseFlags(strings.Fields(args)), &bytes.Buffer{}); err == nil {
 			t.Errorf("%s: no error", args)
 		}

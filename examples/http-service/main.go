@@ -22,7 +22,6 @@ func main() {
 		EncLayers: 2, DecLayers: 2, MaxLen: 256, Eps: 1e-5,
 	}
 	eng := tcb.NewEngine(tcb.NewModel(cfg, 13), 4)
-	eng.UseCache = true // KV-cached incremental decoding
 	srv, err := tcb.NewServer(tcb.ServerConfig{
 		Engine: eng, Scheduler: tcb.NewDAS(), Scheme: tcb.Concat,
 		B: 4, L: 64,

@@ -68,7 +68,6 @@ func main() {
 
 	// Serve the trained model under DAS + ConcatBatching.
 	eng := tcb.NewEngine(loaded, maxSeqLen+1)
-	eng.UseCache = true
 	srv, err := tcb.NewServer(tcb.ServerConfig{
 		Engine: eng, Scheduler: tcb.NewDAS(), Scheme: tcb.Concat,
 		B: 2, L: 32,

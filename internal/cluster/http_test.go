@@ -133,7 +133,6 @@ func TestHTTPClusterPrefixLenSurvives(t *testing.T) {
 	}, 21)
 	c, err := New(Config{Replicas: 1, Spawn: func(int) (*serve.Server, func(), error) {
 		eng := engine.New(m, 3)
-		eng.UseCache = true
 		pc := prefixcache.New(0, gpu.NewMemoryManager(0))
 		eng.PrefixCache = pc
 		srv, err := testServe(eng, func(cfg *serve.Config) { cfg.PrefixCache = pc })

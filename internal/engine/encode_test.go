@@ -212,71 +212,66 @@ func TestEncodeWorkBound(t *testing.T) {
 		}
 	}
 
-	for _, fused := range []bool{true, false} {
-		e := refillEngine(t, 2)
-		e.FuseDecode = fused
-		name := fmt.Sprintf("fused=%v ", fused)
+	e := refillEngine(t, 2)
 
-		// One request in a 128-wide row.
-		tokens, items := makeRequests(src, 19)
-		b, _ := batch.PackConcat(items, 1, 128)
-		if b.TotalTokens() != 128 {
-			t.Fatalf("capacity %d, want 128", b.TotalTokens())
-		}
-		want(name+"one request, 128-wide row", run(e, b, tokens, nil), 19, 19*19)
+	// One request in a 128-wide row.
+	tokens, items := makeRequests(src, 19)
+	b, _ := batch.PackConcat(items, 1, 128)
+	if b.TotalTokens() != 128 {
+		t.Fatalf("capacity %d, want 128", b.TotalTokens())
+	}
+	want("one request, 128-wide row", run(e, b, tokens, nil), 19, 19*19)
 
-		// A full concat row: Σ len rows, Σ len² scores.
-		lens := []int{20, 31, 7, 22, 20, 28}
-		tokens, items = makeRequests(src, lens...)
-		b, rest := batch.PackConcat(items, 1, 128)
-		if len(rest) != 0 || b.Rows[0].Padding() != 0 {
-			t.Fatal("row should be exactly full")
-		}
-		n, n2 := sq(lens...)
-		want(name+"full concat row", run(e, b, tokens, nil), n, n2)
+	// A full concat row: Σ len rows, Σ len² scores.
+	lens := []int{20, 31, 7, 22, 20, 28}
+	tokens, items = makeRequests(src, lens...)
+	b, rest := batch.PackConcat(items, 1, 128)
+	if len(rest) != 0 || b.Rows[0].Padding() != 0 {
+		t.Fatal("row should be exactly full")
+	}
+	n, n2 := sq(lens...)
+	want("full concat row", run(e, b, tokens, nil), n, n2)
 
-		// Slotted: every slot attends over what it holds.
-		lens = []int{10, 9, 14, 3, 12, 5}
-		tokens, items = makeRequests(src, lens...)
-		b, rest = batch.PackSlotted(items, 1, 96, 24)
-		if len(rest) != 0 {
-			t.Fatal("slotted pack failed")
+	// Slotted: every slot attends over what it holds.
+	lens = []int{10, 9, 14, 3, 12, 5}
+	tokens, items = makeRequests(src, lens...)
+	b, rest = batch.PackSlotted(items, 1, 96, 24)
+	if len(rest) != 0 {
+		t.Fatal("slotted pack failed")
+	}
+	var slotUsed []int
+	for _, g := range b.SlotGroups(b.Rows[0]) {
+		u := 0
+		for _, it := range g {
+			u += it.Len
 		}
-		var slotUsed []int
-		for _, g := range b.SlotGroups(b.Rows[0]) {
-			u := 0
-			for _, it := range g {
-				u += it.Len
-			}
-			slotUsed = append(slotUsed, u)
-		}
-		if len(slotUsed) >= len(lens) {
-			t.Fatalf("want shared slots, got %v", slotUsed)
-		}
-		n, n2 = sq(slotUsed...)
-		want(name+"slotted row", run(e, b, tokens, nil), n, n2)
+		slotUsed = append(slotUsed, u)
+	}
+	if len(slotUsed) >= len(lens) {
+		t.Fatalf("want shared slots, got %v", slotUsed)
+	}
+	n, n2 = sq(slotUsed...)
+	want("slotted row", run(e, b, tokens, nil), n, n2)
 
-		// The baselines keep their padding: that is their definition.
-		lens = []int{5, 17, 9}
-		tokens, items = makeRequests(src, lens...)
-		nb, rest := batch.PackNaive(items, 4, 128)
-		if len(rest) != 0 {
-			t.Fatal("naive pack failed")
-		}
-		for _, scheme := range []batch.Scheme{batch.Naive, batch.Turbo} {
-			b := &batch.Batch{Scheme: scheme, Rows: nb.Rows} // a Turbo group is laid out like a Naive batch
-			want(name+scheme.String(), run(e, b, tokens, nil), 3*17, 3*17*17)
-		}
+	// The baselines keep their padding: that is their definition.
+	lens = []int{5, 17, 9}
+	tokens, items = makeRequests(src, lens...)
+	nb, rest := batch.PackNaive(items, 4, 128)
+	if len(rest) != 0 {
+		t.Fatal("naive pack failed")
+	}
+	for _, scheme := range []batch.Scheme{batch.Naive, batch.Turbo} {
+		b := &batch.Batch{Scheme: scheme, Rows: nb.Rows} // a Turbo group is laid out like a Naive batch
+		want(scheme.String(), run(e, b, tokens, nil), 3*17, 3*17*17)
 	}
 
 	// Mid-flight admissions are charged like launch rows. A cold declared
 	// prefix is two blocks — p² + s², never (p+s)² — and the next request of
 	// the family, a hit, encodes its suffix only.
 	const pfx, sfx, sfx2 = 13, 8, 5
-	e := refillEngine(t, 2)
 	e.PrefixCache = prefixcache.New(0, nil)
-	tokens, items := makeRequests(src, 30)
-	b, _ := batch.PackConcat(items, 1, 128)
+	tokens, items = makeRequests(src, 30)
+	b, _ = batch.PackConcat(items, 1, 128)
 	cold := randTokens(src, pfx+sfx)
 	hit := append(append([]int{}, cold[:pfx]...), randTokens(src, sfx2)...)
 	for _, c := range []struct {

@@ -38,19 +38,11 @@ type Engine struct {
 	// services typically produce output proportional to input, which is
 	// what staggers finish times inside a batch (§4.2.2).
 	OutputCap func(inputLen int) int
-	// UseCache selects the KV-cached incremental decoder (O(T) token
-	// passes per segment) instead of the mask-based re-run decoder
-	// (O(T²)). Outputs are identical; the cache is per segment, so it is
-	// valid under every batching scheme.
-	UseCache bool
-	// FuseDecode (requires UseCache) decodes the whole batch through one
-	// fused BatchDecodeState: per decode step, every row's live segments
-	// advance together through single batch-wide GEMMs per layer — the GEMM
-	// shapes of a real B×L launch — instead of B independent per-row decode
-	// streams. Rows still encode in parallel. Outputs are token-identical
-	// to per-row decoding; New enables it by default. The fused loop is also
-	// the one that retires segments early and takes mid-flight admissions
-	// (refill.go).
+	// UseCache and FuseDecode are ignored: every launch that generates
+	// decodes through the fused KV-cached loop (refill.go). They remain only
+	// because the frozen benchmark module (bench/) still assigns them;
+	// nothing else may read or write them.
+	UseCache   bool
 	FuseDecode bool
 	// BytesPerToken is the simulated activation footprint used for the
 	// memory reports (d_model × 4 bytes × a small constant in a real
@@ -67,26 +59,19 @@ type Engine struct {
 	// exists so ownership is explicit (the engine's compute runs on it,
 	// the serve pipeline reserves cores away from it via tensor.Reserve).
 	Pool *tensor.Pool
-	// Quantize routes every projection (attention, FFN, logits) through the
-	// int8 per-output-channel quantized GEMM instead of the float32 kernels.
-	// Opt-in: outputs carry a bounded quantization error rather than the
-	// float32 path's bitwise-identity guarantee. The model is quantized
-	// lazily on first Prepare (once per shared Params, race-safe).
-	Quantize bool
 	// PrefixCache, when non-nil, is the shared-prompt prefix KV cache.
 	// Items with CachedLen > 0 attach the cached prefix's frozen cross K/V
 	// to their decode segment instead of re-encoding the prefix (the caller
 	// must hold a pin for the duration of the launch; see prefixcache);
 	// items with a declared-but-uncached prefix have their prefix rows
-	// frozen into the cache once they complete. Prefix items require
-	// UseCache (the KV-cached decoder); everything else is unaffected.
+	// frozen into the cache as soon as they are encoded.
 	PrefixCache *prefixcache.Cache
 }
 
 // New returns an engine over m generating at most maxNew tokens per request.
 func New(m *model.Model, maxNew int) *Engine {
 	return &Engine{
-		Model: m, MaxNew: maxNew, FuseDecode: true,
+		Model: m, MaxNew: maxNew,
 		BytesPerToken: int64(m.Cfg.DModel) * 4,
 		Pool:          tensor.DefaultPool(),
 	}
@@ -190,9 +175,6 @@ func (e *Engine) Prepare(b *batch.Batch, tokens map[int64][]int) (*Prepared, err
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	if e.Quantize {
-		e.Model.EnsureQuantized()
-	}
 	for _, it := range b.Items() {
 		seq, ok := tokens[it.ID]
 		if !ok {
@@ -203,9 +185,6 @@ func (e *Engine) Prepare(b *batch.Batch, tokens map[int64][]int) (*Prepared, err
 		if len(seq) != it.Len+it.CachedLen {
 			return nil, fmt.Errorf("engine: item %d has %d tokens, layout says %d",
 				it.ID, len(seq), it.Len+it.CachedLen)
-		}
-		if it.PrefixLen > 0 && !e.UseCache {
-			return nil, fmt.Errorf("engine: item %d declares a prefix but the engine runs without the KV-cached decoder", it.ID)
 		}
 		if it.CachedLen > 0 && e.PrefixCache == nil {
 			return nil, fmt.Errorf("engine: item %d expects a cached prefix but the engine has no prefix cache", it.ID)
@@ -433,28 +412,6 @@ func (rep *Report) addEncodeWork(layout model.RowLayout, slots []model.Slot) {
 	}
 }
 
-// runPerRow executes every staged row end to end, rows side by side. It is
-// the path for engines that do not decode through the fused cached state:
-// encode-only (MaxNew = 0), the mask-based decoder (UseCache off) and per-row
-// cached decoding (FuseDecode off).
-func (e *Engine) runPerRow(p *Prepared, rep *Report) error {
-	outs := make([][]Result, len(p.rows))
-	errs := make([]error, len(p.rows))
-	ws := tensor.NewWorkspace()
-	defer ws.Close()
-	fanOut(len(p.rows), ws, func(ri int, ws *tensor.Workspace) {
-		outs[ri], errs[ri] = e.runRow(p, ri, ws)
-	})
-	for ri := range p.rows {
-		if errs[ri] != nil {
-			return errs[ri]
-		}
-		rep.Results = append(rep.Results, outs[ri]...)
-		rep.addEncodeWork(p.encLayouts[ri], p.slots[ri])
-	}
-	return nil
-}
-
 // freezeRowPrefixes runs row ri's staged insert-on-completion jobs.
 func (e *Engine) freezeRowPrefixes(p *Prepared, ri int, enc *tensor.Matrix) {
 	for _, job := range p.inserts {
@@ -478,43 +435,6 @@ func (e *Engine) freezePrefix(seq []int, n int, enc *tensor.Matrix, start int) {
 	if kv, err := e.Model.BuildPrefixKV(rows); err == nil {
 		e.PrefixCache.Insert(seq, n, rows, kv)
 	}
-}
-
-// runRow executes one staged row: encode, decode, split results per item.
-// Layer intermediates are checked out of ws and released inside the encoder.
-func (e *Engine) runRow(p *Prepared, ri int, ws *tensor.Workspace) ([]Result, error) {
-	row := p.rows[ri]
-	encOut := e.encode(p.rowTokens[ri], p.encLayouts[ri], p.slots[ri], ws)
-	if e.MaxNew == 0 {
-		e.freezeRowPrefixes(p, ri, encOut)
-		out := make([]Result, len(row.Items))
-		for i, it := range row.Items {
-			out[i] = Result{ID: it.ID}
-		}
-		return out, nil
-	}
-	var gen []model.GenerateResult
-	if e.UseCache {
-		var err error
-		gen, err = e.Model.GenerateRowCachedPrefix(encOut, p.layouts[ri], p.prefixes[ri], p.caps[ri])
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// The mask-based re-run decoder is the dense reference; only slotted
-		// batches carry their slot partition into it.
-		mode := model.AttDense
-		if p.Batch.Scheme == batch.SlottedConcat {
-			mode = model.AttSlotted
-		}
-		gen = e.Model.GenerateRowCapped(encOut, p.layouts[ri], p.slots[ri], p.caps[ri], mode)
-	}
-	e.freezeRowPrefixes(p, ri, encOut)
-	out := make([]Result, len(row.Items))
-	for i, it := range row.Items {
-		out[i] = Result{ID: it.ID, Output: gen[i].Tokens, Steps: gen[i].Steps}
-	}
-	return out, nil
 }
 
 // slotsForRow converts the batch's physical slot grouping into the model's

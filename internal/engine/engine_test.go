@@ -7,6 +7,7 @@ import (
 	"tcb/internal/batch"
 	"tcb/internal/gpu"
 	"tcb/internal/model"
+	"tcb/internal/prefixcache"
 	"tcb/internal/rng"
 	"tcb/internal/vocab"
 )
@@ -151,22 +152,65 @@ func TestRunRejectsInvalidBatch(t *testing.T) {
 	}
 }
 
+// An encode-only launch (MaxNew 0: MeasureCost, Figs. 13/14, the bench's
+// calibration) must cost exactly its encode: one empty Result per item, the
+// encoder work the parent commit counted, and no decoder state built. The
+// allocation bounds are the parent's per-Run counts for the same launches
+// (25 concat, 51 slotted, single row so no goroutine fan-out); building a
+// BatchDecodeState would add its step buffers and per-segment caches.
 func TestEncodeOnlyMode(t *testing.T) {
-	e := testEngine(t, 0) // MaxNew 0: encode only
+	e := testEngine(t, 0)
 	src := rng.New(5)
-	tokens, items := makeRequests(src, 3, 4)
-	b, _ := batch.PackConcat(items, 1, 10)
-	rep, err := e.Run(b, tokens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rep.Results {
-		if len(r.Output) != 0 || r.Steps != 0 {
-			t.Fatal("encode-only mode must not generate")
-		}
-	}
-	if rep.HasEarly {
-		t.Fatal("no memory reports without decoding")
+	for _, tc := range []struct {
+		name           string
+		lens           []int
+		pack           func([]batch.Item) (*batch.Batch, []batch.Item)
+		tokens, scores int64
+		maxAllocs      float64
+	}{
+		{name: "concat", lens: []int{3, 4, 9},
+			pack:   func(it []batch.Item) (*batch.Batch, []batch.Item) { return batch.PackConcat(it, 1, 20) },
+			tokens: 16, scores: 3*3 + 4*4 + 9*9, maxAllocs: 25},
+		{name: "slotted", lens: []int{3, 4, 6, 5, 2},
+			pack:   func(it []batch.Item) (*batch.Batch, []batch.Item) { return batch.PackSlotted(it, 1, 24, 8) },
+			tokens: 20, scores: 138, maxAllocs: 51},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tokens, items := makeRequests(src, tc.lens...)
+			b, rest := tc.pack(items)
+			if len(rest) != 0 {
+				t.Fatalf("pack left %d", len(rest))
+			}
+			rep, err := e.Run(b, tokens)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Results) != len(items) {
+				t.Fatalf("%d results for %d items", len(rep.Results), len(items))
+			}
+			for i, it := range b.Items() { // row order
+				if r := rep.Results[i]; r.ID != it.ID || len(r.Output) != 0 || r.Steps != 0 {
+					t.Fatalf("result %d = %+v, want item %d with no output", i, r, it.ID)
+				}
+			}
+			if rep.HasEarly || rep.Refill != nil {
+				t.Fatal("no memory or refill reports without decoding")
+			}
+			if rep.EncodedTokens != tc.tokens || rep.EncodedScores != tc.scores {
+				t.Fatalf("encoded %d tokens / %d scores, want %d / %d", rep.EncodedTokens, rep.EncodedScores, tc.tokens, tc.scores)
+			}
+			if raceEnabled {
+				return
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := e.Run(b, tokens); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > tc.maxAllocs {
+				t.Fatalf("%v allocs per encode-only Run, want <= %v", allocs, tc.maxAllocs)
+			}
+		})
 	}
 }
 
@@ -310,42 +354,24 @@ func TestOutputCapEarlyCleaningBenefit(t *testing.T) {
 	}
 }
 
-func TestUseCacheMatchesRerun(t *testing.T) {
+// The engine's one decode path must match the per-row KV-cached decoder
+// (model.GenerateRowCached) on a concat row whose requests finish at
+// staggered steps, and the mask-based re-run decoder with it.
+func TestCachedMatchesRerun(t *testing.T) {
 	src := rng.New(30)
 	tokens, items := makeRequests(src, 4, 7, 3)
 	b, rest := batch.PackConcat(items, 1, 14)
 	if len(rest) != 0 {
 		t.Fatal("pack failed")
 	}
-	rerun := testEngine(t, 5)
-	cached := testEngine(t, 5)
-	cached.UseCache = true
-	r1, err := rerun.Run(b, tokens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := cached.Run(b, tokens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byID := map[int64][]int{}
-	for _, r := range r1.Results {
-		byID[r.ID] = r.Output
-	}
-	for _, r := range r2.Results {
-		want := byID[r.ID]
-		if len(r.Output) != len(want) {
-			t.Fatalf("request %d: cached %v vs rerun %v", r.ID, r.Output, want)
-		}
-		for i := range want {
-			if r.Output[i] != want[i] {
-				t.Fatalf("request %d token %d differs", r.ID, i)
-			}
-		}
-	}
+	e := testEngine(t, 5)
+	e.OutputCap = func(inputLen int) int { return inputLen }
+	checkOracles(t, e, b, tokens)
 }
 
-func TestUseCacheSlottedScheme(t *testing.T) {
+// Slotted batches decode like standalone requests and like both reference
+// decoders, the mask-based one attending per slot.
+func TestCachedSlottedScheme(t *testing.T) {
 	src := rng.New(31)
 	tokens, items := makeRequests(src, 4, 3, 5)
 	b, rest := batch.PackSlotted(items, 2, 10, 5)
@@ -353,18 +379,105 @@ func TestUseCacheSlottedScheme(t *testing.T) {
 		t.Fatal("pack failed")
 	}
 	e := testEngine(t, 4)
-	e.UseCache = true
-	rep, err := e.Run(b, tokens)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := checkOracles(t, e, b, tokens)
 	for _, r := range rep.Results {
 		solo, err := e.RunSingle(r.ID+50, tokens[r.ID])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(r.Output) != len(solo.Output) {
-			t.Fatalf("request %d cached-slotted differs from solo", r.ID)
+		if !equalInts(r.Output, solo.Output) || r.Steps != solo.Steps {
+			t.Fatalf("request %d: slotted %v/%d vs solo %v/%d", r.ID, r.Output, r.Steps, solo.Output, solo.Steps)
+		}
+	}
+}
+
+// A default engine (engine.New, Run, no hook) decodes through the fused loop
+// too: requests that finish at staggered steps come back in retirement order,
+// the early retirements and the launch's occupancy are counted, and every
+// output is what the request gets alone. At the parent a bare engine decoded
+// row by row, in row order, and reported neither.
+func TestDefaultEngineRetiresEarly(t *testing.T) {
+	src := rng.New(32)
+	tokens, items := makeRequests(src, 6, 2, 4)
+	b, rest := batch.PackConcat(items, 1, 12)
+	if len(rest) != 0 {
+		t.Fatal("pack failed")
+	}
+	e := testEngine(t, 6)
+	e.OutputCap = func(inputLen int) int { return inputLen }
+	rep, err := e.Run(b, tokens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Refill == nil || rep.Refill.RetiredEarly == 0 || rep.Refill.OccupancyPct() <= 0 || rep.Refill.Admitted != 0 {
+		t.Fatalf("default launch did not retire early: %+v", rep.Refill)
+	}
+	if len(rep.Results) != len(items) {
+		t.Fatalf("%d results for %d items", len(rep.Results), len(items))
+	}
+	for i, r := range rep.Results {
+		if i > 0 && r.Steps < rep.Results[i-1].Steps {
+			t.Fatalf("results not in retirement order: %+v", rep.Results)
+		}
+		solo, err := e.RunSingle(r.ID+50, tokens[r.ID])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalInts(r.Output, solo.Output) || r.Steps != solo.Steps {
+			t.Fatalf("request %d: %v/%d vs solo %v/%d", r.ID, r.Output, r.Steps, solo.Output, solo.Steps)
+		}
+	}
+}
+
+// A bare engine with a prefix cache serves declared prefixes — cold, resident
+// and undeclared requests side by side in one launch — each decoding to what
+// the request gets alone with the same declaration and no cache (a declared
+// prefix is its own encoder segment, so that, not the undeclared run, is the
+// reference). The parent refused any prefix-declaring item unless the engine
+// had been switched to its KV-cached decoder.
+func TestBareEnginePrefixDecode(t *testing.T) {
+	src := rng.New(33)
+	e := testEngine(t, 4)
+	e.PrefixCache = prefixcache.New(0, nil) // unbounded: nothing is evicted mid-test
+	shared := randTokens(src, 5)
+	withShared := func(n int) []int { return append(append([]int{}, shared...), randTokens(src, n)...) }
+
+	warm := withShared(3)
+	wb, _ := batch.PackConcat([]batch.Item{{ID: 1, Len: len(warm), PrefixLen: len(shared)}}, 1, len(warm))
+	if _, err := e.Run(wb, map[int64][]int{1: warm}); err != nil {
+		t.Fatalf("cold declared prefix on a bare engine: %v", err)
+	}
+	if !e.PrefixCache.Contains(warm, len(shared)) {
+		t.Fatal("serving a cold declared request did not freeze its prefix")
+	}
+
+	tokens := map[int64][]int{2: withShared(4), 3: randTokens(src, 7), 4: randTokens(src, 6)}
+	items := []batch.Item{
+		{ID: 2, Len: 4, PrefixLen: len(shared), CachedLen: len(shared)}, // hit
+		{ID: 3, Len: 7, PrefixLen: 3},                                   // cold, a prefix of its own
+		{ID: 4, Len: 6},                                                 // undeclared
+	}
+	b, rest := batch.PackConcat(items, 1, 20)
+	if len(rest) != 0 {
+		t.Fatal("pack failed")
+	}
+	rep, err := e.Run(b, tokens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Results) != len(items) {
+		t.Fatalf("%d results for %d items", len(rep.Results), len(items))
+	}
+	declared := map[int64]int{2: len(shared), 3: 3}
+	ref := testEngine(t, 4) // same weights, no prefix cache
+	for _, r := range rep.Results {
+		alone, err := ref.Run(packOne(t, encReq{id: r.ID, tokens: tokens[r.ID], prefixLen: declared[r.ID]}), tokens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo := alone.Results[0]
+		if !equalInts(r.Output, solo.Output) || r.Steps != solo.Steps {
+			t.Fatalf("request %d: %v/%d vs alone %v/%d", r.ID, r.Output, r.Steps, solo.Output, solo.Steps)
 		}
 	}
 }
@@ -449,8 +562,9 @@ func TestMemoryBudgetEnforced(t *testing.T) {
 }
 
 // The fused batch-wide decode path must be token-identical to the per-row
-// cached path and the mask-based no-cache path, across all three batching
-// schemes. Steps must match too (finish accounting feeds the memory model).
+// cached decoder and the mask-based re-run decoder, both called directly on
+// the engine's own encoder rows, across all three batching schemes. Steps
+// must match too (finish accounting feeds the memory model).
 func TestFusedDecodeMatchesPerRow(t *testing.T) {
 	src := rng.New(50)
 	tokens, items := makeRequests(src, 4, 7, 3, 5, 2, 6)
@@ -466,51 +580,58 @@ func TestFusedDecodeMatchesPerRow(t *testing.T) {
 	}{{"naive", nb}, {"concat", cb}, {"slotted", sb}}
 	for _, tc := range packs {
 		t.Run(tc.name, func(t *testing.T) {
-			fused := testEngine(t, 5)
-			fused.UseCache = true // FuseDecode already true from New
-			perRow := testEngine(t, 5)
-			perRow.UseCache = true
-			perRow.FuseDecode = false
-			masked := testEngine(t, 5) // UseCache false: mask-based decode
-
-			rf, err := fused.Run(tc.b, tokens)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rp, err := perRow.Run(tc.b, tokens)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rm, err := masked.Run(tc.b, tokens)
-			if err != nil {
-				t.Fatal(err)
-			}
-			type out struct {
-				tokens []int
-				steps  int
-			}
-			index := func(rep *Report) map[int64]out {
-				m := make(map[int64]out)
-				for _, r := range rep.Results {
-					m[r.ID] = out{r.Output, r.Steps}
-				}
-				return m
-			}
-			pf, pp, pm := index(rf), index(rp), index(rm)
-			if len(pf) != len(items) {
-				t.Fatalf("fused returned %d results, want %d", len(pf), len(items))
-			}
-			for id, f := range pf {
-				p, m := pp[id], pm[id]
-				if !equalInts(f.tokens, p.tokens) || f.steps != p.steps {
-					t.Fatalf("request %d: fused %v/%d vs per-row %v/%d", id, f.tokens, f.steps, p.tokens, p.steps)
-				}
-				if !equalInts(f.tokens, m.tokens) || f.steps != m.steps {
-					t.Fatalf("request %d: fused %v/%d vs masked %v/%d", id, f.tokens, f.steps, m.tokens, m.steps)
-				}
+			rep := checkOracles(t, testEngine(t, 5), tc.b, tokens)
+			if len(rep.Results) != len(items) {
+				t.Fatalf("fused returned %d results, want %d", len(rep.Results), len(items))
 			}
 		})
 	}
+}
+
+// checkOracles runs b through the engine and decodes each of its staged rows
+// through the model's reference decoders: model.GenerateRowCached (per row,
+// KV-cached) and model.GenerateRowCapped (mask-based re-run, AttDense, or
+// AttSlotted over the row's slots for slotted batches). Every request's
+// tokens and Steps must agree across all three. It returns the engine's
+// report.
+func checkOracles(t *testing.T, e *Engine, b *batch.Batch, tokens map[int64][]int) *Report {
+	t.Helper()
+	rep, err := e.Run(b, tokens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := e.Prepare(b, tokens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release()
+	mode := model.AttDense
+	if b.Scheme == batch.SlottedConcat {
+		mode = model.AttSlotted
+	}
+	got := make(map[int64]Result, len(rep.Results))
+	for _, r := range rep.Results {
+		got[r.ID] = r
+	}
+	for ri, dr := range e.encodeRows(p) {
+		cached, err := e.Model.GenerateRowCached(dr.EncOut, dr.Layout, p.caps[ri])
+		if err != nil {
+			t.Fatal(err)
+		}
+		masked := e.Model.GenerateRowCapped(dr.EncOut, dr.Layout, p.slots[ri], p.caps[ri], mode)
+		for i, it := range p.rows[ri].Items {
+			f, ok := got[it.ID]
+			if !ok {
+				t.Fatalf("request %d: no result", it.ID)
+			}
+			for name, o := range map[string]model.GenerateResult{"per-row cached": cached[i], "masked": masked[i]} {
+				if !equalInts(f.Output, o.Tokens) || f.Steps != o.Steps {
+					t.Fatalf("request %d: fused %v/%d vs %s %v/%d", it.ID, f.Output, f.Steps, name, o.Tokens, o.Steps)
+				}
+			}
+		}
+	}
+	return rep
 }
 
 func equalInts(a, b []int) bool {

@@ -113,24 +113,34 @@ func (p *Prepared) growReservation(bytes int64) error {
 }
 
 // RunPreparedRefill executes a staged batch as a persistent execution
-// context under hook (nil = deliver nothing early, admit nothing). Retiring
-// and admitting mid-flight needs the fused cached decoder; an engine
-// configured without it runs the batch to completion per row and leaves the
-// hook silent, so its caller delivers everything from the report.
+// context under hook (nil = deliver nothing early, admit nothing). Every
+// launch that generates decodes through the one fused KV-cached loop, so
+// Results arrive in retirement order. An encode-only launch (MaxNew = 0)
+// stops after the encode — no decoder state is built, which keeps the cost
+// calibration timing exactly the encoder — and returns one empty Result per
+// item in row order.
 func (e *Engine) RunPreparedRefill(p *Prepared, hook RefillHook) (*Report, error) {
 	start := time.Now()
 	rep := &Report{}
-	var err error
-	if e.MaxNew > 0 && e.UseCache && e.FuseDecode {
+	decRows := e.encodeLaunch(p, rep)
+	if e.MaxNew > 0 {
 		if hook == nil {
 			hook = noRefill{}
 		}
-		err = e.runFusedRefill(p, hook, rep)
+		if err := e.runFusedRefill(p, decRows, hook, rep); err != nil {
+			return nil, err
+		}
 	} else {
-		err = e.runPerRow(p, rep)
-	}
-	if err != nil {
-		return nil, err
+		n := 0
+		for _, row := range p.rows {
+			n += len(row.Items)
+		}
+		rep.Results = make([]Result, 0, n)
+		for _, row := range p.rows {
+			for _, it := range row.Items {
+				rep.Results = append(rep.Results, Result{ID: it.ID})
+			}
+		}
 	}
 	rep.Elapsed = time.Since(start)
 	if !p.DeferCleaning {
@@ -168,23 +178,28 @@ type seat struct {
 	enc    *tensor.Matrix
 }
 
-// runFusedRefill encodes the staged rows in parallel, then decodes every
-// row's segments together — one GEMM per layer per step across all rows —
-// retiring finished segments and seating admissions between steps. It fills
-// rep's results, refill summary and encode-work counters.
-func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook, rep *Report) error {
+// encodeLaunch encodes the staged rows in parallel and charges rep with the
+// work. Declared prefixes are frozen as soon as the encode lands — refill
+// launches run long, so making the prefix available early lets admissions
+// from the same family hit the cache mid-flight.
+func (e *Engine) encodeLaunch(p *Prepared, rep *Report) []model.BatchDecodeRow {
+	decRows := e.encodeRows(p)
+	for ri := range p.rows {
+		e.freezeRowPrefixes(p, ri, decRows[ri].EncOut)
+		rep.addEncodeWork(p.encLayouts[ri], p.slots[ri])
+	}
+	return decRows
+}
+
+// runFusedRefill decodes every encoded row's segments together — one GEMM per
+// layer per step across all rows — retiring finished segments and seating
+// admissions between steps. It fills rep's results, refill summary and the
+// admissions' encode-work counters.
+func (e *Engine) runFusedRefill(p *Prepared, decRows []model.BatchDecodeRow, hook RefillHook, rep *Report) error {
 	ref := &RefillReport{}
 	rep.Refill = ref
 	if len(p.rows) == 0 {
 		return nil
-	}
-	decRows := e.encodeRows(p)
-	// Freeze declared prefixes as soon as the encode lands — refill launches
-	// run long, so making the prefix available early lets admissions from the
-	// same family hit the cache mid-flight.
-	for ri := range p.rows {
-		e.freezeRowPrefixes(p, ri, decRows[ri].EncOut)
-		rep.addEncodeWork(p.encLayouts[ri], p.slots[ri])
 	}
 	st := e.Model.NewBatchDecodeStateReserve(decRows, e.MaxNew)
 	defer st.Close()

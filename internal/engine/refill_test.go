@@ -34,7 +34,6 @@ func (h *scriptHook) Reject(adm Admission, err error) { h.rejected = append(h.re
 
 func refillEngine(t testing.TB, maxNew int) *Engine {
 	e := testEngine(t, maxNew)
-	e.UseCache = true
 	e.OutputCap = func(inputLen int) int { return inputLen }
 	return e
 }
@@ -267,44 +266,75 @@ func (h *defiantHook) Refill(int) []Admission {
 
 func (h *defiantHook) Reject(adm Admission, err error) { h.rejected = append(h.rejected, adm) }
 
-// Retiring and admitting mid-flight needs the fused cached decoder. An engine
-// without it must still run a hooked launch — to completion, per row, hook
-// silent — rather than fail it: the serving layer hooks every launch.
-func TestRefillDegradesWithoutFusedCache(t *testing.T) {
+// A bare engine (engine.New, no field set) refills: the serving layer hooks
+// every launch, and every launch that generates runs the fused loop, so the
+// hook is offered the freed capacity, the admission is seated, and every
+// output — incumbents and the admission alike — is what the request gets
+// alone.
+func TestBareEngineRefills(t *testing.T) {
 	src := rng.New(74)
 	tokens, items := makeRequests(src, 3, 2)
 	b, _ := batch.PackConcat(items, 1, 5)
-	for name, mut := range map[string]func(*Engine){
-		"no-cache": func(e *Engine) {},
-		"per-row":  func(e *Engine) { e.UseCache = true; e.FuseDecode = false },
-	} {
-		e := testEngine(t, 3)
-		mut(e)
-		p, err := e.Prepare(b, tokens)
+	tokens[99] = []int{5}
+	e := testEngine(t, 3)
+	p, err := e.Prepare(b, tokens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hook := &scriptHook{queue: []Admission{{ID: 99, Tokens: tokens[99]}}}
+	rep, err := e.RunPreparedRefill(p, hook)
+	p.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hook.offers == 0 || rep.Refill == nil || rep.Refill.Admitted != 1 || len(hook.queue) != 0 {
+		t.Fatalf("bare engine did not refill: offers %d, queue left %d, report %+v", hook.offers, len(hook.queue), rep.Refill)
+	}
+	if len(rep.Results) != len(items)+1 || len(hook.retired) != len(rep.Results) {
+		t.Fatalf("%d results, %d delivered through the hook, for %d items + 1 admission",
+			len(rep.Results), len(hook.retired), len(items))
+	}
+	for _, r := range rep.Results {
+		solo, err := e.RunSingle(r.ID, tokens[r.ID])
 		if err != nil {
 			t.Fatal(err)
 		}
-		hook := &scriptHook{queue: []Admission{{ID: 99, Tokens: []int{5}}}}
-		rep, err := e.RunPreparedRefill(p, hook)
-		p.Release()
-		if err != nil {
-			t.Fatalf("%s: hooked launch must degrade, got %v", name, err)
+		if !equalInts(r.Output, solo.Output) || r.Steps != solo.Steps {
+			t.Fatalf("request %d: %v/%d vs solo %v/%d", r.ID, r.Output, r.Steps, solo.Output, solo.Steps)
 		}
-		if hook.offers != 0 || len(hook.retired) != 0 || rep.Refill != nil {
-			t.Fatalf("%s: hook must stay silent (offers %d, retired %d, refill report %v)",
-				name, hook.offers, len(hook.retired), rep.Refill)
-		}
-		if len(rep.Results) != len(items) {
-			t.Fatalf("%s: %d results for %d items", name, len(rep.Results), len(items))
-		}
-		for _, r := range rep.Results {
-			solo, err := e.RunSingle(r.ID, tokens[r.ID])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalInts(r.Output, solo.Output) {
-				t.Fatalf("%s request %d: %v vs solo %v", name, r.ID, r.Output, solo.Output)
-			}
+	}
+}
+
+// An encode-only launch (MaxNew 0) returns after its encode even when hooked:
+// nothing retires mid-flight, so the hook is never offered capacity, its
+// queue is left alone, nothing is delivered through it and no refill summary
+// is reported.
+func TestEncodeOnlyLaunchOffersNothing(t *testing.T) {
+	src := rng.New(75)
+	tokens, items := makeRequests(src, 3, 2)
+	b, _ := batch.PackConcat(items, 1, 8)
+	tokens[99] = []int{5}
+	e := testEngine(t, 0)
+	p, err := e.Prepare(b, tokens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hook := &scriptHook{queue: []Admission{{ID: 99, Tokens: tokens[99]}}}
+	rep, err := e.RunPreparedRefill(p, hook)
+	p.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hook.offers != 0 || len(hook.queue) != 1 || len(hook.retired) != 0 || len(hook.rejected) != 0 || rep.Refill != nil {
+		t.Fatalf("encode-only launch touched its hook: offers %d, queue %d, retired %d, rejected %d, report %+v",
+			hook.offers, len(hook.queue), len(hook.retired), len(hook.rejected), rep.Refill)
+	}
+	if len(rep.Results) != len(items) || rep.EncodedTokens != 5 {
+		t.Fatalf("%d results, %d encoded tokens, want %d and 5", len(rep.Results), rep.EncodedTokens, len(items))
+	}
+	for _, r := range rep.Results {
+		if len(r.Output) != 0 || r.Steps != 0 {
+			t.Fatalf("encode-only result %+v generated", r)
 		}
 	}
 }

@@ -147,7 +147,6 @@ func AblationEarlyCleaning(opt Options) (*Figure, error) {
 		EncLayers: 1, DecLayers: 1, MaxLen: 256, Eps: 1e-5,
 	}
 	eng := engine.New(model.New(cfg, 11), 12)
-	eng.UseCache = true
 	// Seq2seq output tracks input length, so requests of different lengths
 	// finish at different decoder steps — the §4.2.2 premise.
 	eng.OutputCap = func(inputLen int) int { return inputLen }

@@ -35,12 +35,10 @@ func All(opt Options) []Runner {
 		{"ablation-eta", func() (*Figure, error) { return AblationEta(opt) }},
 		{"ablation-slot-policy", func() (*Figure, error) { return AblationSlotPolicy(opt) }},
 		{"ablation-early-cleaning", func() (*Figure, error) { return AblationEarlyCleaning(opt) }},
-		{"ext-fused-decode", func() (*Figure, error) { return ExtFusedDecode(opt) }},
 		{"ext-pipeline", func() (*Figure, error) { return ExtPipeline(opt) }},
 		{"ext-refill", func() (*Figure, error) { return ExtRefill(opt) }},
 		{"ext-prefix", func() (*Figure, error) { return ExtPrefix(opt) }},
 		{"ext-cluster", func() (*Figure, error) { return ExtCluster(opt) }},
-		{"ext-quantized", func() (*Figure, error) { return ExtQuantized(opt) }},
 		{"ext-fairness", func() (*Figure, error) { return ExtFairness(opt) }},
 		{"ablation-packing", func() (*Figure, error) { return AblationPacking() }},
 	}

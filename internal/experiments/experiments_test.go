@@ -314,19 +314,6 @@ func TestAblationEarlyCleaning(t *testing.T) {
 	}
 }
 
-func TestExtFusedDecode(t *testing.T) {
-	fig, err := ExtFusedDecode(fastOpt())
-	if err != nil {
-		t.Fatal(err) // includes the internal fused-vs-per-row token check
-	}
-	for i := range fig.X {
-		sp, _ := fig.Get("speedup", i)
-		if sp <= 0 {
-			t.Fatalf("speedup %v at B=%v", sp, fig.X[i])
-		}
-	}
-}
-
 func TestAblationPacking(t *testing.T) {
 	fig, err := AblationPacking()
 	if err != nil {
@@ -351,6 +338,27 @@ func TestRunAndRenderFilters(t *testing.T) {
 	}
 	if err := RunAndRender(&buf, fastOpt(), "no-such-figure"); err == nil {
 		t.Fatal("unknown id should error")
+	}
+}
+
+// Runner IDs are how tcb-bench, its -gate table and CI select experiments, so
+// each names exactly one runner; the retired int8 and fused-vs-per-row A/Bs
+// are unknown ids now, not silently empty figures.
+func TestRunnerIDsUniqueAndRetiredGone(t *testing.T) {
+	seen := map[string]bool{}
+	for _, r := range All(fastOpt()) {
+		if r.ID == "" || seen[r.ID] {
+			t.Fatalf("runner id %q empty or duplicated", r.ID)
+		}
+		seen[r.ID] = true
+	}
+	for _, id := range []string{"ext-quantized", "ext-fused-decode"} {
+		if seen[id] {
+			t.Errorf("%s is retired but still in All", id)
+		}
+		if err := RunAndRender(&bytes.Buffer{}, fastOpt(), id); err == nil {
+			t.Errorf("%s: RunAndRender accepted a retired id", id)
+		}
 	}
 }
 

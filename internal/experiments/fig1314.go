@@ -22,7 +22,6 @@ type SlottedOptions struct {
 	Reps       int   // timing repetitions; the minimum is kept
 	Model      model.Config
 	Seed       uint64
-	Quantize   bool // route projections through the int8 quantized GEMM
 }
 
 // DefaultSlottedOptions returns the paper's setting over the test-scale
@@ -61,7 +60,6 @@ func SlottedSpeedup(opt SlottedOptions) (*Figure, error) {
 		return nil, err
 	}
 	eng := engine.New(model.New(opt.Model, opt.Seed), 0) // encode-only timing
-	eng.Quantize = opt.Quantize
 	items, tokens := slottedContent(opt)
 
 	timeBatch := func(b *batch.Batch) (float64, error) {
@@ -161,9 +159,7 @@ func slottedBatch(items []batch.Item, opt SlottedOptions, k int) (*batch.Batch, 
 // Fig13 reproduces "Speedup of slotted ConcatBatching (batch size 10,
 // length 400)".
 func Fig13(o Options) (*Figure, error) {
-	opt := DefaultSlottedOptions(10)
-	opt.Quantize = o.Quantize
-	f, err := SlottedSpeedup(opt)
+	f, err := SlottedSpeedup(DefaultSlottedOptions(10))
 	if err != nil {
 		return nil, err
 	}
@@ -174,9 +170,7 @@ func Fig13(o Options) (*Figure, error) {
 // Fig14 reproduces "Speedup of slotted ConcatBatching (batch size 32,
 // length 400)".
 func Fig14(o Options) (*Figure, error) {
-	opt := DefaultSlottedOptions(32)
-	opt.Quantize = o.Quantize
-	f, err := SlottedSpeedup(opt)
+	f, err := SlottedSpeedup(DefaultSlottedOptions(32))
 	if err != nil {
 		return nil, err
 	}

@@ -16,11 +16,6 @@ type Options struct {
 	// curves. 0 and 1 both mean a single seed. Real-engine figures
 	// (13–14) ignore it — their noise is wall-clock, handled by Reps.
 	Seeds int
-	// Quantize routes every real-engine experiment's projections through
-	// the int8 per-channel quantized GEMM (tcb-bench -kernel=int8).
-	// ext-quantized ignores it: that experiment always runs both paths to
-	// measure the gap.
-	Quantize bool
 }
 
 // DefaultOptions runs each point over a 5-second trace.

@@ -63,8 +63,6 @@ func ExtPipeline(opt Options) (*Figure, error) {
 
 		runMode := func(pipeline bool) (float64, [][]int, *serve.Stats, error) {
 			eng := engine.New(m, maxNew)
-			eng.UseCache = true
-			eng.Quantize = opt.Quantize
 			s, err := serve.New(serve.Config{
 				Engine: eng, Scheduler: sched.NewDAS(), Scheme: batch.Concat,
 				B: B, L: rowLen, Poll: 200 * time.Microsecond,

@@ -104,8 +104,6 @@ func ExtPrefix(opt Options) (*Figure, error) {
 
 		runMode := func(cache, refill, pipeline bool) (tput float64, outs [][]int, st serve.Stats, err error) {
 			eng := engine.New(m, maxNew)
-			eng.UseCache = true
-			eng.Quantize = opt.Quantize
 			eng.OutputCap = func(int) int { return maxNew }
 			var pc *prefixcache.Cache
 			var mem *gpu.MemoryManager

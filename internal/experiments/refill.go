@@ -93,8 +93,6 @@ func ExtRefill(opt Options) (*Figure, error) {
 
 		runMode := func(refill, pipeline bool) (tput, p99ms float64, outs [][]int, st serve.Stats, err error) {
 			eng := engine.New(m, maxNew)
-			eng.UseCache = true
-			eng.Quantize = opt.Quantize
 			eng.OutputCap = func(inputLen int) int { return inputLen }
 			s, err := serve.New(serve.Config{
 				Engine: eng, Scheduler: sched.FCFS{}, Scheme: batch.Concat,

@@ -34,13 +34,13 @@ func MultiHeadAttentionInto(dst *tensor.Matrix, w *AttentionWeights, numHeads in
 	q := ws.Get(xq.Rows, dModel)
 	k := ws.Get(xkv.Rows, dModel)
 	v := ws.Get(xkv.Rows, dModel)
-	w.WQ.ApplyIntoWS(q, xq, ws)
-	w.WK.ApplyIntoWS(k, xkv, ws)
-	w.WV.ApplyIntoWS(v, xkv, ws)
+	w.WQ.ApplyInto(q, xq)
+	w.WK.ApplyInto(k, xkv)
+	w.WV.ApplyInto(v, xkv)
 	concat := ws.Get(xq.Rows, dModel)
 	scores := ws.Get(xq.Rows, xkv.Rows)
 	tensor.MultiHeadAttendInto(concat, q, k, v, numHeads, attnScale(dModel/numHeads), mask, scores)
-	w.WO.ApplyIntoWS(dst, concat, ws)
+	w.WO.ApplyInto(dst, concat)
 	ws.Put(scores)
 	ws.Put(concat)
 	ws.Put(v)
@@ -65,9 +65,9 @@ func MultiHeadAttentionBlocksInto(dst *tensor.Matrix, w *AttentionWeights, numHe
 	q := ws.Get(xq.Rows, dModel)
 	k := ws.Get(xkv.Rows, dModel)
 	v := ws.Get(xkv.Rows, dModel)
-	w.WQ.ApplyIntoWS(q, xq, ws)
-	w.WK.ApplyIntoWS(k, xkv, ws)
-	w.WV.ApplyIntoWS(v, xkv, ws)
+	w.WQ.ApplyInto(q, xq)
+	w.WK.ApplyInto(k, xkv)
+	w.WV.ApplyInto(v, xkv)
 	concat := ws.Get(xq.Rows, dModel)
 	maxK := 0
 	for _, b := range blocks {
@@ -77,7 +77,7 @@ func MultiHeadAttentionBlocksInto(dst *tensor.Matrix, w *AttentionWeights, numHe
 	}
 	scores := ws.Get(xq.Rows, maxK)
 	tensor.BlockAttendInto(concat, q, k, v, numHeads, attnScale(dModel/numHeads), blocks, qSeg, kSeg, causal, scores)
-	w.WO.ApplyIntoWS(dst, concat, ws)
+	w.WO.ApplyInto(dst, concat)
 	ws.Put(scores)
 	ws.Put(concat)
 	ws.Put(v)

@@ -193,9 +193,9 @@ func (m *Model) newBatchDecodeState(rows []BatchDecodeRow, reserve int) *BatchDe
 				continue
 			}
 			k := ws.Get(row.EncOut.Rows, d)
-			layer.CrossAttn.WK.ApplyIntoWS(k, row.EncOut, ws)
+			layer.CrossAttn.WK.ApplyInto(k, row.EncOut)
 			v := ws.Get(row.EncOut.Rows, d)
-			layer.CrossAttn.WV.ApplyIntoWS(v, row.EncOut, ws)
+			layer.CrossAttn.WV.ApplyInto(v, row.EncOut)
 			base := rowStart[r]
 			for si, seg := range row.Layout.Segments {
 				if pk := row.prefixAt(si); pk != nil {
@@ -297,9 +297,6 @@ func (s *BatchDecodeState) Step(tokens []int) ([][]float32, error) {
 	heads := s.m.Cfg.NumHeads
 	dh := s.m.Cfg.HeadDim()
 	scale := attnScale(dh)
-	// One workspace per state feeds the quantized path's activation scratch
-	// (a no-op for float32 weights), so warm quantized Steps allocate nothing.
-	ws := s.pool()
 	q, attn, proj := s.q, s.attn, s.proj
 	q.Resize(n, d)
 	attn.Resize(n, d)
@@ -311,35 +308,35 @@ func (s *BatchDecodeState) Step(tokens []int) ([][]float32, error) {
 		k, v := cache.k, cache.v
 		k.Resize(n, d)
 		v.Resize(n, d)
-		layer.SelfAttn.WQ.ApplyIntoWS(q, x, ws)
-		layer.SelfAttn.WK.ApplyIntoWS(k, x, ws)
-		layer.SelfAttn.WV.ApplyIntoWS(v, x, ws)
+		layer.SelfAttn.WQ.ApplyInto(q, x)
+		layer.SelfAttn.WK.ApplyInto(k, x)
+		layer.SelfAttn.WV.ApplyInto(v, x)
 		tensor.ScatterAppendRows(cache.selfK, k, live)
 		tensor.ScatterAppendRows(cache.selfV, v, live)
 		tensor.AttendCachedRows(attn, q, cache.selfK, cache.selfV, live, heads, dh, scale, s.scores)
-		layer.SelfAttn.WO.ApplyIntoWS(proj, attn, ws)
+		layer.SelfAttn.WO.ApplyInto(proj, attn)
 		tensor.AddInPlace(x, proj)
 		layer.Norm1.Apply(x)
 
 		// Cross-attention against the fixed encoder cache of the own
 		// segment only.
-		layer.CrossAttn.WQ.ApplyIntoWS(q, x, ws)
+		layer.CrossAttn.WQ.ApplyInto(q, x)
 		tensor.AttendCachedRows(attn, q, cache.crossK, cache.crossV, live, heads, dh, scale, s.scores)
-		layer.CrossAttn.WO.ApplyIntoWS(proj, attn, ws)
+		layer.CrossAttn.WO.ApplyInto(proj, attn)
 		tensor.AddInPlace(x, proj)
 		layer.Norm2.Apply(x)
 
 		ff := s.ff
 		ff.Resize(n, s.m.Cfg.DFF)
-		layer.FFN.In.ApplyIntoWS(ff, x, ws)
+		layer.FFN.In.ApplyInto(ff, x)
 		tensor.ReLU(ff)
-		layer.FFN.Out.ApplyIntoWS(proj, ff, ws)
+		layer.FFN.Out.ApplyInto(proj, ff)
 		tensor.AddInPlace(x, proj)
 		layer.Norm3.Apply(x)
 	}
 
 	s.logits.Resize(n, s.m.Cfg.VocabSize)
-	s.m.P.OutProj.ApplyIntoWS(s.logits, x, ws)
+	s.m.P.OutProj.ApplyInto(s.logits, x)
 	for r, i := range live {
 		s.out[i] = s.logits.Row(r)
 	}

@@ -61,7 +61,7 @@ func (s *DecodeState) Step(tokens []int) ([][]float32, error) {
 // incremental decoder: same greedy decoding, same outputs, O(T) token
 // passes per segment instead of O(T²). It is the per-row counterpart of
 // GenerateBatchCached (one decode state per row instead of one fused state
-// per batch), the decoder behind Engine.FuseDecode = false.
+// per batch), kept as the reference the engine's fused loop is tested against.
 func (m *Model) GenerateRowCached(encOut *tensor.Matrix, encLayout RowLayout, caps []int) ([]GenerateResult, error) {
 	nSeg := len(encLayout.Segments)
 	if len(caps) != nSeg {

@@ -2,24 +2,15 @@ package model
 
 import (
 	"math"
-	"sync"
 
 	"tcb/internal/rng"
 	"tcb/internal/tensor"
 )
 
 // Linear is a dense affine layer Y = X·W + b.
-//
-// A Linear optionally carries an int8 per-output-channel quantized copy of W
-// (built once by Quantize); when present, ApplyInto routes the product
-// through the quantized GEMM instead of the float32 kernels. The field is
-// unexported so checkpoints never persist the redundant copy — a loaded
-// model re-quantizes on demand.
 type Linear struct {
 	W *tensor.Matrix // in × out
 	B []float32      // out
-
-	q *tensor.QuantizedMatrix // int8 copy of W; nil on the float32 path
 }
 
 // NewLinear returns a Linear with Xavier-uniform weights drawn from src.
@@ -43,34 +34,9 @@ func (l *Linear) Apply(x *tensor.Matrix) *tensor.Matrix {
 // allocation-free form used by the inference hot path. dst must be
 // x.Rows × out and must not alias x.
 func (l *Linear) ApplyInto(dst, x *tensor.Matrix) {
-	l.ApplyIntoWS(dst, x, nil)
-}
-
-// ApplyIntoWS is ApplyInto with an explicit workspace for the quantized
-// path's activation scratch (int8 row buffers and per-row scales). On the
-// float32 path the workspace is unused. ws may be nil: the quantized path
-// then borrows a workspace from the package pool, so warm calls stay
-// allocation-free either way — passing the caller's workspace just keeps the
-// scratch on buffers that are already hot.
-func (l *Linear) ApplyIntoWS(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-	if l.q != nil {
-		tensor.MatMulQuantizedInto(dst, x, l.q, ws)
-	} else {
-		tensor.MatMulInto(dst, x, l.W)
-	}
+	tensor.MatMulInto(dst, x, l.W)
 	tensor.AddRowVector(dst, l.B)
 }
-
-// Quantize builds (or rebuilds) the int8 per-channel copy of W and switches
-// this layer's ApplyInto onto the quantized GEMM. Not safe to call
-// concurrently with inference — quantize before serving traffic
-// (Params.EnsureQuantized does exactly that, once).
-func (l *Linear) Quantize() {
-	l.q = tensor.QuantizeMatrix(l.W)
-}
-
-// Quantized reports whether this layer routes through the int8 path.
-func (l *Linear) Quantized() bool { return l.q != nil }
 
 // LayerNorm holds per-feature gain and bias for row normalization.
 type LayerNorm struct {
@@ -113,14 +79,6 @@ type FFNWeights struct {
 	In, Out *Linear
 }
 
-// Quantize switches all four projections onto the int8 path.
-func (w *AttentionWeights) Quantize() {
-	w.WQ.Quantize()
-	w.WK.Quantize()
-	w.WV.Quantize()
-	w.WO.Quantize()
-}
-
 // NewFFNWeights initializes the feed-forward block from src.
 func NewFFNWeights(src *rng.Source, dModel, dFF int) *FFNWeights {
 	return &FFNWeights{
@@ -141,16 +99,10 @@ func (f *FFNWeights) Apply(x *tensor.Matrix) *tensor.Matrix {
 // not alias x.
 func (f *FFNWeights) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 	h := ws.Get(x.Rows, f.In.W.Cols)
-	f.In.ApplyIntoWS(h, x, ws)
+	f.In.ApplyInto(h, x)
 	tensor.ReLU(h)
-	f.Out.ApplyIntoWS(dst, h, ws)
+	f.Out.ApplyInto(dst, h)
 	ws.Put(h)
-}
-
-// Quantize switches both FFN projections onto the int8 path.
-func (f *FFNWeights) Quantize() {
-	f.In.Quantize()
-	f.Out.Quantize()
 }
 
 // EncoderLayerWeights bundles one encoder layer: self-attention + FFN with
@@ -180,34 +132,6 @@ type Params struct {
 	Encoder   []*EncoderLayerWeights
 	Decoder   []*DecoderLayerWeights
 	OutProj   *Linear // DModel × VocabSize final projection
-
-	quantOnce sync.Once // guards EnsureQuantized (not persisted)
-}
-
-// Quantize builds int8 per-channel copies for every projection — all
-// encoder/decoder attention and FFN layers plus the output projection — and
-// switches them onto the quantized GEMM. The embedding and positional tables
-// stay float32: they are lookups, not GEMMs. Not safe concurrently with
-// inference; use EnsureQuantized from serving paths.
-func (p *Params) Quantize() {
-	for _, layer := range p.Encoder {
-		layer.SelfAttn.Quantize()
-		layer.FFN.Quantize()
-	}
-	for _, layer := range p.Decoder {
-		layer.SelfAttn.Quantize()
-		layer.CrossAttn.Quantize()
-		layer.FFN.Quantize()
-	}
-	p.OutProj.Quantize()
-}
-
-// EnsureQuantized quantizes the model exactly once, no matter how many
-// engines share these params (cluster replicas wrap one Model): concurrent
-// callers block until the first finishes, so no inference ever observes a
-// half-quantized layer stack.
-func (p *Params) EnsureQuantized() {
-	p.quantOnce.Do(p.Quantize)
 }
 
 // NewParams initializes all weights deterministically from seed.

@@ -94,30 +94,6 @@ func inheritCross(dst, pfx, rowProj *tensor.Matrix, seg Segment) {
 	}
 }
 
-// GenerateRowCachedPrefix is GenerateRowCached with per-segment inherited
-// prefixes (nil entries, or a nil slice, mean no prefix). Segment i of the
-// row decodes against prefixes[i]'s frozen cross K/V rows followed by its
-// own encoder rows, producing the same tokens as a cold decode of the full
-// prefix+suffix request.
-func (m *Model) GenerateRowCachedPrefix(encOut *tensor.Matrix, encLayout RowLayout, prefixes []*PrefixKV, caps []int) ([]GenerateResult, error) {
-	nSeg := len(encLayout.Segments)
-	if len(caps) != nSeg {
-		return nil, fmt.Errorf("model: %d caps for %d segments", len(caps), nSeg)
-	}
-	if len(prefixes) != 0 && len(prefixes) != nSeg {
-		return nil, fmt.Errorf("model: %d prefixes for %d segments", len(prefixes), nSeg)
-	}
-	maxNew := 0
-	for _, c := range caps {
-		if c > maxNew {
-			maxNew = c
-		}
-	}
-	st := m.newBatchDecodeState([]BatchDecodeRow{{EncOut: encOut, Layout: encLayout, Prefixes: prefixes}}, maxNew)
-	defer st.Close()
-	return greedyDecode(st, caps, maxNew)
-}
-
 // InsertSegmentPrefix is InsertSegment with an inherited prefix: the new
 // segment's cross-attention cache is the prefix's frozen K/V rows followed
 // by the projections of encOut (the request's own suffix encoder rows). A
@@ -148,9 +124,9 @@ func (s *BatchDecodeState) InsertSegmentPrefix(encOut *tensor.Matrix, kv *Prefix
 		// Project the suffix rows, then assemble the inherited-prefix cache:
 		// frozen prefix rows first, own rows after.
 		sufK := ws.Get(n, d)
-		layer.CrossAttn.WK.ApplyIntoWS(sufK, encOut, ws)
+		layer.CrossAttn.WK.ApplyInto(sufK, encOut)
 		sufV := ws.Get(n, d)
-		layer.CrossAttn.WV.ApplyIntoWS(sufV, encOut, ws)
+		layer.CrossAttn.WV.ApplyInto(sufV, encOut)
 		ck := ws.Get(total, d)
 		cv := ws.Get(total, d)
 		inheritCross(ck, kv.Layers[li].K, sufK, seg)

@@ -116,9 +116,9 @@ func (s *BatchDecodeState) InsertSegment(encOut *tensor.Matrix) (int, error) {
 	for li, layer := range s.m.P.Decoder {
 		lc := s.layers[li]
 		ck := ws.Get(n, d)
-		layer.CrossAttn.WK.ApplyIntoWS(ck, encOut, ws)
+		layer.CrossAttn.WK.ApplyInto(ck, encOut)
 		cv := ws.Get(n, d)
-		layer.CrossAttn.WV.ApplyIntoWS(cv, encOut, ws)
+		layer.CrossAttn.WV.ApplyInto(cv, encOut)
 		lc.selfK = append(lc.selfK, s.emptySelfCache())
 		lc.selfV = append(lc.selfV, s.emptySelfCache())
 		lc.crossK = append(lc.crossK, ck)

@@ -44,13 +44,6 @@ func New(cfg Config, seed uint64) *Model {
 	return &Model{Cfg: cfg, P: NewParams(cfg, seed)}
 }
 
-// EnsureQuantized switches every projection onto the int8 per-channel
-// quantized GEMM, exactly once per Params no matter how many engines share
-// the model. Engines with Quantize set call this from Prepare.
-func (m *Model) EnsureQuantized() {
-	m.P.EnsureQuantized()
-}
-
 // embedRow embeds one row of token ids and applies positional encoding.
 // separatePE selects TCB's per-segment encoding (Fig. 5b) versus the
 // traditional whole-row encoding (Fig. 5a).

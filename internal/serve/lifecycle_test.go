@@ -34,6 +34,15 @@ func (f *faultyEngine) RunPreparedRefill(p *engine.Prepared, hook engine.RefillH
 	return f.Engine.RunPreparedRefill(p, hook)
 }
 
+// plainRunner exposes only Run: the server falls back to the one-shot call,
+// so nothing retires early and completeBatch delivers the whole launch from
+// its report.
+type plainRunner struct{ e *engine.Engine }
+
+func (r plainRunner) Run(b *batch.Batch, tokens map[int64][]int) (*engine.Report, error) {
+	return r.e.Run(b, tokens)
+}
+
 // TestLifecycleReleasesOnEveryOutcome drives requests to every terminal
 // outcome under every loop / fairness / prefix setting and checks the
 // lifecycle's promises as whole-server invariants: one response per request,
@@ -45,7 +54,7 @@ func TestLifecycleReleasesOnEveryOutcome(t *testing.T) {
 	parked := func(st Stats) bool { return st.Retried == st.Submitted }
 	cases := []struct {
 		name     string
-		perRow   bool // decode per row: the hook stays silent, delivery waits for batch end
+		plain    bool // a plain Runner: no hook, delivery waits for batch end
 		deadline time.Duration
 		fail     func() error
 		cfg      func(*Config)
@@ -54,7 +63,7 @@ func TestLifecycleReleasesOnEveryOutcome(t *testing.T) {
 		want     []error          // errors a response may carry (nil = delivered)
 		counter  func(Stats) int64
 	}{
-		{name: "delivered at batch end", perRow: true, deadline: time.Minute, ready: settled,
+		{name: "delivered at batch end", plain: true, deadline: time.Minute, ready: settled,
 			want: []error{nil}, counter: func(st Stats) int64 { return st.Served }},
 		{name: "delivered by early retire", deadline: time.Minute, ready: settled,
 			want: []error{nil}, counter: func(st Stats) int64 { return st.Served }},
@@ -99,7 +108,6 @@ func TestLifecycleReleasesOnEveryOutcome(t *testing.T) {
 					name := fmt.Sprintf("%s/pipeline=%v/fair=%v/prefix=%v", tc.name, pipelined, fairOn, prefixHit)
 					t.Run(name, func(t *testing.T) {
 						eng := engine.New(m, 3)
-						eng.UseCache, eng.FuseDecode = true, !tc.perRow
 						eng.Mem = gpu.NewMemoryManager(0)
 						cacheMem := gpu.NewMemoryManager(0)
 						// Room for one entry: a second prefix fits only by
@@ -119,8 +127,12 @@ func TestLifecycleReleasesOnEveryOutcome(t *testing.T) {
 								t.Fatalf("prefix not resident (leaked pin blocks eviction?): %+v", pc.Stats())
 							}
 						}
+						var runner Runner = &faultyEngine{Engine: eng, fail: tc.fail}
+						if tc.plain {
+							runner = plainRunner{eng}
+						}
 						cfg := Config{
-							Engine: &faultyEngine{Engine: eng, fail: tc.fail}, Scheduler: sched.NewDAS(),
+							Engine: runner, Scheduler: sched.NewDAS(),
 							Scheme: batch.Concat, B: 4, L: 64, Poll: 200 * time.Microsecond,
 							Refill: true, Pipeline: pipelined, Fair: fairOn, PrefixCache: pc,
 							BreakerThreshold: -1,

@@ -39,7 +39,6 @@ func prefixServeWorkload(seed uint64) (reqs [][]int, decl []int) {
 func runPrefixMode(t *testing.T, m *model.Model, reqs [][]int, decl []int, cache, refill, pipeline bool) ([][]int, Stats) {
 	t.Helper()
 	eng := engine.New(m, 3)
-	eng.UseCache = true
 	var pc *prefixcache.Cache
 	var mem *gpu.MemoryManager
 	if cache {
@@ -154,7 +153,6 @@ func TestPrefixPinsReleasedAfterDelivery(t *testing.T) {
 	}
 	m := model.New(cfg, 22)
 	eng := engine.New(m, 3)
-	eng.UseCache = true
 	mem := gpu.NewMemoryManager(0)
 	pc := prefixcache.New(prefixTestBytes(12)+prefixTestBytes(12)/2, mem)
 	eng.PrefixCache = pc
@@ -205,7 +203,6 @@ func TestPrefixSubmitValidation(t *testing.T) {
 	s, e := testServer(t, batch.Concat, sched.FCFS{})
 	s.Start()
 	defer s.Stop()
-	e.UseCache = true
 
 	src := rng.New(51)
 	toks := randTokens(src, 8)

@@ -14,9 +14,8 @@ import (
 	"tcb/internal/sched"
 )
 
-// refillServer builds a server over a fused-cache engine (the refill path's
-// requirement) with length-proportional output caps so segments finish at
-// staggered steps.
+// refillServer builds a server over an engine with length-proportional
+// output caps so segments finish at staggered steps.
 func refillServer(t *testing.T, refill bool, b int, extra Config) (*Server, *engine.Engine) {
 	t.Helper()
 	cfg := model.Config{
@@ -24,7 +23,6 @@ func refillServer(t *testing.T, refill bool, b int, extra Config) (*Server, *eng
 		EncLayers: 1, DecLayers: 1, MaxLen: 256, Eps: 1e-5,
 	}
 	e := engine.New(model.New(cfg, 5), 8)
-	e.UseCache = true
 	e.OutputCap = func(inputLen int) int { return inputLen }
 	c := extra
 	c.Scheduler = sched.NewDAS()
@@ -171,7 +169,6 @@ func TestRefillChaosDeliversExactlyOnce(t *testing.T) {
 		EncLayers: 1, DecLayers: 1, MaxLen: 256, Eps: 1e-5,
 	}
 	e := engine.New(model.New(cfg, 5), 8)
-	e.UseCache = true
 	e.OutputCap = func(inputLen int) int { return inputLen }
 	wrapped := NewChaosRunner(e, ChaosConfig{
 		ErrRate: 0.2, PanicRate: 0.05, LoseRate: 0.1, Seed: 9,
@@ -357,7 +354,6 @@ func TestRefillRejectAfterCloseIsInert(t *testing.T) {
 		EncLayers: 1, DecLayers: 1, MaxLen: 256, Eps: 1e-5,
 	}
 	e := engine.New(model.New(cfg, 5), 4)
-	e.UseCache = true
 	runner := &lateRejectRunner{Engine: e, release: make(chan struct{}), rejected: make(chan int, 1)}
 	s, err := New(Config{
 		Engine: runner, Scheduler: sched.FCFS{}, Scheme: batch.Concat,
@@ -415,9 +411,9 @@ func TestRefillRejectAfterCloseIsInert(t *testing.T) {
 	}
 }
 
-// Regression: Config.Refill over an engine that cannot refill (engine.New's
-// default has no KV-cached decoder) must serve batch-at-a-time, not fail
-// every launch until the retries run out and the breaker trips.
+// Config.Refill over a bare engine (engine.New, no field set) refills: every
+// launch decodes through the fused loop, so segments retire early and
+// occupancy is measured, and nothing fails, retries or trips the breaker.
 func TestRefillOverPlainEngineServes(t *testing.T) {
 	cfg := model.Config{
 		VocabSize: testVocab, DModel: 32, NumHeads: 4, DFF: 64,
@@ -457,7 +453,12 @@ func TestRefillOverPlainEngineServes(t *testing.T) {
 			t.Fatalf("request %d: served %v vs solo %v", i, resp.Output, solo.Output)
 		}
 	}
-	if st := s.Stats(); st.Retried != 0 || st.BreakerTrips != 0 || st.Served != 12 {
+	st := s.Stats()
+	if st.Retried != 0 || st.BreakerTrips != 0 || st.Served != 12 {
 		t.Fatalf("plain engine under Refill must serve cleanly: %+v", st)
+	}
+	if !st.Refilling || st.SegmentsRetiredEarly == 0 || st.BatchOccupancyPct <= 0 {
+		t.Fatalf("bare engine must refill: refilling=%v retired-early=%d occupancy=%.1f%%",
+			st.Refilling, st.SegmentsRetiredEarly, st.BatchOccupancyPct)
 	}
 }

@@ -193,7 +193,6 @@ type Config struct {
 	// engine (engine.Engine.PrefixCache) — the server pins and accounts, the
 	// engine reads and inserts. The server owns the cache's lifecycle: it is
 	// cleared when the serving loop exits so device accounting balances.
-	// Requires an engine with the KV-cached decoder (engine.Config.UseCache).
 	// Nil disables prefix sharing; submissions may still declare PrefixLen
 	// (they encode split but nothing is frozen or reused).
 	PrefixCache *prefixcache.Cache
@@ -238,7 +237,7 @@ type Stats struct {
 	// still decoding; SlotIdleSteps accumulates per-step
 	// retired-but-unfilled slots; BatchOccupancyPct is the mean live-token
 	// occupancy of launches across decode steps. All but the first are
-	// populated whenever the engine runs the fused cached decoder.
+	// populated for every prepared launch that decodes.
 	RefillsAdmitted      int64
 	SegmentsRetiredEarly int64
 	SlotIdleSteps        int64
@@ -252,10 +251,10 @@ type Stats struct {
 	// set and the engine supports the refill path).
 	Refilling bool
 
-	// Kernels snapshots the process-wide GEMM dispatch counters: which
-	// kernel paths (scalar / wide float32, int8 quantized) this replica's
-	// FLOPs actually flowed through. Process-wide, not per-server — in a
-	// multi-replica cluster every replica reports the same process totals.
+	// Kernels snapshots the process-wide GEMM dispatch counters and the
+	// lane ISA serving them. Serving dispatches only the wide kernel.
+	// Process-wide, not per-server — in a multi-replica cluster every
+	// replica reports the same process totals.
 	Kernels tensor.KernelCounts
 
 	// Prefix snapshots the prefix cache's counters (hits, misses, tokens

@@ -21,7 +21,8 @@ const (
 	// identical to the scalar kernel's.
 	KernelWide Kernel = iota
 	// KernelScalar is the PR 2 reference: 2×4 register blocking with plain
-	// slice indexing.
+	// slice indexing. Reference and measurement code only: the equality
+	// tests and the benchmark's GEMM probe select it, no serving path does.
 	KernelScalar
 )
 
@@ -36,18 +37,16 @@ func (k Kernel) String() string {
 	}
 }
 
-// ParseKernel converts a -kernel flag value to a Kernel. "int8" selects the
-// wide float32 kernel — the int8 path is a property of quantized weights,
-// not of the float32 dispatch — so callers handling "int8" should also
-// enable weight quantization.
+// ParseKernel converts a kernel name to a Kernel. No serving binary selects
+// a kernel any more; the frozen benchmark module (bench/) still calls it.
 func ParseKernel(s string) (Kernel, error) {
 	switch s {
-	case "wide", "int8":
+	case "wide":
 		return KernelWide, nil
 	case "scalar":
 		return KernelScalar, nil
 	default:
-		return 0, fmt.Errorf("tensor: unknown kernel %q (want scalar, wide or int8)", s)
+		return 0, fmt.Errorf("tensor: unknown kernel %q (want scalar or wide)", s)
 	}
 }
 
@@ -57,7 +56,8 @@ var activeKernel atomic.Int32 // KernelWide (zero value) by default
 
 // SetKernel selects the float32 GEMM kernel for every subsequent MatMul
 // dispatch, process-wide. Outputs are bitwise identical either way; the
-// switch exists for A/B benchmarking against the reference.
+// switch exists for tests and the benchmark's per-kernel GEMM probe, and
+// nothing that serves traffic calls it.
 func SetKernel(k Kernel) { activeKernel.Store(int32(k)) }
 
 // ActiveKernel returns the current float32 kernel selection.
@@ -66,7 +66,9 @@ func ActiveKernel() Kernel { return Kernel(activeKernel.Load()) }
 // Per-path dispatch counters: which GEMM kernel actually served traffic.
 // Incremented once per MatMul/MatMulT dispatch (not per tile or worker
 // chunk); the serve layer snapshots them into Stats so deployed replicas
-// report the paths their FLOPs flowed through.
+// report the paths their FLOPs flowed through. Serving only ever takes the
+// wide kernel; Scalar and Int8 move only under tests and the benchmark's
+// probes, which still read them.
 var (
 	scalarCalls atomic.Uint64
 	wideCalls   atomic.Uint64

@@ -14,13 +14,16 @@ import (
 // dequantizes straight into the float32 dst.
 //
 // Unlike the float32 kernels, this path trades bits for speed: outputs
-// carry a bounded quantization error instead of bitwise identity, so it is
-// strictly opt-in (Engine.Quantize / tcb-serve -kernel int8). What it keeps:
-// per-row activation scales are row-local and int32 accumulation is exact,
-// so quantized outputs are *still* independent of GEMM height, worker
-// chunking and batch composition — fused vs per-row decode, serial vs
-// pipelined vs refill all stay bitwise identical to each other on the
-// quantized path too, just not to the float32 path.
+// carry a bounded quantization error instead of bitwise identity. What it
+// keeps: per-row activation scales are row-local and int32 accumulation is
+// exact, so quantized outputs are *still* independent of GEMM height and
+// worker chunking.
+//
+// Measurement code only: no model, engine or binary calls it. It ran at
+// 0.27× the AVX2 float32 kernel on this repo's few-MB models, so it left the
+// serving stack; it stays, with its tests, only because the frozen benchmark
+// module's GEMM probe (bench/probes.go) times it, and goes once that probe
+// is dropped (ROADMAP item 1).
 
 // I8Matrix is a dense row-major int8 matrix (always contiguous).
 type I8Matrix struct {

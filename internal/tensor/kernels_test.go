@@ -101,7 +101,7 @@ func TestParseKernel(t *testing.T) {
 		ok   bool
 	}{
 		{"wide", KernelWide, true},
-		{"int8", KernelWide, true}, // int8 rides the wide float32 dispatch
+		{"int8", 0, false}, // int8 left the serving stack; nothing selects it
 		{"scalar", KernelScalar, true},
 		{"avx512", 0, false},
 		{"", 0, false},

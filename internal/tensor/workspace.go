@@ -127,7 +127,8 @@ func (w *Workspace) Blocks(n int) []AttendBlock {
 
 // GetI8 checks out a rows×cols int8 matrix from the workspace's int8 buckets
 // (the quantized GEMM's per-call activation scratch). Contents are
-// unspecified. A nil workspace degrades to a plain allocation.
+// unspecified. A nil workspace degrades to a plain allocation. Like the rest
+// of int8.go it has no serving caller; it stays for the benchmark's probe.
 func (w *Workspace) GetI8(rows, cols int) *I8Matrix {
 	n := rows * cols
 	if w == nil {

@@ -65,6 +65,52 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
+// tcb.NewEngine, as built, decodes through the engine's one fused KV-cached
+// loop: a concat batch whose requests finish at different steps reports its
+// early retirements, and each request's tokens are what it gets alone.
+func TestPublicEngineRetiresEarly(t *testing.T) {
+	cfg := tcb.ModelConfig{
+		VocabSize: 64, DModel: 32, NumHeads: 4, DFF: 64,
+		EncLayers: 1, DecLayers: 1, MaxLen: 128, Eps: 1e-5,
+	}
+	eng := tcb.NewEngine(tcb.NewModel(cfg, 2), 5)
+	eng.OutputCap = func(inputLen int) int { return inputLen }
+	tokens := map[int64][]int{}
+	var items []tcb.Item
+	for i, n := range []int{5, 2, 3} {
+		id := int64(i + 1)
+		for j := 0; j < n; j++ {
+			tokens[id] = append(tokens[id], tcb.FirstWordID+7*i+j)
+		}
+		items = append(items, tcb.Item{ID: id, Len: n})
+	}
+	b, rest := tcb.PackConcat(items, 1, 10)
+	if len(rest) != 0 {
+		t.Fatalf("rest = %v", rest)
+	}
+	rep, err := eng.Run(b, tokens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Refill == nil || rep.Refill.RetiredEarly == 0 {
+		t.Fatalf("default engine retired nothing early: %+v", rep.Refill)
+	}
+	for _, r := range rep.Results {
+		solo, err := eng.RunSingle(r.ID+10, tokens[r.ID])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Output) != len(solo.Output) || r.Steps != solo.Steps {
+			t.Fatalf("request %d: %v/%d vs alone %v/%d", r.ID, r.Output, r.Steps, solo.Output, solo.Steps)
+		}
+		for i := range r.Output {
+			if r.Output[i] != solo.Output[i] {
+				t.Fatalf("request %d: %v vs alone %v", r.ID, r.Output, solo.Output)
+			}
+		}
+	}
+}
+
 func TestPublicSimulation(t *testing.T) {
 	spec := tcb.PaperWorkload(300, 1, 7)
 	trace, err := tcb.GenerateWorkload(spec)
