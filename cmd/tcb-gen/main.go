@@ -4,11 +4,16 @@
 //
 //	tcb-gen -out trace.json [-rate 450] [-duration 10] [-mean 20] [-var 20] [-seed 1]
 //	tcb-gen -in trace.json            # print summary statistics
+//
+// It exits 0 on success, 1 when a trace cannot be generated, written or
+// read, and 2 on a usage error (neither -out nor -in, or a bad flag).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"tcb/internal/stats"
@@ -16,21 +21,32 @@ import (
 )
 
 func main() {
-	out := flag.String("out", "", "write a generated trace to this path")
-	in := flag.String("in", "", "read and summarize a trace from this path")
-	rate := flag.Float64("rate", 450, "arrival rate (req/s)")
-	duration := flag.Float64("duration", 10, "trace duration (s)")
-	mean := flag.Float64("mean", 20, "mean request length (tokens)")
-	variance := flag.Float64("var", 20, "request length variance")
-	minLen := flag.Int("min", 3, "minimum request length")
-	maxLen := flag.Int("max", 100, "maximum request length")
-	dmin := flag.Float64("dmin", 0.5, "minimum deadline offset (s)")
-	dmax := flag.Float64("dmax", 3.0, "maximum deadline offset (s)")
-	seed := flag.Uint64("seed", 1, "generator seed")
-	prefixPool := flag.Int("prefix-pool", 0, "number of distinct shared prompt prefixes (0 disables the prefix dimension)")
-	prefixReuse := flag.Float64("prefix-reuse", 0.75, "probability a request reuses a pooled prefix")
-	prefixLen := flag.Int("prefix-len", 32, "shared prefix length in tokens (request length = prefix + drawn suffix)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// run parses args, does the one thing they ask, reports to stdout (errors to
+// stderr) and returns the process exit code.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("tcb-gen", flag.ContinueOnError)
+	out := fs.String("out", "", "write a generated trace to this path")
+	in := fs.String("in", "", "read and summarize a trace from this path")
+	rate := fs.Float64("rate", 450, "arrival rate (req/s)")
+	duration := fs.Float64("duration", 10, "trace duration (s)")
+	mean := fs.Float64("mean", 20, "mean request length (tokens)")
+	variance := fs.Float64("var", 20, "request length variance")
+	minLen := fs.Int("min", 3, "minimum request length")
+	maxLen := fs.Int("max", 100, "maximum request length")
+	dmin := fs.Float64("dmin", 0.5, "minimum deadline offset (s)")
+	dmax := fs.Float64("dmax", 3.0, "maximum deadline offset (s)")
+	seed := fs.Uint64("seed", 1, "generator seed")
+	prefixPool := fs.Int("prefix-pool", 0, "number of distinct shared prompt prefixes (0 disables the prefix dimension)")
+	prefixReuse := fs.Float64("prefix-reuse", 0.75, "probability a request reuses a pooled prefix")
+	prefixLen := fs.Int("prefix-len", 32, "shared prefix length in tokens (request length = prefix + drawn suffix)")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	switch {
 	case *out != "":
@@ -48,16 +64,16 @@ func main() {
 		}
 		reqs, err := workload.Generate(spec)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if err := workload.SaveFile(*out, &spec, reqs); err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Printf("wrote %d requests to %s\n", len(reqs), *out)
+		fmt.Fprintf(stdout, "wrote %d requests to %s\n", len(reqs), *out)
 	case *in != "":
 		spec, reqs, err := workload.LoadFile(*in)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		var lens, slacks stats.Running
 		prefixed := 0
@@ -70,26 +86,27 @@ func main() {
 				prefixIDs[r.PrefixID] = true
 			}
 		}
-		fmt.Printf("requests: %d\n", len(reqs))
+		fmt.Fprintf(stdout, "requests: %d\n", len(reqs))
 		if spec != nil {
-			fmt.Printf("spec: rate=%g duration=%g seed=%d\n", spec.Rate, spec.Duration, spec.Seed)
+			fmt.Fprintf(stdout, "spec: rate=%g duration=%g seed=%d\n", spec.Rate, spec.Duration, spec.Seed)
 		}
 		if len(reqs) > 0 {
-			fmt.Printf("span: %.3fs .. %.3fs\n", reqs[0].Arrival, reqs[len(reqs)-1].Arrival)
-			fmt.Printf("length: %s\n", &lens)
-			fmt.Printf("deadline slack: %s\n", &slacks)
+			fmt.Fprintf(stdout, "span: %.3fs .. %.3fs\n", reqs[0].Arrival, reqs[len(reqs)-1].Arrival)
+			fmt.Fprintf(stdout, "length: %s\n", &lens)
+			fmt.Fprintf(stdout, "deadline slack: %s\n", &slacks)
 		}
 		if prefixed > 0 {
-			fmt.Printf("prefixed: %d/%d requests over %d distinct prefixes\n",
+			fmt.Fprintf(stdout, "prefixed: %d/%d requests over %d distinct prefixes\n",
 				prefixed, len(reqs), len(prefixIDs))
 		}
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
+	return 0
 }
 
-func fail(err error) {
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+	return 1
 }

@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tcb/internal/engine"
 	"tcb/internal/fair"
 	"tcb/internal/prefixcache"
 	"tcb/internal/serve"
@@ -397,15 +398,17 @@ func retryableSubmit(err error) bool {
 }
 
 // terminalOutcome reports whether a response ends the flight: success, the
-// request's own deadline, or a validation error. Everything else — engine
-// errors, panics, watchdog timeouts, shed, server closed — is the replica's
-// fault and eligible for failover.
+// request's own deadline, or a validation error (too long, a token outside
+// the vocabulary). Everything else — engine errors, panics, watchdog
+// timeouts, shed, server closed — is the replica's fault and eligible for
+// failover.
 func terminalOutcome(err error) bool {
 	if err == nil || errors.Is(err, serve.ErrDeadlineExceeded) {
 		return true
 	}
 	var tl *serve.TooLongError
-	return errors.As(err, &tl)
+	var te *engine.TokenError
+	return errors.As(err, &tl) || errors.As(err, &te)
 }
 
 // forward proxies one replica attempt's response to the flight's caller,
@@ -452,9 +455,10 @@ func (c *Cluster) deliver(f *flight, resp serve.Response) {
 
 // noteOutcome records a real-traffic outcome in the replica's error window
 // and degrades it when the windowed error rate crosses the threshold.
-// Deadline expiries are the request's fault, not the replica's.
+// Terminal outcomes — deadline expiries, bad tokens — are the request's
+// fault, not the replica's.
 func (c *Cluster) noteOutcome(r *replica, h *handle, err error) {
-	isErr := err != nil && !errors.Is(err, serve.ErrDeadlineExceeded)
+	isErr := !terminalOutcome(err)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if r.h != h {

@@ -173,6 +173,44 @@ func TestHTTPClusterPrefixLenSurvives(t *testing.T) {
 	}
 }
 
+// TestHTTPClusterBadToken400: a token id outside the vocabulary is the
+// client's error — terminal at the cluster, with no failover onto a replica
+// that would refuse it the same way, and a 400 at the front.
+func TestHTTPClusterBadToken400(t *testing.T) {
+	m := model.New(model.Config{
+		VocabSize: 64, DModel: 32, NumHeads: 4, DFF: 64,
+		EncLayers: 1, DecLayers: 1, MaxLen: 256, Eps: 1e-5,
+	}, 21)
+	c, err := New(Config{Replicas: 2, Spawn: func(int) (*serve.Server, func(), error) {
+		srv, err := testServe(engine.New(m, 3), nil)
+		return srv, nil, err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHTTPHandler(c))
+	t.Cleanup(func() { ts.Close(); c.Stop() })
+	post := func(tokens []int) int {
+		t.Helper()
+		body, _ := json.Marshal(serve.InferRequest{Tokens: tokens, DeadlineMS: 5000})
+		resp, err := http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post([]int{1 << 20, 5, 6}); code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", code)
+	}
+	if st := c.Stats(); st.Failovers != 0 {
+		t.Fatalf("a bad token failed over %d times", st.Failovers)
+	}
+	if code := post(tokens(5)); code != http.StatusOK {
+		t.Fatalf("status %d after a bad request, want 200", code)
+	}
+}
+
 // TestHTTPClusterNoReplicas503: the one status the cluster front adds to the
 // shared handler's mapping — nobody to route to is a 503, not a 400.
 func TestHTTPClusterNoReplicas503(t *testing.T) {

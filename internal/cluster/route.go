@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -78,54 +78,63 @@ func (c *Cluster) order(n int) []candidate {
 	rr := int(c.rr.Add(1) - 1)
 	out := make([]candidate, 0, len(c.replicas))
 	for _, tier := range tiers {
-		c.policyOrder(tier, n, rr)
+		Order(c.cfg.Policy, tier, n, c.cfg.MaxLen, rr, candidateLoad)
 		out = append(out, tier...)
 	}
 	return out
 }
 
-// policyOrder orders one health tier in place under the configured policy.
-// Tiers arrive in replica-index order (the iteration order of c.replicas).
-func (c *Cluster) policyOrder(tier []candidate, n, rr int) {
-	if len(tier) < 2 {
+// candidateLoad is a candidate's outstanding queued-cost, LeastLoaded's key.
+func candidateLoad(c candidate) int64 { return c.h.cost.Load() }
+
+// Order arranges members — one routing tier, in member-index order — in
+// place under policy p for a request of n tokens, most preferred first. rr is
+// the caller's round-robin cursor and load a member's outstanding work. It is
+// the one copy of the routing policies: the live router orders each health
+// tier with it, and the simulator (sim.RunCluster) its live replicas.
+func Order[M any](p Policy, members []M, n, maxLen, rr int, load func(M) int64) {
+	k := len(members)
+	if k < 2 {
 		return
 	}
-	switch c.cfg.Policy {
+	switch p {
 	case LeastLoaded:
-		sort.SliceStable(tier, func(i, j int) bool {
-			return tier[i].h.cost.Load() < tier[j].h.cost.Load()
-		})
-	case LengthAffinity:
-		// Bucket by length: replica k of the tier owns lengths in
-		// (k·MaxLen/N, (k+1)·MaxLen/N]; fall outward by distance from the
-		// owning bucket so failover stays as close to the band as possible.
-		pref := n * len(tier) / (c.cfg.MaxLen + 1)
-		if pref >= len(tier) {
-			pref = len(tier) - 1
+		// Stable insertion sort over loads read once each: a tier is a
+		// handful of members, and a load that moved mid-sort must not
+		// reorder it twice.
+		var buf [8]int64
+		loads := buf[:0]
+		for _, m := range members {
+			loads = append(loads, load(m))
 		}
-		pos := make(map[*replica]int, len(tier))
-		for i, cand := range tier {
-			pos[cand.r] = i
-		}
-		sort.SliceStable(tier, func(i, j int) bool {
-			di, dj := abs(pos[tier[i].r]-pref), abs(pos[tier[j].r]-pref)
-			if di != dj {
-				return di < dj
+		for i := 1; i < k; i++ {
+			for j := i; j > 0 && loads[j] < loads[j-1]; j-- {
+				loads[j], loads[j-1] = loads[j-1], loads[j]
+				members[j], members[j-1] = members[j-1], members[j]
 			}
-			return pos[tier[i].r] < pos[tier[j].r]
-		})
-	default: // RoundRobin
-		start := rr % len(tier)
-		rot := make([]candidate, 0, len(tier))
-		rot = append(rot, tier[start:]...)
-		rot = append(rot, tier[:start]...)
-		copy(tier, rot)
+		}
+	case LengthAffinity:
+		// Bucket by length: member i owns lengths in (i·maxLen/k,
+		// (i+1)·maxLen/k]; fall outward from the owning bucket, nearer and
+		// then lower members first, so failover stays close to the band.
+		pref := min(n*k/(maxLen+1), k-1)
+		src := slices.Clone(members)
+		members[0] = src[pref]
+		i := 1
+		for d := 1; i < k; d++ {
+			if j := pref - d; j >= 0 {
+				members[i] = src[j]
+				i++
+			}
+			if j := pref + d; j < k {
+				members[i] = src[j]
+				i++
+			}
+		}
+	default: // RoundRobin: rotate left so member rr mod k leads.
+		start := rr % k
+		slices.Reverse(members[:start])
+		slices.Reverse(members[start:])
+		slices.Reverse(members)
 	}
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

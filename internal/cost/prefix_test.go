@@ -31,7 +31,7 @@ func TestBatchPrefixSavings(t *testing.T) {
 		Items: []batch.Item{
 			{ID: 1, Len: 10, PrefixLen: 8, CachedLen: 8}, // hit: suffix resident
 			{ID: 2, Len: 30, PrefixLen: 8, CachedLen: 0}, // cold declared prefix
-			{ID: 3, Len: 12},                             // no prefix
+			{ID: 3, Len: 12}, // no prefix
 		},
 	}}}
 	if err := b.Validate(); err != nil {

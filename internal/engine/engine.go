@@ -189,6 +189,9 @@ func (e *Engine) Prepare(b *batch.Batch, tokens map[int64][]int) (*Prepared, err
 		if it.CachedLen > 0 && e.PrefixCache == nil {
 			return nil, fmt.Errorf("engine: item %d expects a cached prefix but the engine has no prefix cache", it.ID)
 		}
+		if err := e.checkTokens(it.ID, seq); err != nil {
+			return nil, err
+		}
 	}
 	p := &Prepared{Batch: b, Tokens: tokens, eng: e}
 	for _, row := range b.Rows {
@@ -219,6 +222,31 @@ func (e *Engine) Prepare(b *batch.Batch, tokens map[int64][]int) (*Prepared, err
 		p.memTag = tag
 	}
 	return p, nil
+}
+
+// TokenError rejects a request carrying a token id outside the model's
+// vocabulary. Prepare and refill admission return it before the request
+// reaches an encoder; it names the request, whose batchmates are innocent.
+type TokenError struct {
+	ID    int64 // the offending request
+	Token int   // its first out-of-range token id
+	Vocab int   // the model's vocabulary size
+}
+
+func (e *TokenError) Error() string {
+	return fmt.Sprintf("engine: request %d has token id %d outside the vocabulary [0, %d)", e.ID, e.Token, e.Vocab)
+}
+
+// checkTokens returns a *TokenError for the first token of request id's
+// sequence outside [0, VocabSize).
+func (e *Engine) checkTokens(id int64, seq []int) error {
+	vocab := e.Model.Cfg.VocabSize
+	for _, tok := range seq {
+		if tok < 0 || tok >= vocab {
+			return &TokenError{ID: id, Token: tok, Vocab: vocab}
+		}
+	}
+	return nil
 }
 
 // Release frees the batch's device-memory reservation. Idempotent and safe
@@ -372,23 +400,35 @@ func (e *Engine) genCap(inputLen int) int {
 // concurrently — the batch dimension of a real GPU launch — each on its own
 // pooled workspace; a lone job runs inline on ws, because a one-request
 // launch or a single admission is a couple of milliseconds of compute and a
-// goroutine hand-off plus a cold workspace would show in it.
+// goroutine hand-off plus a cold workspace would show in it. A job's panic
+// is re-raised on the caller's goroutine once every job has returned, so a
+// recover around the launch sees it however many rows the launch has.
 func fanOut(n int, ws *tensor.Workspace, job func(i int, ws *tensor.Workspace)) {
 	if n == 1 {
 		job(0, ws)
 		return
 	}
 	var wg sync.WaitGroup
+	var panicOnce sync.Once
+	var panicked any
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicOnce.Do(func() { panicked = r })
+				}
+			}()
 			ws := tensor.NewWorkspace()
 			defer ws.Close()
 			job(i, ws)
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // encode is the engine's one encoder call — launch rows, mid-flight

@@ -53,7 +53,8 @@ func (a Admission) Resident() int { return len(a.Tokens) - a.CachedLen }
 //     returns the requests to admit, whose token lengths must each fit the
 //     offered capacity.
 //   - Reject returns an admission the engine could not seat (memory grow
-//     failure, over-long input) to the caller for requeueing.
+//     failure, over-long input) to the caller for requeueing — or, for a
+//     *TokenError, to fail for good.
 type RefillHook interface {
 	Retire(res Result)
 	Refill(freeTokens int) []Admission
@@ -309,7 +310,9 @@ func (e *Engine) runFusedRefill(p *Prepared, decRows []model.BatchDecodeRow, hoo
 				case adm.CachedLen > 0 && e.PrefixCache == nil:
 					err = fmt.Errorf("engine: admission %d expects a cached prefix but the engine has no prefix cache", adm.ID)
 				default:
-					err = p.growReservation(int64(adm.Resident()) * e.BytesPerToken)
+					if err = e.checkTokens(adm.ID, adm.Tokens); err == nil {
+						err = p.growReservation(int64(adm.Resident()) * e.BytesPerToken)
+					}
 				}
 				if err != nil {
 					hook.Reject(adm, err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tcb/internal/batch"
+	"tcb/internal/cluster"
 	"tcb/internal/sim"
 )
 
@@ -47,7 +48,7 @@ func ExtCluster(opt Options) (*Figure, error) {
 					Cost:      V100Params(),
 				},
 				Replicas: int(n),
-				Route:    sim.RouteLeastLoaded,
+				Route:    cluster.LeastLoaded,
 			}
 			if int(n) == 3 {
 				// Kill one replica a quarter of the way in, bring it back

@@ -141,8 +141,8 @@ func ExtEfficiency(opt Options) (*Figure, error) {
 
 // ExtScaling measures multi-device scale-out: saturated DAS-TCB throughput
 // vs accelerator count. The paper evaluates a single V100; this extension
-// shows the scheduling/batching pipeline keeps near-linear scaling when
-// batches dispatch to the earliest-free device.
+// shows the scheduling/batching pipeline keeps near-linear scaling when one
+// replica's devices share its pool and each decides as soon as it frees.
 func ExtScaling(opt Options) (*Figure, error) {
 	devices := []float64{1, 2, 4, 8}
 	fig := &Figure{
@@ -253,22 +253,19 @@ func ExtWeighted(opt Options) (*Figure, error) {
 		func() sched.Scheduler { return sched.FCFS{} },
 	} {
 		s := mk()
+		// The sim reports aggregate counts only; the wrapper records which
+		// requests were scheduled so they can be split by tier.
 		served := make(map[int64]bool)
-		// Use a recording scheduler wrapper to track chosen IDs? The sim
-		// already reports aggregate counts only, so replay with a wrapper.
-		wrapped := &recordingScheduler{inner: s, served: served}
-		m, err := sim.Run(sim.System{
+		if _, err := sim.Run(sim.System{
 			Name:      s.Name(),
-			Scheduler: wrapped,
+			Scheduler: &recordingScheduler{inner: s, served: served},
 			Scheme:    batch.Concat,
 			B:         PaperBatchRows,
 			L:         PaperRowLen,
 			Cost:      V100Params(),
-		}, trace)
-		if err != nil {
+		}, trace); err != nil {
 			return nil, err
 		}
-		_ = m
 		var stdTotal, stdServed, premTotal, premServed float64
 		for _, r := range trace {
 			if premium[r.ID] {

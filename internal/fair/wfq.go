@@ -48,6 +48,14 @@ type wfqTenant struct {
 	backlog int
 }
 
+// Window is the fair candidate window for a scheduler drawing B rows per
+// round: 4×B, at least 16. The window is the isolation lever — DAS itself is
+// tenant-blind, so a flooding tenant is contained by never letting its
+// excess into the candidate set ahead of other tenants' heads.
+func Window(B int) int {
+	return max(4*B, 16)
+}
+
 // NewWFQ builds a WFQ with the given cost and weight resolvers (both may
 // be nil).
 func NewWFQ(cost func(int) float64, weight func(string) float64) *WFQ {

@@ -172,7 +172,8 @@ func NewParams(cfg Config, seed uint64) *Params {
 }
 
 // Embed looks up token embeddings for ids, producing a len(ids)×DModel
-// matrix. Out-of-range ids panic: the engine validates tokens upstream.
+// matrix. Out-of-range ids panic: the engine rejects them upstream
+// (engine.TokenError from Prepare and refill admission).
 func (p *Params) Embed(ids []int) *tensor.Matrix {
 	d := p.Embedding.Cols
 	x := tensor.New(len(ids), d)

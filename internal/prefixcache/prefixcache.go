@@ -57,14 +57,14 @@ type node struct {
 
 // entry is one cached prefix.
 type entry struct {
-	c      *Cache
-	n      *node
-	length int // prefix length in tokens
-	enc    *tensor.Matrix
-	kv     *model.PrefixKV
-	bytes  int64
-	tag    string
-	refs   int
+	c          *Cache
+	n          *node
+	length     int // prefix length in tokens
+	enc        *tensor.Matrix
+	kv         *model.PrefixKV
+	bytes      int64
+	tag        string
+	refs       int
 	prev, next *entry
 }
 

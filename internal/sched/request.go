@@ -88,10 +88,9 @@ func TotalLen(reqs []*Request) int {
 	return n
 }
 
-// Expire partitions pending into requests still schedulable at time now
-// (arrived, deadline not passed) and requests that have expired. Requests
-// that have not yet arrived stay in alive=false? No — they are kept in the
-// third return so the caller can hold them back.
+// Expire partitions pending at time now into requests still schedulable
+// (arrived, deadline not passed), requests that have expired, and requests
+// that have not arrived yet (future), which the caller holds back.
 func Expire(pending []*Request, now float64) (alive, expired, future []*Request) {
 	for _, r := range pending {
 		switch {

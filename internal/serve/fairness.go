@@ -127,12 +127,12 @@ func utilityBefore(a, b *pending) bool {
 
 // poolLocked builds the scheduler's candidate pool: the eligible queue in
 // WFQ stamp order, truncated to the fair window. With Config.Fair on the
-// window is the enforcement point — the scheduler (DAS sorts by utility
-// internally) only ever sees a candidate set in which every backlogged
-// tenant is represented near its weighted share, so a flooding tenant cannot
-// crowd the others out of consideration no matter how deep its backlog runs.
-// Off, the window is unbounded and the pool is the whole eligible queue in
-// arrival order. Callers hold s.mu.
+// window (fair.Window(B)) is the enforcement point — the scheduler (DAS
+// sorts by utility internally) only ever sees a candidate set in which every
+// backlogged tenant is represented near its weighted share, so a flooding
+// tenant cannot crowd the others out of consideration no matter how deep its
+// backlog runs. Off, the window is unbounded and the pool is the whole
+// eligible queue in arrival order. Callers hold s.mu.
 func (s *Server) poolLocked(now float64) []*sched.Request {
 	cands := make([]*pending, 0, len(s.queue))
 	for _, p := range s.queue {
@@ -142,7 +142,7 @@ func (s *Server) poolLocked(now float64) []*sched.Request {
 		cands = append(cands, p)
 	}
 	sort.Slice(cands, func(i, j int) bool { return stampBefore(cands[i], cands[j]) })
-	if window := s.cfg.FairWindow; window > 0 && len(cands) > window {
+	if window := fair.Window(s.cfg.B); s.cfg.Fair && len(cands) > window {
 		cands = cands[:window]
 	}
 	pool := make([]*sched.Request, len(cands))

@@ -134,7 +134,7 @@ func TestGlobalShedUnchangedWhenFairOff(t *testing.T) {
 // backlog.
 func TestFairPoolWindowsFlooder(t *testing.T) {
 	src := rng.New(9)
-	s := fairServer(t, func(c *Config) { c.QueueCap = 256; c.FairWindow = 16 })
+	s := fairServer(t, func(c *Config) { c.QueueCap = 256 })
 	for i := 0; i < 50; i++ {
 		if _, err := s.SubmitOpts(randTokens(src, 8), time.Minute, SubmitOptions{Tenant: "flood"}); err != nil {
 			t.Fatal(err)
@@ -150,8 +150,8 @@ func TestFairPoolWindowsFlooder(t *testing.T) {
 	s.mu.Lock()
 	pool := s.poolLocked(s.clock())
 	s.mu.Unlock()
-	if len(pool) != 16 {
-		t.Fatalf("pool = %d candidates, want the 16-wide window", len(pool))
+	if want := fair.Window(s.cfg.B); len(pool) != want {
+		t.Fatalf("pool = %d candidates, want the %d-wide window", len(pool), want)
 	}
 	pos := map[int64]int{}
 	for i, r := range pool {

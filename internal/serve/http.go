@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"tcb/internal/engine"
 )
 
 // InferRequest is the JSON body of POST /v1/infer.
@@ -153,7 +155,10 @@ func (f Front) infer(w http.ResponseWriter, r *http.Request) {
 	}
 	select {
 	case resp := <-ch:
+		var badToken *engine.TokenError
 		switch {
+		case errors.As(resp.Err, &badToken):
+			writeErr(w, http.StatusBadRequest, resp.Err)
 		case errors.Is(resp.Err, ErrDeadlineExceeded):
 			writeErr(w, http.StatusGatewayTimeout, resp.Err)
 		case errors.Is(resp.Err, ErrBreakerOpen):

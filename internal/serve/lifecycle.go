@@ -1,6 +1,10 @@
 package serve
 
-import "time"
+import (
+	"time"
+
+	"tcb/internal/engine"
+)
 
 // This file is the request lifecycle. Every request is in exactly one state,
 // guarded by Server.mu:
@@ -133,6 +137,20 @@ func (s *Server) failAttempt(p *pending, err error, now float64, served time.Tim
 		s.finish(p, outcome{kind: failed, err: err, served: served})
 	default:
 		s.requeue(p, now+s.backoff(p.attempts+1), true)
+	}
+}
+
+// failBadTokens settles a launch the engine refused because one member
+// carries a token id outside the vocabulary: that member fails for good —
+// no retry can change its tokens — and its batchmates go back to the queue
+// uncharged and eligible at once. Callers hold s.mu.
+func (s *Server) failBadTokens(members map[int64]*pending, te *engine.TokenError) {
+	for id, p := range members {
+		if id == te.ID {
+			s.finish(p, outcome{kind: failed, err: te})
+		} else {
+			s.requeue(p, 0, false)
+		}
 	}
 }
 

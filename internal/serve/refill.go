@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"sort"
 	"time"
 
@@ -113,16 +114,22 @@ func (h *refillHook) Refill(free int) []engine.Admission {
 
 // Reject puts an admission the engine could not seat (memory grow refused,
 // over-long input) back in the queue, parked for a Poll without charging an
-// attempt — the same treatment as a Prepare failure. After close the
-// admission is no longer this launch's to return: completeBatch settled it.
-func (h *refillHook) Reject(adm engine.Admission, _ error) {
+// attempt — the same treatment as a Prepare failure; an admission carrying a
+// token outside the vocabulary fails instead. After close the admission is
+// no longer this launch's to return: completeBatch settled it.
+func (h *refillHook) Reject(adm engine.Admission, err error) {
 	s := h.s
 	park := s.clock() + s.cfg.Poll.Seconds()
+	var te *engine.TokenError
 	s.mu.Lock()
 	if !h.closed {
 		if p := h.members[adm.ID]; p != nil {
 			delete(h.members, adm.ID)
-			s.requeue(p, park, false)
+			if errors.As(err, &te) {
+				s.finish(p, outcome{kind: failed, err: err})
+			} else {
+				s.requeue(p, park, false)
+			}
 		}
 	}
 	s.mu.Unlock()

@@ -164,19 +164,13 @@ type Config struct {
 	// Fair enables multi-tenant isolation (package fair). Requests are always
 	// stamped with WFQ virtual finish times at submission and the scheduler
 	// always draws its candidates in stamp order; with Fair set the stamps
-	// are per tenant, the draw is truncated to FairWindow, refill admission
-	// follows stamp order, and breaker-open shedding evicts within the
-	// tenant most over its weighted share. Off (the default) every request
-	// belongs to one virtual tenant and the window is unbounded: the
+	// are per tenant, the draw is truncated to fair.Window(B), refill
+	// admission follows stamp order, and breaker-open shedding evicts within
+	// the tenant most over its weighted share. Off (the default) every
+	// request belongs to one virtual tenant and the window is unbounded: the
 	// scheduler sees the whole eligible queue in arrival order and shedding
 	// is global lowest-utility-first.
 	Fair bool
-	// FairWindow caps how many WFQ-ordered candidates the scheduler sees per
-	// round when Fair is set. The window is the isolation lever: DAS itself
-	// is tenant-blind, so a flooding tenant is contained by never letting its
-	// excess into the candidate set ahead of other tenants' heads. Zero means
-	// 4×B (at least 16). Ignored when Fair is off.
-	FairWindow int
 	// Registry resolves tenant WFQ weights and bucket provisioning. Nil
 	// means every tenant weighs 1. Bucket provisioning is read by whoever
 	// owns the admission limiter (the front), never by the server.
@@ -464,14 +458,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Pipeline && cfg.ReserveCores == 0 {
 		cfg.ReserveCores = 1
-	}
-	if !cfg.Fair {
-		cfg.FairWindow = 0 // one virtual tenant: nothing to window
-	} else if cfg.FairWindow <= 0 {
-		cfg.FairWindow = 4 * cfg.B
-		if cfg.FairWindow < 16 {
-			cfg.FairWindow = 16
-		}
 	}
 	if cfg.Classes == nil {
 		cfg.Classes = fair.DefaultClasses()
@@ -926,12 +912,18 @@ func (s *Server) selectBatch() *launch {
 		if err != nil {
 			// Staging or memory admission failed before the engine ran:
 			// park the selection for a Poll without charging an attempt. An
-			// expired deadline still retires it on a later sweep.
+			// expired deadline still retires it on a later sweep. A bad token
+			// fails only the request carrying it.
 			park := s.clock() + s.cfg.Poll.Seconds()
 			members := l.hook.close()
+			var te *engine.TokenError
 			s.mu.Lock()
-			for _, p := range members {
-				s.requeue(p, park, false)
+			if errors.As(err, &te) {
+				s.failBadTokens(members, te)
+			} else {
+				for _, p := range members {
+					s.requeue(p, park, false)
+				}
 			}
 			s.inFlight--
 			s.mu.Unlock()
@@ -999,16 +991,22 @@ func (s *Server) completeBatch(l *launch, rep *engine.Report, err error, served 
 	}
 	now := s.clock()
 	var pe *PanicError
+	var te *engine.TokenError
 	s.mu.Lock()
 	switch {
 	case errors.As(err, &pe):
 		s.panics++
 	case errors.Is(err, ErrBatchTimeout):
 		s.timeouts++
+	case errors.As(err, &te):
+		// An engine without the prepared handoff staged inside Run.
+		s.failBadTokens(members, te)
 	}
 	for _, p := range members {
 		r, ok := byID[p.req.ID]
 		switch {
+		case te != nil:
+			// Settled above by failBadTokens.
 		case errors.Is(err, ErrBreakerOpen):
 			// Raced a breaker trip between the state check and the run: the
 			// engine never saw the batch, so park it for the loop to

@@ -1,14 +1,14 @@
 // Cluster-scale simulation: the discrete-event counterpart of
-// internal/cluster. RunCluster replays a trace against N independent
-// replicas of one System behind a router, with scripted replica faults.
-// Requests are routed at arrival (round-robin, least-loaded or
-// length-affinity, mirroring the live cluster's policies); when a replica
-// is killed its queued pool and in-flight batch fail over to the
-// survivors, and when no replica is alive new work is shed instead of
-// silently dropped. Every generated request therefore reaches exactly one
-// terminal state — scheduled, expired or shed — which is the zero-lost
-// invariant the live cluster promises and the million-request test here
-// proves at a scale the HTTP path cannot.
+// internal/cluster, and the simulator's one event loop. RunCluster replays a
+// trace against N independent replicas of one System behind a router, with
+// scripted replica faults; each replica has System.Devices engines sharing
+// its pool. Requests are routed at arrival through the live router's own
+// policy code (cluster.Order); when a replica is killed its queued pool and
+// in-flight batches fail over to the survivors, and when no replica is alive
+// new work is shed instead of silently dropped. Every generated request
+// therefore reaches exactly one terminal state — scheduled, expired or shed
+// — which is the zero-lost invariant the live cluster promises and the
+// million-request test here proves at a scale the HTTP path cannot.
 package sim
 
 import (
@@ -17,38 +17,12 @@ import (
 	"sort"
 	"time"
 
+	"tcb/internal/cluster"
 	"tcb/internal/sched"
 )
 
-// Route selects how arrivals are spread over live replicas.
-type Route int
-
-const (
-	// RouteRoundRobin cycles arrivals over the live replicas.
-	RouteRoundRobin Route = iota
-	// RouteLeastLoaded sends each arrival to the live replica with the
-	// fewest pending tokens (queued + in-flight).
-	RouteLeastLoaded
-	// RouteLengthAffinity bands requests by length so replicas see
-	// homogeneous rows: short requests go to low replica indexes, long
-	// ones to high indexes (less padding under concat layouts).
-	RouteLengthAffinity
-)
-
-// String names the route for figure labels.
-func (r Route) String() string {
-	switch r {
-	case RouteLeastLoaded:
-		return "least-loaded"
-	case RouteLengthAffinity:
-		return "length-affinity"
-	default:
-		return "round-robin"
-	}
-}
-
 // Fault scripts one replica outage: the replica dies at At (its queue and
-// in-flight batch fail over to the survivors) and, if RecoverAt > At,
+// in-flight batches fail over to the survivors) and, if RecoverAt > At,
 // comes back empty at RecoverAt. RecoverAt 0 means it stays down.
 type Fault struct {
 	Replica   int
@@ -57,61 +31,59 @@ type Fault struct {
 }
 
 // ClusterSystem describes a replicated serving deployment under test.
-// Template configures each replica (its Devices field is ignored — every
-// replica is one engine; use multiple replicas instead).
+// Template configures each replica, Devices included.
 type ClusterSystem struct {
 	Template System
 	Replicas int
-	Route    Route
+	Route    cluster.Policy
 	Faults   []Fault
 }
 
-// ClusterMetrics extends the single-system metrics with the cluster's
-// terminal accounting. The invariant the live cluster promises holds here
-// by construction and is re-derived at the end of every run:
-// Generated == Scheduled + Expired + Shed, i.e. Lost == 0.
-type ClusterMetrics struct {
-	Metrics
-	Replicas int
-	// Shed counts requests refused because no live replica existed at
-	// their arrival (or at the failover moment) — the simulation analogue
-	// of the serve layer's degrade-to-shedding when every replica is
-	// ejected.
-	Shed int
-	// Failovers counts requests re-routed off a killed replica onto a
-	// survivor (a request re-routed twice counts twice).
-	Failovers int
-	// Lost is Generated − Scheduled − Expired − Shed. Anything but zero
-	// means the cluster model dropped a request on the floor.
-	Lost int
-	// PerReplica is the number of requests each replica completed.
-	PerReplica []int
-}
-
-// simReplica is one replica's private serving state. A replica runs at
-// most one batch at a time; inflight holds the requests of the running
-// batch until freeAt, when they complete and count as scheduled.
-type simReplica struct {
-	pool     []*sched.Request
+// simDevice is one engine of a replica. It runs at most one batch at a
+// time; inflight holds the requests of the running batch until freeAt, when
+// they complete and count as scheduled.
+type simDevice struct {
 	inflight []*sched.Request
 	freeAt   float64
-	down     bool
+}
+
+// simReplica is one replica's private serving state: a pool its devices
+// share.
+type simReplica struct {
+	pool    []*sched.Request
+	devices []simDevice
+	down    bool
 	// fw is the replica's WFQ state under Template.Fair (nil otherwise).
 	// Each replica clocks its own fairness: a request failing over to a
 	// survivor is re-stamped there, and a recovered replica starts fresh.
 	fw *simWFQ
 }
 
-// pendingTokens is the replica's load for least-loaded routing.
-func (r *simReplica) pendingTokens() int {
-	return sched.TotalLen(r.pool) + sched.TotalLen(r.inflight)
+// pendingTokens is the replica's load for least-loaded routing: queued plus
+// in-flight tokens.
+func (r *simReplica) pendingTokens() int64 {
+	n := sched.TotalLen(r.pool)
+	for _, d := range r.devices {
+		n += sched.TotalLen(d.inflight)
+	}
+	return int64(n)
 }
 
-// RunCluster simulates the replicated system over the trace and returns
-// cluster metrics. Unlike Run, scheduled requests are counted when their
-// batch completes, not when it is dispatched — a replica killed mid-batch
-// re-routes the batch's requests instead of crediting them.
-func RunCluster(cs ClusterSystem, trace []*sched.Request) (*ClusterMetrics, error) {
+// idle reports whether one of the replica's devices is free to decide.
+func (r *simReplica) idle() bool {
+	for _, d := range r.devices {
+		if d.inflight == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// RunCluster simulates the replicated system over the trace and returns its
+// metrics. Scheduled requests are counted when their batch completes, not
+// when it is dispatched — a replica killed mid-batch re-routes the batch's
+// requests instead of crediting them.
+func RunCluster(cs ClusterSystem, trace []*sched.Request) (*Metrics, error) {
 	sys := cs.Template
 	if cs.Replicas <= 0 {
 		return nil, fmt.Errorf("sim: cluster needs >=1 replica, got %d", cs.Replicas)
@@ -146,8 +118,9 @@ func RunCluster(cs ClusterSystem, trace []*sched.Request) (*ClusterMetrics, erro
 	}
 	sort.SliceStable(fevs, func(a, b int) bool { return fevs[a].at < fevs[b].at })
 
-	m := &ClusterMetrics{
-		Metrics:    Metrics{System: sys.Name, Generated: len(reqs)},
+	m := &Metrics{
+		System:     sys.Name,
+		Generated:  len(reqs),
 		Replicas:   cs.Replicas,
 		PerReplica: make([]int, cs.Replicas),
 	}
@@ -156,53 +129,25 @@ func RunCluster(cs ClusterSystem, trace []*sched.Request) (*ClusterMetrics, erro
 	}
 	reps := make([]*simReplica, cs.Replicas)
 	for i := range reps {
-		reps[i] = &simReplica{fw: newSimWFQ(sys)}
+		reps[i] = &simReplica{devices: make([]simDevice, max(sys.Devices, 1)), fw: newSimWFQ(sys)}
 	}
 
 	now := 0.0
 	next := 0 // next arrival index
 	nf := 0   // next fault event index
 	rr := 0   // round-robin cursor
+	var live []*simReplica
 
-	live := func() []int {
-		var out []int
-		for i, r := range reps {
-			if !r.down {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	route := func(req *sched.Request) int {
-		cand := live()
-		if len(cand) == 0 {
-			return -1
-		}
-		switch cs.Route {
-		case RouteLeastLoaded:
-			best := cand[0]
-			for _, i := range cand[1:] {
-				if reps[i].pendingTokens() < reps[best].pendingTokens() {
-					best = i
-				}
-			}
-			return best
-		case RouteLengthAffinity:
-			pref := req.Len * len(cand) / (sys.L + 1)
-			if pref >= len(cand) {
-				pref = len(cand) - 1
-			}
-			return cand[pref]
-		default:
-			rr++
-			return cand[rr%len(cand)]
-		}
-	}
-	// assign gives the request a terminal owner: a live replica's pool, or
-	// the shed/expired bucket when nobody can take it.
+	// assign gives the request a terminal owner: the live replica the router
+	// prefers, or the shed/expired bucket when nobody can take it.
 	assign := func(req *sched.Request, t float64, failover bool) {
-		i := route(req)
-		if i < 0 {
+		live = live[:0]
+		for _, r := range reps {
+			if !r.down {
+				live = append(live, r)
+			}
+		}
+		if len(live) == 0 {
 			if req.Deadline < t {
 				m.Expired++
 				m.tenant(req).Expired++
@@ -212,8 +157,10 @@ func RunCluster(cs ClusterSystem, trace []*sched.Request) (*ClusterMetrics, erro
 			}
 			return
 		}
-		reps[i].pool = append(reps[i].pool, req)
-		reps[i].fw.admit(req)
+		cluster.Order(cs.Route, live, req.Len, sys.L, rr, (*simReplica).pendingTokens)
+		rr++
+		live[0].pool = append(live[0].pool, req)
+		live[0].fw.admit(req)
 		if failover {
 			m.Failovers++
 		}
@@ -227,23 +174,22 @@ func RunCluster(cs ClusterSystem, trace []*sched.Request) (*ClusterMetrics, erro
 			e := fevs[nf]
 			nf++
 			r := reps[e.rep]
-			if e.down {
-				if r.down {
-					continue
-				}
-				r.down = true
-				victims := append(r.pool, r.inflight...)
-				r.pool, r.inflight = nil, nil
-				r.fw = newSimWFQ(sys) // dead clock discarded with the pool
-				r.freeAt = now
-				for _, v := range victims {
-					assign(v, now, true)
-				}
-			} else {
-				r.down = false
-				r.pool, r.inflight = nil, nil
-				r.fw = newSimWFQ(sys)
-				r.freeAt = now
+			if r.down == e.down {
+				continue // a second kill, or a recovery of a live replica
+			}
+			r.down = e.down
+			r.fw = newSimWFQ(sys) // a dead clock is discarded with the pool
+			if !e.down {
+				continue // back, empty: the kill already moved its work
+			}
+			victims := r.pool
+			for d := range r.devices {
+				victims = append(victims, r.devices[d].inflight...)
+				r.devices[d] = simDevice{}
+			}
+			r.pool = nil
+			for _, v := range victims {
+				assign(v, now, true)
 			}
 		}
 
@@ -255,24 +201,30 @@ func RunCluster(cs ClusterSystem, trace []*sched.Request) (*ClusterMetrics, erro
 
 		// Completions due now: the batch's requests count as scheduled.
 		for i, r := range reps {
-			if r.down || r.inflight == nil || r.freeAt > now {
-				continue
+			for d := range r.devices {
+				dev := &r.devices[d]
+				if dev.inflight == nil || dev.freeAt > now {
+					continue
+				}
+				for _, q := range dev.inflight {
+					m.Scheduled++
+					m.Utility += q.Utility()
+					m.Latency.Add(dev.freeAt - q.Arrival)
+					m.PerReplica[i]++
+					tm := m.tenant(q)
+					tm.Scheduled++
+					tm.Utility += q.Utility()
+				}
+				dev.inflight = nil
 			}
-			for _, q := range r.inflight {
-				m.Scheduled++
-				m.Utility += q.Utility()
-				m.Latency.Add(r.freeAt - q.Arrival)
-				m.PerReplica[i]++
-				tm := m.tenant(q)
-				tm.Scheduled++
-				tm.Utility += q.Utility()
-			}
-			r.inflight = nil
 		}
 
-		// Deadline sweep per pool.
+		// Deadline sweep per pool. A lone replica's pool is read only by
+		// its own devices' decisions, so while they are all busy its sweep
+		// waits for the next decision: same outcome, without an O(pool)
+		// pass per arrival at saturation.
 		for _, r := range reps {
-			if r.down || len(r.pool) == 0 {
+			if len(r.pool) == 0 || (len(reps) == 1 && !r.idle()) {
 				continue
 			}
 			alive, expired, _ := sched.Expire(r.pool, now)
@@ -284,80 +236,82 @@ func RunCluster(cs ClusterSystem, trace []*sched.Request) (*ClusterMetrics, erro
 			r.pool = alive
 		}
 
-		// Dispatch: every idle live replica with pending work decides now.
+		// Dispatch: every idle device of a live replica decides now, in
+		// device order, while its replica has pending work.
 		refusalAdvance := math.Inf(1)
 		for _, r := range reps {
-			if r.down || r.inflight != nil || len(r.pool) == 0 {
-				continue
-			}
-			m.Backlog.Add(float64(len(r.pool)))
-			cands := r.fw.candidates(r.pool)
-			t0 := time.Now()
-			dec := sys.Scheduler.Schedule(now, cands, sys.B, sys.L)
-			m.SchedulerWall += time.Since(t0)
-			m.SchedulerRuns++
-			chosen := dec.Chosen()
-			if len(chosen) == 0 {
-				// Everything pending was refused (longer than L, or longer
-				// than the slot under a slotted policy): let it expire at
-				// the earliest deadline instead of livelocking.
-				for _, q := range r.pool {
-					if q.Deadline+1e-9 < refusalAdvance {
-						refusalAdvance = q.Deadline + 1e-9
-					}
-				}
-				continue
-			}
-			elapsed, used, padded, launches := executeDecision(sys, dec)
-			m.Batches += launches
-			m.BusySeconds += elapsed
-			m.UsedTokens += int64(used)
-			m.PaddedTokens += int64(padded)
-			chosenSet := make(map[int64]bool, len(chosen))
-			for _, q := range chosen {
-				chosenSet[q.ID] = true
-			}
-			var keep []*sched.Request
-			for _, q := range r.pool {
-				if !chosenSet[q.ID] {
-					keep = append(keep, q)
-				}
-			}
-			r.pool = keep
-			r.fw.dispatched(chosen)
-			r.inflight = chosen
-			r.freeAt = now + elapsed
-		}
-
-		// Fully drained (remaining fault events move no work): done.
-		if next >= len(reqs) {
-			idle := true
-			for _, r := range reps {
-				if r.inflight != nil || (!r.down && len(r.pool) > 0) {
-					idle = false
+			for d := range r.devices {
+				dev := &r.devices[d]
+				if r.down || len(r.pool) == 0 {
 					break
 				}
-			}
-			if idle {
-				break
+				if dev.inflight != nil {
+					continue
+				}
+				m.Backlog.Add(float64(len(r.pool)))
+				cands := r.fw.candidates(r.pool)
+				t0 := time.Now()
+				dec := sys.Scheduler.Schedule(now, cands, sys.B, sys.L)
+				m.SchedulerWall += time.Since(t0)
+				m.SchedulerRuns++
+				chosen := dec.Chosen()
+				if len(chosen) == 0 {
+					// Everything pending was refused (longer than L, or longer
+					// than the slot under a slotted policy) — and would be
+					// again by the next idle device: let it expire at the
+					// earliest deadline instead of livelocking.
+					for _, q := range r.pool {
+						if q.Deadline+1e-9 < refusalAdvance {
+							refusalAdvance = q.Deadline + 1e-9
+						}
+					}
+					break
+				}
+				elapsed, used, padded, launches := executeDecision(sys, dec)
+				m.Batches += launches
+				m.BusySeconds += elapsed
+				m.UsedTokens += int64(used)
+				m.PaddedTokens += int64(padded)
+				chosenSet := make(map[int64]bool, len(chosen))
+				for _, q := range chosen {
+					chosenSet[q.ID] = true
+				}
+				var keep []*sched.Request
+				for _, q := range r.pool {
+					if !chosenSet[q.ID] {
+						keep = append(keep, q)
+					}
+				}
+				r.pool = keep
+				r.fw.dispatched(chosen)
+				dev.inflight = chosen
+				dev.freeAt = now + elapsed
 			}
 		}
 
 		// Advance to the next event. Every candidate is strictly after
 		// now: arrivals/faults at <= now were consumed above, fresh
 		// batches have positive duration, and surviving pool deadlines
-		// are >= now (the sweep removed the rest).
+		// are >= now (the sweep removed the rest). Nothing left means the
+		// trace is drained (remaining fault events move no work).
 		tnext := refusalAdvance
 		if next < len(reqs) && reqs[next].Arrival < tnext {
 			tnext = reqs[next].Arrival
 		}
+		busy := false
+		for _, r := range reps {
+			for _, dev := range r.devices {
+				if dev.inflight != nil {
+					busy = true
+					tnext = min(tnext, dev.freeAt)
+				}
+			}
+		}
+		if next >= len(reqs) && !busy && math.IsInf(refusalAdvance, 1) {
+			break
+		}
 		if nf < len(fevs) && fevs[nf].at < tnext {
 			tnext = fevs[nf].at
-		}
-		for _, r := range reps {
-			if !r.down && r.inflight != nil && r.freeAt < tnext {
-				tnext = r.freeAt
-			}
 		}
 		if math.IsInf(tnext, 1) {
 			break
@@ -366,6 +320,6 @@ func RunCluster(cs ClusterSystem, trace []*sched.Request) (*ClusterMetrics, erro
 	}
 
 	m.SimSeconds = now
-	m.Lost = m.Generated - m.Metrics.Scheduled - m.Metrics.Expired - m.Shed
+	m.Lost = m.Generated - m.Scheduled - m.Expired - m.Shed
 	return m, nil
 }

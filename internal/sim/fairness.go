@@ -52,10 +52,10 @@ func (m *Metrics) JainGoodput() float64 {
 	return fair.JainIndexMap(goodput)
 }
 
-// simWFQ is Run's fairness state: the WFQ plus each pending request's
-// stamp. Nil when System.Fair is off — every fair-off code path in Run is
-// the pre-fairness code untouched, which is what the bitwise escape-hatch
-// test pins.
+// simWFQ is a replica's fairness state: the WFQ plus each pending request's
+// stamp. Nil when System.Fair is off — every fair-off code path is the
+// pre-fairness code untouched, which is what the bitwise escape-hatch test
+// pins. Every tenant weighs 1.
 type simWFQ struct {
 	wfq    *fair.WFQ
 	stamps map[int64]float64
@@ -66,26 +66,10 @@ func newSimWFQ(sys System) *simWFQ {
 	if !sys.Fair {
 		return nil
 	}
-	window := sys.FairWindow
-	if window <= 0 {
-		window = 4 * sys.B
-		if window < 16 {
-			window = 16
-		}
-	}
-	var weight func(string) float64
-	if sys.FairWeights != nil {
-		weight = func(name string) float64 {
-			if w, ok := sys.FairWeights[name]; ok && w > 0 {
-				return w
-			}
-			return 1
-		}
-	}
 	return &simWFQ{
-		wfq:    fair.NewWFQ(nil, weight),
+		wfq:    fair.NewWFQ(nil, nil),
 		stamps: make(map[int64]float64),
-		window: window,
+		window: fair.Window(sys.B),
 	}
 }
 

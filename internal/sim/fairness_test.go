@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tcb/internal/batch"
+	"tcb/internal/cluster"
 	"tcb/internal/sched"
 	"tcb/internal/workload"
 )
@@ -94,9 +95,9 @@ func TestFairTenantConservation(t *testing.T) {
 	}
 }
 
-// TestFairWindowBeatsFloodOnJain: under an adversarial flood the WFQ
+// TestWFQWindowBeatsFloodOnJain: under an adversarial flood the WFQ
 // window must yield a materially fairer goodput split than the raw pool.
-func TestFairWindowBeatsFloodOnJain(t *testing.T) {
+func TestWFQWindowBeatsFloodOnJain(t *testing.T) {
 	reqs := mixTrace(t, 60, 4, 9, 3, 8)
 	base := system("tcb", sched.NewDAS(), batch.Concat)
 
@@ -200,7 +201,7 @@ func TestClusterFairTenantAccounting(t *testing.T) {
 	m, err := RunCluster(ClusterSystem{
 		Template: sys,
 		Replicas: 2,
-		Route:    RouteLeastLoaded,
+		Route:    cluster.LeastLoaded,
 		Faults:   []Fault{{Replica: 1, At: 1.0, RecoverAt: 2.0}},
 	}, reqs)
 	if err != nil {
@@ -219,8 +220,7 @@ func TestClusterFairTenantAccounting(t *testing.T) {
 		exp += tm.Expired
 		shed += tm.Shed
 	}
-	if gen != m.Generated || schd != m.Metrics.Scheduled ||
-		exp != m.Metrics.Expired || shed != m.Shed {
+	if gen != m.Generated || schd != m.Scheduled || exp != m.Expired || shed != m.Shed {
 		t.Fatalf("tenant tallies don't partition cluster totals: %+v", m.Tenants)
 	}
 	if m.Failovers == 0 {

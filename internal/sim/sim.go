@@ -11,11 +11,13 @@
 // naturally: schemes with more padding redundancy take longer per batch,
 // serve fewer requests per second, grow their queues, and lose utility to
 // deadline expiry at lower arrival rates.
+//
+// There is one event loop, RunCluster's (cluster.go); Run is its
+// one-replica case.
 package sim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"tcb/internal/batch"
@@ -32,32 +34,22 @@ type System struct {
 	B         int // batch rows (scheduler capacity per slot)
 	L         int // row capacity in tokens
 	Cost      cost.Params
-	// TurboOverhead is the DP overhead (token-equivalents) for the Turbo
-	// scheme's split; ignored otherwise. Zero uses a sensible default
-	// derived from the cost params.
-	TurboOverhead float64
 	// EarlyCleaning enables §4.2.2's optimization for SlottedConcat: the
 	// next batch's data loading overlaps the current batch's decode tail
 	// once the first slot frees, reducing effective batch time by
 	// Cost.OverlapSavings. Ignored for other schemes (they cannot free
 	// per-request memory mid-batch).
 	EarlyCleaning bool
-	// Devices is the number of identical accelerators; each scheduler
-	// decision is dispatched to the earliest-free device. 0 means 1.
-	// This models the multi-GPU scale-out a production deployment of TCB
-	// would add (the paper evaluates a single V100).
+	// Devices is the number of identical accelerators sharing one replica's
+	// pool; every idle device takes a scheduler decision at each event. 0
+	// means 1. This models the multi-GPU scale-out a production deployment
+	// of TCB would add (the paper evaluates a single V100).
 	Devices int
 	// Fair enables the weighted-fair candidate window: pending requests
 	// are offered to the (tenant-blind) scheduler in WFQ virtual-finish
-	// order, truncated to FairWindow, so one tenant's flood cannot
+	// order, truncated to fair.Window(B), so one tenant's flood cannot
 	// monopolize the batch. Off preserves the original pool byte-for-byte.
 	Fair bool
-	// FairWindow caps the fair candidate pool; 0 derives 4×B (min 16).
-	// Ignored unless Fair.
-	FairWindow int
-	// FairWeights maps tenant name → WFQ weight; absent tenants weigh 1.
-	// Ignored unless Fair.
-	FairWeights map[string]float64
 }
 
 // Validate reports configuration problems.
@@ -97,6 +89,24 @@ type Metrics struct {
 	// into the default tenant). Populated whether or not System.Fair is on,
 	// so fairness can be measured with and without enforcement.
 	Tenants map[string]*TenantMetrics
+
+	// The cluster's terminal accounting. The invariant the live cluster
+	// promises holds by construction and is re-derived at the end of every
+	// run: Generated == Scheduled + Expired + Shed, i.e. Lost == 0.
+	Replicas int
+	// Shed counts requests refused because no live replica existed at
+	// their arrival (or at the failover moment) — the simulation analogue
+	// of the serve layer's degrade-to-shedding when every replica is
+	// ejected.
+	Shed int
+	// Failovers counts requests re-routed off a killed replica onto a
+	// survivor (a request re-routed twice counts twice).
+	Failovers int
+	// Lost is Generated − Scheduled − Expired − Shed. Anything but zero
+	// means the model dropped a request on the floor.
+	Lost int
+	// PerReplica is the number of requests each replica completed.
+	PerReplica []int
 }
 
 // Throughput returns scheduled responses per simulated second.
@@ -116,132 +126,10 @@ func (m *Metrics) Utilization() float64 {
 	return float64(m.UsedTokens) / float64(total)
 }
 
-// Run simulates sys over the trace (sorted by arrival) and returns metrics.
+// Run simulates sys over the trace (sorted by arrival) and returns metrics:
+// a cluster of one fault-free replica.
 func Run(sys System, trace []*sched.Request) (*Metrics, error) {
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	reqs := append([]*sched.Request(nil), trace...)
-	sort.SliceStable(reqs, func(a, b int) bool { return reqs[a].Arrival < reqs[b].Arrival })
-
-	m := &Metrics{System: sys.Name, Generated: len(reqs)}
-	for _, r := range reqs {
-		m.tenant(r).Generated++
-	}
-	fw := newSimWFQ(sys)
-	var pool []*sched.Request
-	next := 0 // next arrival index
-	now := 0.0
-
-	devices := sys.Devices
-	if devices <= 0 {
-		devices = 1
-	}
-	// deviceFree[d] is the simulated time device d finishes its batch.
-	deviceFree := make([]float64, devices)
-
-	for {
-		// Decisions happen when a device is free; jump to that moment.
-		dev := 0
-		for d := 1; d < devices; d++ {
-			if deviceFree[d] < deviceFree[dev] {
-				dev = d
-			}
-		}
-		if deviceFree[dev] > now {
-			now = deviceFree[dev]
-		}
-		// Admit arrivals up to the current time.
-		for next < len(reqs) && reqs[next].Arrival <= now {
-			pool = append(pool, reqs[next])
-			fw.admit(reqs[next])
-			next++
-		}
-		alive, expired, _ := sched.Expire(pool, now)
-		m.Expired += len(expired)
-		for _, r := range expired {
-			m.tenant(r).Expired++
-		}
-		fw.expire(expired)
-		pool = alive
-		if len(pool) == 0 {
-			if next >= len(reqs) {
-				break // drained
-			}
-			now = reqs[next].Arrival // idle-skip to the next arrival
-			continue
-		}
-
-		m.Backlog.Add(float64(len(pool)))
-
-		// Scheduling decision (real wall time recorded for Fig. 16). Under
-		// Fair the scheduler sees the WFQ window instead of the raw pool.
-		cands := fw.candidates(pool)
-		t0 := time.Now()
-		dec := sys.Scheduler.Schedule(now, cands, sys.B, sys.L)
-		m.SchedulerWall += time.Since(t0)
-		m.SchedulerRuns++
-
-		chosen := dec.Chosen()
-		if len(chosen) == 0 {
-			// The scheduler refused everything pending (requests longer
-			// than L, or longer than the slot size under a slotted
-			// policy). Advance time until the next arrival or the
-			// earliest refusal's deadline so the refused requests expire
-			// instead of livelocking the loop.
-			earliest := pool[0].Deadline
-			for _, r := range pool[1:] {
-				if r.Deadline < earliest {
-					earliest = r.Deadline
-				}
-			}
-			advanceTo := earliest + 1e-9
-			if next < len(reqs) && reqs[next].Arrival < advanceTo {
-				advanceTo = reqs[next].Arrival
-			}
-			now = advanceTo
-			continue
-		}
-
-		elapsed, used, padded, launches := executeDecision(sys, dec)
-		m.Batches += launches
-		m.BusySeconds += elapsed
-		m.UsedTokens += int64(used)
-		m.PaddedTokens += int64(padded)
-
-		// Scheduled requests succeed (they were packed before deadline).
-		for _, r := range chosen {
-			m.Scheduled++
-			m.Utility += r.Utility()
-			m.Latency.Add(now + elapsed - r.Arrival)
-			tm := m.tenant(r)
-			tm.Scheduled++
-			tm.Utility += r.Utility()
-		}
-		fw.dispatched(chosen)
-		chosenSet := make(map[int64]bool, len(chosen))
-		for _, r := range chosen {
-			chosenSet[r.ID] = true
-		}
-		var keep []*sched.Request
-		for _, r := range pool {
-			if !chosenSet[r.ID] {
-				keep = append(keep, r)
-			}
-		}
-		pool = keep
-		// The chosen device is busy until the batch completes; the next
-		// decision happens when the earliest device frees (top of loop).
-		deviceFree[dev] = now + elapsed
-	}
-	// The run ends when the last busy device finishes.
-	for _, f := range deviceFree {
-		if f > now {
-			now = f
-		}
-	}
-	m.SimSeconds = now
-	return m, nil
+	return RunCluster(ClusterSystem{Template: sys, Replicas: 1}, trace)
 }
 
 // executeDecision lays the decision out under the system's scheme and
@@ -268,10 +156,10 @@ func executeDecision(sys System, dec sched.Decision) (secs float64, used, padded
 			launches++
 		}
 	case batch.Turbo:
-		overhead := sys.TurboOverhead
-		if overhead == 0 && sys.Cost.PerTokenSeconds > 0 {
-			// Express the launch overhead in padded-token equivalents so
-			// the DP trades padding against launches consistently.
+		// Express the launch overhead in padded-token equivalents so the DP
+		// trades padding against launches consistently.
+		var overhead float64
+		if sys.Cost.PerTokenSeconds > 0 {
 			overhead = sys.Cost.PerBatchSeconds / sys.Cost.PerTokenSeconds
 		}
 		plan, _ := batch.PackTurbo(items, batch.TurboParams{
