@@ -12,7 +12,7 @@ import (
 // longer runs.
 func TestGatesNameRunners(t *testing.T) {
 	ids := map[string]bool{}
-	for _, r := range experiments.All(experiments.DefaultOptions()) {
+	for _, r := range experiments.All(experiments.Options{Duration: 5, Seed: 1}) {
 		ids[r.ID] = true
 	}
 	for id, g := range gates {

@@ -6,11 +6,16 @@
 //	          [-enc 2] [-dec 2] [-vocab 256] [-maxlen 512] [-seed 42]
 //	tcb-model -info model.gob       # print config and parameter count
 //	tcb-model -smoke model.gob      # run a concat-vs-standalone check
+//
+// It exits 0 on success, 1 when a checkpoint cannot be built, written, read
+// or fails the smoke test, and 2 on a usage error (no mode, or a bad flag).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"tcb/internal/batch"
@@ -21,18 +26,34 @@ import (
 )
 
 func main() {
-	newPath := flag.String("new", "", "create a checkpoint at this path")
-	infoPath := flag.String("info", "", "describe the checkpoint at this path")
-	smokePath := flag.String("smoke", "", "smoke-test the checkpoint at this path")
-	dmodel := flag.Int("dmodel", 64, "hidden width")
-	heads := flag.Int("heads", 4, "attention heads")
-	dff := flag.Int("dff", 128, "feed-forward width")
-	enc := flag.Int("enc", 2, "encoder layers")
-	dec := flag.Int("dec", 2, "decoder layers")
-	vocabSize := flag.Int("vocab", 256, "vocabulary size")
-	maxLen := flag.Int("maxlen", 512, "maximum row length")
-	seed := flag.Uint64("seed", 42, "weight seed")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, does the one thing they ask, reports to stdout (errors to
+// stderr) and returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tcb-model", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	newPath := fs.String("new", "", "create a checkpoint at this path")
+	infoPath := fs.String("info", "", "describe the checkpoint at this path")
+	smokePath := fs.String("smoke", "", "smoke-test the checkpoint at this path")
+	dmodel := fs.Int("dmodel", 64, "hidden width")
+	heads := fs.Int("heads", 4, "attention heads")
+	dff := fs.Int("dff", 128, "feed-forward width")
+	enc := fs.Int("enc", 2, "encoder layers")
+	dec := fs.Int("dec", 2, "decoder layers")
+	vocabSize := fs.Int("vocab", 256, "vocabulary size")
+	maxLen := fs.Int("maxlen", 512, "maximum row length")
+	seed := fs.Uint64("seed", 42, "weight seed")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	switch {
 	case *newPath != "":
@@ -42,35 +63,36 @@ func main() {
 			MaxLen: *maxLen, Eps: 1e-5,
 		}
 		if err := cfg.Validate(); err != nil {
-			fail(err)
+			return fail(err)
 		}
 		m := model.New(cfg, *seed)
 		if err := m.SaveFile(*newPath); err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Printf("wrote %s (%d parameters)\n", *newPath, paramCount(m))
+		fmt.Fprintf(stdout, "wrote %s (%d parameters)\n", *newPath, paramCount(m))
 	case *infoPath != "":
 		m, err := model.LoadFile(*infoPath)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		c := m.Cfg
-		fmt.Printf("vocab=%d d_model=%d heads=%d d_ff=%d enc=%d dec=%d max_len=%d\n",
+		fmt.Fprintf(stdout, "vocab=%d d_model=%d heads=%d d_ff=%d enc=%d dec=%d max_len=%d\n",
 			c.VocabSize, c.DModel, c.NumHeads, c.DFF, c.EncLayers, c.DecLayers, c.MaxLen)
-		fmt.Printf("parameters: %d\n", paramCount(m))
+		fmt.Fprintf(stdout, "parameters: %d\n", paramCount(m))
 	case *smokePath != "":
 		m, err := model.LoadFile(*smokePath)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if err := smoke(m); err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Println("concat inference == standalone inference ✓")
+		fmt.Fprintln(stdout, "concat inference == standalone inference ✓")
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
+	return 0
 }
 
 // paramCount counts float32 weights.
@@ -135,9 +157,4 @@ func smoke(m *model.Model) error {
 		}
 	}
 	return nil
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

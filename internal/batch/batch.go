@@ -80,9 +80,6 @@ func (r Row) Used() int {
 	return n
 }
 
-// Padding returns the number of padded tokens in the row.
-func (r Row) Padding() int { return r.PadTo - r.Used() }
-
 // Batch is the unit of work submitted to the inference engine.
 type Batch struct {
 	Scheme   Scheme

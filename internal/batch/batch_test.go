@@ -31,8 +31,8 @@ func TestSchemeString(t *testing.T) {
 
 func TestRowAccounting(t *testing.T) {
 	r := Row{Items: items(3, 5), PadTo: 10}
-	if r.Used() != 8 || r.Padding() != 2 {
-		t.Fatalf("used/padding = %d/%d", r.Used(), r.Padding())
+	if r.Used() != 8 || r.PadTo-r.Used() != 2 {
+		t.Fatalf("used/padding = %d/%d", r.Used(), r.PadTo-r.Used())
 	}
 }
 
@@ -187,7 +187,7 @@ func TestTurboSplitOptimal(t *testing.T) {
 						feasible = false
 						break
 					}
-					cost += turboGroupCost(sorted, start, i, p)
+					cost += p.Overhead + float64((i-start+1)*sorted[i])
 					start = i + 1
 				}
 			}
@@ -337,18 +337,6 @@ func TestPackSlottedDegenerateSlotSize(t *testing.T) {
 	}
 }
 
-func TestSlotSizeFromLengths(t *testing.T) {
-	if z := SlotSizeFromLengths(items(3, 9, 5), 100); z != 9 {
-		t.Fatalf("slot size = %d, want 9", z)
-	}
-	if z := SlotSizeFromLengths(nil, 100); z != 100 {
-		t.Fatalf("empty set slot size = %d, want rowLen", z)
-	}
-	if z := SlotSizeFromLengths(items(200), 100); z != 100 {
-		t.Fatalf("oversized slot size = %d, want clamp to rowLen", z)
-	}
-}
-
 // Property: for any items and parameters, every packer produces a valid
 // batch, conserves items (batched + rest == input), and never exceeds
 // capacities.
@@ -436,64 +424,38 @@ func TestConcatUtilizationBound(t *testing.T) {
 	}
 }
 
-// TurboSplitFunc must be optimal for an arbitrary (here quadratic) cost
-// function, verified against brute-force partition enumeration.
-func TestTurboSplitFuncOptimalQuadratic(t *testing.T) {
-	costFn := func(count, maxLen int) float64 {
-		return 12 + float64(count*maxLen) + 0.05*float64(maxLen*maxLen)
+func TestTurboSplitUnboundedRows(t *testing.T) {
+	// MaxRows 0 = unbounded: a fixed cost far above any padding saved
+	// merges everything into one group.
+	groups, _ := TurboSplit([]int{3, 9, 4, 7}, TurboParams{MaxLen: 10, Overhead: 100})
+	if len(groups) != 1 {
+		t.Fatalf("expected one merged group, got %v", groups)
 	}
-	maxRows := 3
-	brute := func(sorted []int) float64 {
-		n := len(sorted)
-		best := 1e18
-		for mask := 0; mask < 1<<(n-1); mask++ {
-			cost, start, ok := 0.0, 0, true
-			for i := 0; i < n; i++ {
-				if i == n-1 || mask&(1<<i) != 0 {
-					if i-start+1 > maxRows {
-						ok = false
-						break
-					}
-					cost += costFn(i-start+1, sorted[i])
-					start = i + 1
-				}
-			}
-			if ok && cost < best {
-				best = cost
-			}
-		}
-		return best
+}
+
+// With no per-group overhead, splitting never costs more than merging, so
+// the DP degenerates to one group per distinct length.
+func TestTurboSplitZeroOverheadGroupsByLength(t *testing.T) {
+	lengths := []int{4, 2, 4, 9, 2, 2}
+	groups, order := TurboSplit(lengths, TurboParams{MaxLen: 10})
+	if len(groups) != 3 {
+		t.Fatalf("groups = %v, want one per distinct length (3)", groups)
 	}
-	src := rng.New(123)
-	for trial := 0; trial < 150; trial++ {
-		n := src.IntRange(1, 9)
-		lengths := make([]int, n)
-		for i := range lengths {
-			lengths[i] = src.IntRange(1, 40)
-		}
-		groups, order := TurboSplitFunc(lengths, maxRows, costFn)
-		sorted := make([]int, n)
-		for i, idx := range order {
-			sorted[i] = lengths[idx]
-		}
-		var got float64
-		for _, g := range groups {
-			got += costFn(g[1]-g[0], sorted[g[1]-1])
-		}
-		if want := brute(sorted); got != want {
-			t.Fatalf("trial %d: DP %v != brute %v (lengths %v)", trial, got, want, lengths)
+	for _, g := range groups {
+		for k := g[0]; k < g[1]; k++ {
+			if lengths[order[k]] != lengths[order[g[0]]] {
+				t.Fatalf("group %v mixes lengths", g)
+			}
 		}
 	}
 }
 
-func TestTurboSplitFuncUnboundedRows(t *testing.T) {
-	// maxRows 0 = unbounded: with zero overhead and linear cost, one group
-	// per distinct length is optimal only when padding costs something;
-	// with cost == count (ignoring length) a single group wins.
-	groups, _ := TurboSplitFunc([]int{3, 9, 4, 7}, 0, func(count, maxLen int) float64 {
-		return 100 + float64(count) // huge fixed cost → merge everything
-	})
-	if len(groups) != 1 {
-		t.Fatalf("expected one merged group, got %v", groups)
+// TurboPlanCost returns the DP objective value of a plan: padded tokens per
+// group plus overhead per group. Exposed for the optimality tests.
+func TurboPlanCost(plan []*Batch, p TurboParams) float64 {
+	var cost float64
+	for _, b := range plan {
+		cost += p.Overhead + float64(b.TotalTokens())
 	}
+	return cost
 }

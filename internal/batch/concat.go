@@ -116,20 +116,3 @@ func PackSlotted(items []Item, maxRows, rowLen, slotSize int) (*Batch, []Item) {
 	}
 	return b, rest
 }
-
-// SlotSizeFromLengths implements Algorithm 2's slot-size rule: the slot
-// size is the largest length among the utility-dominant items (lines 3–4),
-// so no utility-dominant request is discarded by the slot constraint.
-// It returns rowLen when the set is empty.
-func SlotSizeFromLengths(utilityDominant []Item, rowLen int) int {
-	z := 0
-	for _, it := range utilityDominant {
-		if it.Len > z {
-			z = it.Len
-		}
-	}
-	if z == 0 || z > rowLen {
-		return rowLen
-	}
-	return z
-}

@@ -14,31 +14,13 @@ type TurboParams struct {
 	Overhead float64
 }
 
-// turboGroupCost is the DP's cost for padding group [i..j] of the sorted
-// lengths: everyone pads to the group maximum lengths[j].
-func turboGroupCost(lengths []int, i, j int, p TurboParams) float64 {
-	return p.Overhead + float64((j-i+1)*lengths[j])
-}
-
 // TurboSplit partitions the given request lengths (any order) into
 // contiguous groups of the sorted sequence so that the total padded-token
-// cost plus per-group overhead is minimal, subject to MaxRows per group.
-// It returns group boundaries as index ranges over the *sorted* order and
-// the permutation that sorts the input.
+// cost plus per-group overhead is minimal, subject to MaxRows per group
+// (0 = no bound). A group of count requests costs Overhead + count·maxLen:
+// everyone pads to the group maximum. It returns group boundaries as index
+// ranges over the *sorted* order and the permutation that sorts the input.
 func TurboSplit(lengths []int, p TurboParams) (groups [][2]int, order []int) {
-	return TurboSplitFunc(lengths, p.MaxRows, func(count, maxLen int) float64 {
-		return p.Overhead + float64(count*maxLen)
-	})
-}
-
-// TurboSplitFunc is the generalized TurboTransformers split: it partitions
-// the sorted length sequence into contiguous groups minimizing
-// Σ costFn(groupSize, groupMaxLen), subject to maxRows per group (0 = no
-// bound). costFn lets callers encode measured throughput curves — e.g. a
-// quadratic attention term or a lookup table of real batch times — exactly
-// as the original system's "happens-before" table does. The DP is optimal
-// for any cost function of (count, maxLen).
-func TurboSplitFunc(lengths []int, maxRows int, costFn func(count, maxLen int) float64) (groups [][2]int, order []int) {
 	n := len(lengths)
 	order = make([]int, n)
 	for i := range order {
@@ -59,11 +41,11 @@ func TurboSplitFunc(lengths []int, maxRows int, costFn func(count, maxLen int) f
 	for j := 1; j <= n; j++ {
 		dp[j] = inf
 		lo := 0
-		if maxRows > 0 && j-maxRows > 0 {
-			lo = j - maxRows
+		if p.MaxRows > 0 && j-p.MaxRows > 0 {
+			lo = j - p.MaxRows
 		}
 		for i := lo; i < j; i++ {
-			c := dp[i] + costFn(j-i, sorted[j-1])
+			c := dp[i] + (p.Overhead + float64((j-i)*sorted[j-1]))
 			if c < dp[j] {
 				dp[j] = c
 				cut[j] = i
@@ -116,14 +98,4 @@ func PackTurbo(items []Item, p TurboParams) ([]*Batch, []Item) {
 		plan = append(plan, b)
 	}
 	return plan, rest
-}
-
-// TurboPlanCost returns the DP objective value of a plan: padded tokens per
-// group plus overhead per group. Exposed for the optimality tests.
-func TurboPlanCost(plan []*Batch, p TurboParams) float64 {
-	var cost float64
-	for _, b := range plan {
-		cost += p.Overhead + float64(b.TotalTokens())
-	}
-	return cost
 }

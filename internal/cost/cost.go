@@ -187,8 +187,7 @@ func (p Params) BatchTime(b *batch.Batch) float64 {
 	tokens := float64(b.SlottedTokens()) // == TotalTokens for dense schemes
 	area := float64(b.ScoreArea())
 	encode := p.PerBatchSeconds + tokens*p.PerTokenSeconds + area*p.PerScoreSeconds
-	decode := p.DecodeRounds * (p.PerRoundSeconds + float64(b.NumItems())*p.PerSegmentRoundSeconds)
-	return encode + decode
+	return encode + p.DecodeDuration(b)
 }
 
 // PredictBatchDuration returns BatchTime as a time.Duration: the latency
@@ -198,40 +197,6 @@ func (p Params) BatchTime(b *batch.Batch) float64 {
 // defaults predict far below what the Go CPU engine takes.
 func (p Params) PredictBatchDuration(b *batch.Batch) time.Duration {
 	return time.Duration(p.BatchTime(b) * float64(time.Second))
-}
-
-// PrefixSavings returns the encode-side seconds one prefix-cache hit saves
-// when its first cachedLen tokens are served from the cache instead of
-// re-encoded: the cached positions' projection/FFN work plus the prefix
-// segment's own block-diagonal self-attention area (cachedLen² score
-// entries — a declared prefix encodes as its own attention segment, so that
-// block is exactly what the engine skips on a hit). Decode work is
-// unchanged: a hit request decodes every round like any other segment,
-// attending over the frozen prefix rows.
-//
-// The live serving layer needs no discount on the batches it predicts — hit
-// items enter layouts with Len already shrunk to the uncached suffix, so
-// PredictBatchDuration sees the reduced work directly. BatchPrefixSavings is
-// the per-batch sum for callers that start from a full-length prediction.
-func (p Params) PrefixSavings(cachedLen int) float64 {
-	if cachedLen <= 0 {
-		return 0
-	}
-	c := float64(cachedLen)
-	return c*p.PerTokenSeconds + c*c*p.PerScoreSeconds
-}
-
-// BatchPrefixSavings sums PrefixSavings over a batch's cache-served items
-// (Item.CachedLen) — the watchdog-calibration counterpart of PrefixSavings
-// for layouts that annotate their cached prefixes.
-func (p Params) BatchPrefixSavings(b *batch.Batch) float64 {
-	var s float64
-	for _, r := range b.Rows {
-		for _, it := range r.Items {
-			s += p.PrefixSavings(it.CachedLen)
-		}
-	}
-	return s
 }
 
 // PredictAdmissionDuration predicts the extra latency one continuous-
@@ -271,16 +236,6 @@ func (p Params) PredictStageDurations(b *batch.Batch) (prepare, compute, cleanup
 	cleanup = time.Duration(cleanSecs * sec)
 	compute = time.Duration((total - overhead) * sec)
 	return prepare, compute, cleanup
-}
-
-// PlanTime returns the simulated seconds to run a sequence of sub-batches
-// back to back (TurboBatching's DP emits one per group).
-func (p Params) PlanTime(plan []*batch.Batch) float64 {
-	var t float64
-	for _, b := range plan {
-		t += p.BatchTime(b)
-	}
-	return t
 }
 
 // Measurement pairs a batch layout with its observed wall-clock seconds,

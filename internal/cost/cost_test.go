@@ -96,16 +96,6 @@ func TestSlottingNeverSlower(t *testing.T) {
 	}
 }
 
-func TestPlanTimeSumsSubBatches(t *testing.T) {
-	p := DefaultParams(testCfg())
-	b1 := concatBatch(50, 1, 30)
-	b2 := concatBatch(50, 1, 40)
-	want := p.BatchTime(b1) + p.BatchTime(b2)
-	if got := p.PlanTime([]*batch.Batch{b1, b2}); math.Abs(got-want) > 1e-15 {
-		t.Fatalf("plan time = %v, want %v", got, want)
-	}
-}
-
 func TestTurboPaysPerGroupOverhead(t *testing.T) {
 	p := DefaultParams(testCfg())
 	items := []batch.Item{{ID: 1, Len: 5}, {ID: 2, Len: 6}, {ID: 3, Len: 90}, {ID: 4, Len: 95}}
@@ -116,7 +106,10 @@ func TestTurboPaysPerGroupOverhead(t *testing.T) {
 	if len(plan) < 2 {
 		t.Fatalf("expected ≥2 turbo groups, got %d", len(plan))
 	}
-	total := p.PlanTime(plan)
+	var total float64
+	for _, b := range plan {
+		total += p.BatchTime(b)
+	}
 	// The plan pays batch overhead and decode rounds once per group.
 	var want float64
 	for _, b := range plan {
@@ -365,5 +358,57 @@ func TestPredictStageDurationsEmptyBatch(t *testing.T) {
 	prep, comp, clean := p.PredictStageDurations(&batch.Batch{Scheme: batch.Concat})
 	if prep != 0 || comp != 0 || clean != 0 {
 		t.Fatalf("empty batch stages = %v %v %v, want zeros", prep, comp, clean)
+	}
+}
+
+func TestPredictAdmissionDuration(t *testing.T) {
+	p := Params{PerTokenSeconds: 1e-3, PerScoreSeconds: 1e-5, DecodeRounds: 10, PerSegmentRoundSeconds: 2e-3}
+	for _, n := range []int{0, -3} {
+		if got := p.PredictAdmissionDuration(n); got != 0 {
+			t.Fatalf("admission of %d tokens = %v, want 0", n, got)
+		}
+	}
+	// 10 tokens: encode 10·1ms + 10²·10µs = 11ms, decode 10 rounds·2ms = 20ms.
+	if got := p.PredictAdmissionDuration(10); (got - 31*time.Millisecond).Abs() > time.Microsecond {
+		t.Fatalf("admission of 10 tokens = %v, want 31ms", got)
+	}
+	prev := time.Duration(0)
+	for n := 1; n <= 100; n++ {
+		got := p.PredictAdmissionDuration(n)
+		if got <= prev {
+			t.Fatalf("admission of %d tokens = %v, not above %d tokens' %v", n, got, n-1, prev)
+		}
+		prev = got
+	}
+}
+
+func TestBatchTimeIsEncodePlusDecode(t *testing.T) {
+	p := DefaultParams(testCfg())
+	encodeOnly := p
+	encodeOnly.DecodeRounds = 0
+	for _, b := range []*batch.Batch{concatBatch(50, 2, 20, 20, 10), concatBatch(100, 1, 7)} {
+		got := p.BatchTime(b) - encodeOnly.BatchTime(b)
+		if want := p.DecodeDuration(b); math.Abs(got-want) > 1e-12*want {
+			t.Fatalf("decode share of BatchTime = %v, want DecodeDuration %v", got, want)
+		}
+	}
+}
+
+// Decode rounds advance live requests, not padded tokens (§4.2.2): the same
+// requests cost the same decode time however they are laid out.
+func TestDecodeDurationIgnoresLayout(t *testing.T) {
+	p := DefaultParams(testCfg())
+	items := []batch.Item{{ID: 1, Len: 12}, {ID: 2, Len: 30}, {ID: 3, Len: 5}, {ID: 4, Len: 18}}
+	oneRow := concatBatch(100, 1, 12, 30, 5, 18)
+	fourRows := concatBatch(40, 4, 12, 30, 5, 18)
+	slotted, rest := batch.PackSlotted(items, 2, 80, 40)
+	if len(rest) != 0 {
+		t.Fatal("slotted pack failed")
+	}
+	want := p.DecodeDuration(oneRow)
+	for name, b := range map[string]*batch.Batch{"four rows": fourRows, "slotted": slotted} {
+		if got := p.DecodeDuration(b); got != want {
+			t.Fatalf("%s: decode duration %v, want %v as in one row", name, got, want)
+		}
 	}
 }

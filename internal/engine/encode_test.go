@@ -226,7 +226,7 @@ func TestEncodeWorkBound(t *testing.T) {
 	lens := []int{20, 31, 7, 22, 20, 28}
 	tokens, items = makeRequests(src, lens...)
 	b, rest := batch.PackConcat(items, 1, 128)
-	if len(rest) != 0 || b.Rows[0].Padding() != 0 {
+	if len(rest) != 0 || (b.Rows[0].PadTo-b.Rows[0].Used()) != 0 {
 		t.Fatal("row should be exactly full")
 	}
 	n, n2 := sq(lens...)

@@ -409,7 +409,7 @@ func TestDefaultEngineRetiresEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Refill == nil || rep.Refill.RetiredEarly == 0 || rep.Refill.OccupancyPct() <= 0 || rep.Refill.Admitted != 0 {
+	if rep.Refill == nil || rep.Refill.RetiredEarly == 0 || rep.Refill.LiveTokenSteps <= 0 || rep.Refill.Admitted != 0 {
 		t.Fatalf("default launch did not retire early: %+v", rep.Refill)
 	}
 	if len(rep.Results) != len(items) {

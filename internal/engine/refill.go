@@ -81,15 +81,6 @@ type RefillReport struct {
 	CapacityTokenSteps int64
 }
 
-// OccupancyPct returns the launch's mean batch occupancy in percent: live
-// tokens over capacity tokens, across all decode steps.
-func (r *RefillReport) OccupancyPct() float64 {
-	if r == nil || r.CapacityTokenSteps == 0 {
-		return 0
-	}
-	return 100 * float64(r.LiveTokenSteps) / float64(r.CapacityTokenSteps)
-}
-
 // shrinkReservation releases bytes from the batch's device reservation as a
 // segment retires. Errors are deliberately dropped: a watchdog-abandoned run
 // may race the server's Release, and losing a shrink on an already-freed tag

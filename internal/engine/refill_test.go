@@ -173,8 +173,8 @@ func TestRefillAdmissionsMatchSingles(t *testing.T) {
 			t.Fatalf("request %d: refill %v vs solo %v", r.ID, r.Output, want.Output)
 		}
 	}
-	if rep.Refill.OccupancyPct() <= 0 || rep.Refill.OccupancyPct() > 100 {
-		t.Fatalf("occupancy %.1f%% out of range", rep.Refill.OccupancyPct())
+	if r := rep.Refill; r.LiveTokenSteps <= 0 || r.LiveTokenSteps > r.CapacityTokenSteps {
+		t.Fatalf("occupancy %d/%d token-steps out of range", r.LiveTokenSteps, r.CapacityTokenSteps)
 	}
 }
 

@@ -18,9 +18,6 @@ type Options struct {
 	Seeds int
 }
 
-// DefaultOptions runs each point over a 5-second trace.
-func DefaultOptions() Options { return Options{Duration: 5, Seed: 1} }
-
 // seedList expands Options into the workload seeds to average over.
 func (o Options) seedList() []uint64 {
 	n := o.Seeds

@@ -244,14 +244,6 @@ func (s *ClassSet) Lookup(name string) Class {
 	return Class{Name: name, Weight: 1, Deadline: s.Lookup("").Deadline}
 }
 
-// Names lists the classes in registration order.
-func (s *ClassSet) Names() []string {
-	if s == nil {
-		return nil
-	}
-	return append([]string(nil), s.order...)
-}
-
 // ParseClasses parses a -slo-classes flag value:
 //
 //	name:weight:deadline , ...   e.g. "interactive:4:250ms,standard:1:1s,batch:0.25:5s"

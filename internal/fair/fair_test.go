@@ -315,3 +315,10 @@ func TestJainIndex(t *testing.T) {
 		t.Fatalf("map index = %g", got)
 	}
 }
+
+// VClock returns the current virtual clock (tests and introspection).
+func (w *WFQ) VClock() float64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.vclock
+}

@@ -135,20 +135,3 @@ func (w *WFQ) drop(tenant string) {
 		delete(w.tenants, tenant)
 	}
 }
-
-// VClock returns the current virtual clock (tests and introspection).
-func (w *WFQ) VClock() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.vclock
-}
-
-// Backlog returns the tenant's stamped-but-undispatched request count.
-func (w *WFQ) Backlog(tenant string) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if t := w.tenants[tenant]; t != nil {
-		return t.backlog
-	}
-	return 0
-}

@@ -16,12 +16,6 @@ type CleaningReport struct {
 	EarliestFree int   // first step at which any bytes free (FinalStep if none early)
 }
 
-// Saved returns the byte-steps this report saves relative to base
-// (typically: early cleaning vs whole-batch cleaning).
-func (r CleaningReport) Saved(base CleaningReport) int64 {
-	return base.ByteSteps - r.ByteSteps
-}
-
 // maxFinish returns the largest finish step among items, and validates
 // that every item has one.
 func maxFinish(items []batch.Item, finish map[int64]int) (int, error) {
@@ -96,11 +90,4 @@ func SimulateEarlyCleaning(b *batch.Batch, finish map[int64]int, bytesPerToken i
 		rep.EarliestFree = 0
 	}
 	return rep, nil
-}
-
-// OverlapSteps returns how many decoder steps of the current batch the next
-// batch's data loading can overlap with: the gap between the first slot
-// free and batch completion. Zero for whole-batch cleaning by construction.
-func OverlapSteps(rep CleaningReport) int {
-	return rep.FinalStep - rep.EarliestFree
 }

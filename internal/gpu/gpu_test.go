@@ -61,16 +61,6 @@ func TestMemoryManagerUnlimited(t *testing.T) {
 	}
 }
 
-func TestResetPeak(t *testing.T) {
-	m := NewMemoryManager(0)
-	_ = m.Alloc("a", 100)
-	_ = m.Free("a")
-	m.ResetPeak()
-	if m.Peak() != 0 {
-		t.Fatalf("peak after reset = %d", m.Peak())
-	}
-}
-
 // Property: allocations and frees always balance Used back to zero.
 func TestMemoryBalanceProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
@@ -156,13 +146,13 @@ func TestEarlyCleaningFreesSlotsIndependently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if early.Saved(whole) <= 0 {
+	if early.ByteSteps >= whole.ByteSteps {
 		t.Fatal("early cleaning should save byte-steps when finish times differ")
 	}
-	if OverlapSteps(early) != 5 {
-		t.Fatalf("overlap = %d, want 5", OverlapSteps(early))
+	if early.FinalStep-early.EarliestFree != 5 {
+		t.Fatalf("overlap = %d, want 5", early.FinalStep-early.EarliestFree)
 	}
-	if OverlapSteps(whole) != 0 {
+	if whole.FinalStep-whole.EarliestFree != 0 {
 		t.Fatal("whole-batch cleaning offers no overlap")
 	}
 }
@@ -241,5 +231,70 @@ func TestEarlyNeverWorseProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestResizeGrowsAndShrinks(t *testing.T) {
+	m := NewMemoryManager(100)
+	if err := m.Alloc("batch", 40); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Resize("batch", 30); err != nil {
+		t.Fatal(err)
+	}
+	if m.Used() != 70 || m.Peak() != 70 {
+		t.Fatalf("after grow: used/peak = %d/%d, want 70/70", m.Used(), m.Peak())
+	}
+	if err := m.Resize("batch", -50); err != nil {
+		t.Fatal(err)
+	}
+	if m.Used() != 20 || m.Peak() != 70 {
+		t.Fatalf("after shrink: used/peak = %d/%d, want 20/70", m.Used(), m.Peak())
+	}
+	// The shrink returned capacity a new allocation can take.
+	if err := m.Alloc("next", 80); err != nil {
+		t.Fatalf("alloc into freed capacity: %v", err)
+	}
+}
+
+func TestResizeClampsAtZero(t *testing.T) {
+	m := NewMemoryManager(0)
+	if err := m.Alloc("batch", 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Resize("batch", -25); err != nil {
+		t.Fatal(err)
+	}
+	if m.Used() != 0 || m.Outstanding() != 1 {
+		t.Fatalf("after over-shrink: used/outstanding = %d/%d, want 0/1", m.Used(), m.Outstanding())
+	}
+	// A zero-byte reservation still grows and frees like any other.
+	if err := m.Resize("batch", 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Free("batch"); err != nil {
+		t.Fatal(err)
+	}
+	if m.Used() != 0 || m.Outstanding() != 0 {
+		t.Fatalf("after free: used/outstanding = %d/%d", m.Used(), m.Outstanding())
+	}
+}
+
+func TestResizeErrors(t *testing.T) {
+	m := NewMemoryManager(50)
+	if err := m.Resize("missing", 1); err == nil {
+		t.Fatal("resize of unknown tag should fail")
+	}
+	if err := m.Alloc("a", 30); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Resize("a", 21); err == nil {
+		t.Fatal("growing past capacity should fail")
+	}
+	if m.Used() != 30 || m.Peak() != 30 {
+		t.Fatalf("failed grow changed state: used/peak = %d/%d", m.Used(), m.Peak())
+	}
+	if err := m.Resize("a", 20); err != nil {
+		t.Fatalf("growing to exactly capacity: %v", err)
 	}
 }

@@ -104,26 +104,16 @@ func (m *MemoryManager) Used() int64 {
 	return m.used
 }
 
-// Peak returns the high-water mark of Used since construction (or ResetPeak).
+// Peak returns the high-water mark of Used since construction.
 func (m *MemoryManager) Peak() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.peak
 }
 
-// Capacity returns the configured capacity (0 = unlimited).
-func (m *MemoryManager) Capacity() int64 { return m.capacity }
-
 // Outstanding returns the number of live allocations.
 func (m *MemoryManager) Outstanding() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.allocs)
-}
-
-// ResetPeak sets the high-water mark to the current usage.
-func (m *MemoryManager) ResetPeak() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.peak = m.used
 }

@@ -78,7 +78,7 @@ func TestCachedDecodeStepZeroAllocs(t *testing.T) {
 	requests := [][]int{randTokens(src, 5), randTokens(src, 8), randTokens(src, 3)}
 	row, layout := buildConcatRow(requests, 20)
 	encOut := m.EncodeRow(row, layout, nil, AttDense, true)
-	st := m.NewDecodeState(encOut, layout)
+	st := m.NewBatchDecodeState([]BatchDecodeRow{{EncOut: encOut, Layout: layout}})
 	next := []int{vocab.BosID, vocab.BosID, vocab.BosID}
 	for warm := 0; warm < 3; warm++ { // BOS + two steady-state steps
 		if _, err := st.Step(next); err != nil {

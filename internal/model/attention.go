@@ -11,16 +11,6 @@ func attnScale(dh int) float32 {
 	return float32(1 / math.Sqrt(float64(dh)))
 }
 
-// MultiHeadAttention runs multi-head attention with queries from xq and
-// keys/values from xkv, applying the optional additive mask to every head's
-// score matrix (Eq. 5: Att_CB when mask is a block-diagonal RowLayout mask,
-// plain Eq. 4 when mask is nil). It returns the WO-projected result.
-func MultiHeadAttention(w *AttentionWeights, numHeads int, xq, xkv *tensor.Matrix, mask *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(xq.Rows, w.WQ.W.Cols)
-	MultiHeadAttentionInto(out, w, numHeads, xq, xkv, mask, nil)
-	return out
-}
-
 // MultiHeadAttentionInto is the workspace-threaded form of
 // MultiHeadAttention: every intermediate (projections, per-row scores, head
 // concatenation) is checked out of ws and released before returning, so a
@@ -83,22 +73,6 @@ func MultiHeadAttentionBlocksInto(dst *tensor.Matrix, w *AttentionWeights, numHe
 	ws.Put(v)
 	ws.Put(k)
 	ws.Put(q)
-}
-
-// MultiHeadAttentionSlotted runs the slotted self-attention Att_CB_S
-// (Eq. 8): attention is computed independently per slot, so the score
-// matrices are slot-local (Σ zᵢ² entries instead of n², Fig. 7) and the
-// off-slot redundancy the dense mask merely neutralized is never computed.
-//
-// layout supplies the segment boundaries; keys from a different segment of
-// the same slot are masked inline exactly as the dense block-diagonal mask
-// would, so results match MultiHeadAttention with layout.BuildMask() bit
-// for bit. Rows outside every slot (padding) produce zero output.
-func MultiHeadAttentionSlotted(w *AttentionWeights, numHeads int, x *tensor.Matrix, slots []Slot, layout RowLayout) *tensor.Matrix {
-	out := tensor.New(x.Rows, w.WQ.W.Cols)
-	seg := layout.SegIDs()
-	MultiHeadAttentionBlocksInto(out, w, numHeads, x, x, SlotBlocks(slots), seg, seg, false, nil)
-	return out
 }
 
 // ScoreArea returns the number of attention-score entries a scheme computes

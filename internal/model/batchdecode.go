@@ -40,8 +40,8 @@ type BatchDecodeRow struct {
 // the match bitwise).
 //
 // All step buffers and KV caches are allocated at construction, so a warm
-// state performs zero heap allocations per Step — the batch-wide analogue of
-// DecodeState's property, pinned by the same AllocsPerRun regression tests.
+// state performs zero heap allocations per Step, pinned by the AllocsPerRun
+// regression tests.
 type BatchDecodeState struct {
 	m    *Model
 	nSeg int
@@ -91,14 +91,6 @@ type batchLayerCache struct {
 	// k, v hold the step's batch-wide key/value projections before they are
 	// scattered into the per-segment caches.
 	k, v *tensor.Matrix
-}
-
-// NewBatchDecodeState precomputes every row's cross-attention caches,
-// reserves per-step buffers and KV caches for the model's MaxLen bound, and
-// returns a state ready for Step. Callers that know their generation cap
-// should prefer GenerateBatchCached, which reserves only what the caps need.
-func (m *Model) NewBatchDecodeState(rows []BatchDecodeRow) *BatchDecodeState {
-	return m.newBatchDecodeState(rows, m.P.PosEnc.Rows)
 }
 
 // NewBatchDecodeStateReserve is NewBatchDecodeState with an explicit KV-cache
@@ -341,43 +333,6 @@ func (s *BatchDecodeState) Step(tokens []int) ([][]float32, error) {
 		s.out[i] = s.logits.Row(r)
 	}
 	return s.out, nil
-}
-
-// GenerateBatchCached greedily decodes every row of a batch through one
-// fused BatchDecodeState: per decode step, all rows' live segments advance
-// together through batch-wide GEMMs. caps[r][i] bounds generation for row
-// r's segment i. Results mirror the input shape and are token-identical to
-// running GenerateRowCached on each row independently.
-func (m *Model) GenerateBatchCached(rows []BatchDecodeRow, caps [][]int) ([][]GenerateResult, error) {
-	if len(caps) != len(rows) {
-		return nil, fmt.Errorf("model: %d cap rows for %d batch rows", len(caps), len(rows))
-	}
-	flatCaps := make([]int, 0, len(rows))
-	maxNew := 0
-	for r, row := range rows {
-		if len(caps[r]) != len(row.Layout.Segments) {
-			return nil, fmt.Errorf("model: row %d has %d caps for %d segments",
-				r, len(caps[r]), len(row.Layout.Segments))
-		}
-		for _, c := range caps[r] {
-			flatCaps = append(flatCaps, c)
-			if c > maxNew {
-				maxNew = c
-			}
-		}
-	}
-	st := m.newBatchDecodeState(rows, maxNew)
-	defer st.Close()
-	flat, err := greedyDecode(st, flatCaps, maxNew)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]GenerateResult, len(rows))
-	for r := range rows {
-		lo, hi := st.RowSpan(r)
-		out[r] = flat[lo:hi:hi]
-	}
-	return out, nil
 }
 
 // greedyDecode runs the shared greedy decoding loop over a (batch or

@@ -238,8 +238,8 @@ func TestBatchDecodePartialFinish(t *testing.T) {
 		t.Fatal("live segment must yield logits")
 	}
 
-	// Compare against a single-row DecodeState advancing only segment 1.
-	ref := m.NewDecodeState(enc, layout)
+	// Compare against a fresh state advancing only segment 1.
+	ref := m.NewBatchDecodeState([]BatchDecodeRow{{EncOut: enc, Layout: layout}})
 	ref.MarkFinished(0)
 	refLogits, err := ref.Step([]int{vocab.BosID, vocab.BosID})
 	if err != nil {
@@ -254,4 +254,10 @@ func TestBatchDecodePartialFinish(t *testing.T) {
 	if !st.AllFinished() {
 		t.Fatal("AllFinished false with every segment finished")
 	}
+}
+
+// NewBatchDecodeState is NewBatchDecodeStateReserve with KV caches reserved
+// for the model's MaxLen bound.
+func (m *Model) NewBatchDecodeState(rows []BatchDecodeRow) *BatchDecodeState {
+	return m.newBatchDecodeState(rows, m.P.PosEnc.Rows)
 }

@@ -121,7 +121,7 @@ func TestDecodeStateStepValidation(t *testing.T) {
 	req := randTokens(src, 4)
 	layout := SingleSegment(4, 4)
 	encOut := m.EncodeRow(req, layout, nil, AttDense, true)
-	st := m.NewDecodeState(encOut, layout)
+	st := m.NewBatchDecodeState([]BatchDecodeRow{{EncOut: encOut, Layout: layout}})
 	if _, err := st.Step([]int{1, 2}); err == nil {
 		t.Fatal("wrong token count should fail")
 	}
@@ -139,7 +139,7 @@ func TestDecodeStateFinishedBookkeeping(t *testing.T) {
 	requests := [][]int{randTokens(src, 3), randTokens(src, 3)}
 	row, layout := buildConcatRow(requests, 6)
 	encOut := m.EncodeRow(row, layout, nil, AttDense, true)
-	st := m.NewDecodeState(encOut, layout)
+	st := m.NewBatchDecodeState([]BatchDecodeRow{{EncOut: encOut, Layout: layout}})
 	if st.AllFinished() {
 		t.Fatal("fresh state should not be finished")
 	}
@@ -190,7 +190,7 @@ func TestDecodeStatePositionOverflow(t *testing.T) {
 	m := New(cfg, 9)
 	layout := SingleSegment(2, 2)
 	encOut := m.EncodeRow([]int{vocab.FirstWordID, vocab.FirstWordID + 1}, layout, nil, AttDense, true)
-	st := m.NewDecodeState(encOut, layout)
+	st := m.NewBatchDecodeState([]BatchDecodeRow{{EncOut: encOut, Layout: layout}})
 	var err error
 	for i := 0; i < 5 && err == nil; i++ {
 		_, err = st.Step([]int{vocab.BosID})

@@ -56,9 +56,6 @@ func (r RowLayout) Used() int {
 	return n
 }
 
-// PaddedTokens returns the number of padding tokens in the row.
-func (r RowLayout) PaddedTokens() int { return r.Total - r.Used() }
-
 // Validate checks that segments are contiguous from offset 0, non-empty and
 // fit within Total. The TCB engine requires this canonical form.
 func (r RowLayout) Validate() error {
@@ -76,17 +73,6 @@ func (r RowLayout) Validate() error {
 		return fmt.Errorf("model: segments use %d tokens, row capacity %d", off, r.Total)
 	}
 	return nil
-}
-
-// SegmentOf returns the index of the segment containing token offset pos,
-// or -1 if pos falls in padding.
-func (r RowLayout) SegmentOf(pos int) int {
-	for i, s := range r.Segments {
-		if pos >= s.Start && pos < s.End() {
-			return i
-		}
-	}
-	return -1
 }
 
 // SegIDs returns the per-token segment index of the row (-1 for padding
@@ -165,15 +151,6 @@ func CrossBlocks(dec, enc RowLayout) []tensor.AttendBlock {
 	return blocks
 }
 
-// BuildMask materializes the paper's mask matrix M (Eq. 6) for this row:
-// a Total×Total additive mask that is 0 on each Q_i·K_iᵀ diagonal block and
-// −∞ (tensor.NegInf) everywhere else, padding included.
-func (r RowLayout) BuildMask() *tensor.Matrix {
-	m := tensor.New(r.Total, r.Total)
-	r.fillMask(m)
-	return m
-}
-
 // fillMask writes BuildMask's matrix into m, which must be Total×Total.
 func (r RowLayout) fillMask(m *tensor.Matrix) {
 	m.Fill(tensor.NegInf)
@@ -235,39 +212,6 @@ type Slot struct {
 	// SegIdx lists the indices (into RowLayout.Segments) of the segments
 	// the slot contains.
 	SegIdx []int
-}
-
-// SlotsOfSize partitions the row into slots of at most size tokens, never
-// splitting a segment across slots. It returns an error if any segment is
-// longer than size (such requests cannot be served at this slot size —
-// exactly the constraint §4.2.1 discusses).
-func (r RowLayout) SlotsOfSize(size int) ([]Slot, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("model: slot size %d must be positive", size)
-	}
-	var slots []Slot
-	cur := Slot{}
-	flush := func() {
-		if len(cur.SegIdx) > 0 {
-			slots = append(slots, cur)
-		}
-	}
-	for i, s := range r.Segments {
-		if s.Len > size {
-			return nil, fmt.Errorf("model: segment %d length %d exceeds slot size %d", i, s.Len, size)
-		}
-		if len(cur.SegIdx) > 0 && (s.End()-cur.Start) > size {
-			flush()
-			cur = Slot{}
-		}
-		if len(cur.SegIdx) == 0 {
-			cur.Start = s.Start
-		}
-		cur.SegIdx = append(cur.SegIdx, i)
-		cur.Len = s.End() - cur.Start
-	}
-	flush()
-	return slots, nil
 }
 
 // WholeRowSlot returns the single slot covering every segment — pure

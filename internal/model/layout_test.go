@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -254,3 +255,50 @@ func TestSlotsPartitionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// SegmentOf returns the index of the segment containing token offset pos,
+// or -1 if pos falls in padding.
+func (r RowLayout) SegmentOf(pos int) int {
+	for i, s := range r.Segments {
+		if pos >= s.Start && pos < s.End() {
+			return i
+		}
+	}
+	return -1
+}
+
+// SlotsOfSize partitions the row into slots of at most size tokens, never
+// splitting a segment across slots. It returns an error if any segment is
+// longer than size (such requests cannot be served at this slot size —
+// exactly the constraint §4.2.1 discusses).
+func (r RowLayout) SlotsOfSize(size int) ([]Slot, error) {
+	if size <= 0 {
+		return nil, fmt.Errorf("model: slot size %d must be positive", size)
+	}
+	var slots []Slot
+	cur := Slot{}
+	flush := func() {
+		if len(cur.SegIdx) > 0 {
+			slots = append(slots, cur)
+		}
+	}
+	for i, s := range r.Segments {
+		if s.Len > size {
+			return nil, fmt.Errorf("model: segment %d length %d exceeds slot size %d", i, s.Len, size)
+		}
+		if len(cur.SegIdx) > 0 && (s.End()-cur.Start) > size {
+			flush()
+			cur = Slot{}
+		}
+		if len(cur.SegIdx) == 0 {
+			cur.Start = s.Start
+		}
+		cur.SegIdx = append(cur.SegIdx, i)
+		cur.Len = s.End() - cur.Start
+	}
+	flush()
+	return slots, nil
+}
+
+// PaddedTokens returns the number of padding tokens in the row.
+func (r RowLayout) PaddedTokens() int { return r.Total - r.Used() }

@@ -173,7 +173,8 @@ func TestTraditionalPEBreaksConcat(t *testing.T) {
 		attn := MultiHeadAttention(layer.SelfAttn, m.Cfg.NumHeads, x, x, mask)
 		tensor.AddInPlace(x, attn)
 		layer.Norm1.Apply(x)
-		ff := layer.FFN.Apply(x)
+		ff := tensor.New(x.Rows, x.Cols)
+		layer.FFN.ApplyInto(ff, x, nil)
 		tensor.AddInPlace(x, ff)
 		layer.Norm2.Apply(x)
 	}
@@ -197,7 +198,8 @@ func TestMissingMaskBreaksConcat(t *testing.T) {
 		attn := MultiHeadAttention(layer.SelfAttn, m.Cfg.NumHeads, x, x, nil)
 		tensor.AddInPlace(x, attn)
 		layer.Norm1.Apply(x)
-		ff := layer.FFN.Apply(x)
+		ff := tensor.New(x.Rows, x.Cols)
+		layer.FFN.ApplyInto(ff, x, nil)
 		tensor.AddInPlace(x, ff)
 		layer.Norm2.Apply(x)
 	}

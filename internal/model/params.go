@@ -87,13 +87,6 @@ func NewFFNWeights(src *rng.Source, dModel, dFF int) *FFNWeights {
 	}
 }
 
-// Apply runs the position-wise FFN: ReLU(x·W1 + b1)·W2 + b2.
-func (f *FFNWeights) Apply(x *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(x.Rows, f.Out.W.Cols)
-	f.ApplyInto(out, x, nil)
-	return out
-}
-
 // ApplyInto runs the FFN into dst, drawing the hidden activation from ws
 // (plain allocation when ws is nil). dst must be x.Rows × dModel and must
 // not alias x.

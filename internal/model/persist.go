@@ -72,7 +72,3 @@ func LoadFile(path string) (*Model, error) {
 	defer f.Close()
 	return Load(f)
 }
-
-// newGobEncoder indirection exists so tests can craft tampered
-// checkpoints with the same encoding.
-func newGobEncoder(w io.Writer) *gob.Encoder { return gob.NewEncoder(w) }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"encoding/gob"
 	"path/filepath"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestLoadRejectsInconsistentCheckpoint(t *testing.T) {
 	bad := checkpoint{Version: checkpointVersion, Cfg: m.Cfg, P: m.P}
 	bad.Cfg.EncLayers++
 	var buf bytes.Buffer
-	enc := newGobEncoder(&buf)
+	enc := gob.NewEncoder(&buf)
 	if err := enc.Encode(bad); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestLoadRejectsInconsistentCheckpoint(t *testing.T) {
 	// Wrong version.
 	buf.Reset()
 	worse := checkpoint{Version: 99, Cfg: m.Cfg, P: m.P}
-	if err := newGobEncoder(&buf).Encode(worse); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(worse); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(&buf); err == nil {
@@ -92,7 +93,7 @@ func TestLoadRejectsInconsistentCheckpoint(t *testing.T) {
 	// Missing weights.
 	buf.Reset()
 	empty := checkpoint{Version: checkpointVersion, Cfg: m.Cfg}
-	if err := newGobEncoder(&buf).Encode(empty); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(empty); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(&buf); err == nil {

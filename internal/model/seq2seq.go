@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tcb/internal/tensor"
-	"tcb/internal/vocab"
 )
 
 // AttentionMode selects how self-attention handles a concatenated row.
@@ -84,11 +83,10 @@ func (m *Model) selfAttnInto(dst *tensor.Matrix, w *AttentionWeights, x *tensor.
 //
 // tokens must have length layout.Total with padding positions set to
 // vocab.PadID. AttSlotted is the production path: attention runs per block,
-// one block per slot (slots must partition the segments, e.g. from
-// RowLayout.SlotsOfSize) or, with no slots, one per segment — a request then
-// encodes to the same bits alone or at any offset of any row. AttDense is the
-// reference: the full Total×Total score matrix under the mask M; slots is
-// ignored. separatePE must be true whenever the row holds more than one
+// one block per slot (slots must partition the segments) or, with no slots,
+// one per segment — a request then encodes to the same bits alone or at any
+// offset of any row. AttDense is the reference: the full Total×Total score
+// matrix under the mask M; slots is ignored. separatePE must be true whenever the row holds more than one
 // segment, or results are wrong — EncodeRow enforces this.
 func (m *Model) EncodeRow(tokens []int, layout RowLayout, slots []Slot, mode AttentionMode, separatePE bool) *tensor.Matrix {
 	return m.EncodeRowWS(tokens, layout, slots, mode, separatePE, nil)
@@ -206,108 +204,4 @@ func regroupSlots(encSlots []Slot, decLayout RowLayout) []Slot {
 type GenerateResult struct {
 	Tokens []int // generated ids, EOS excluded
 	Steps  int   // decode steps consumed (≥1 unless maxNew == 0)
-}
-
-// GenerateRow greedily decodes every segment of a row in lockstep: one new
-// token per unfinished segment per step, exactly the auto-regressive batch
-// decode the paper's early-memory-cleaning observation (§4.2.2) relies on —
-// segments finish at different steps.
-//
-// encOut and encLayout come from EncodeRow. encSlots is the slot partition
-// used for slotted self-attention inside the decoder (ignored for AttDense).
-// maxNew bounds generation length per segment.
-func (m *Model) GenerateRow(encOut *tensor.Matrix, encLayout RowLayout, encSlots []Slot,
-	maxNew int, mode AttentionMode) []GenerateResult {
-	caps := make([]int, len(encLayout.Segments))
-	for i := range caps {
-		caps[i] = maxNew
-	}
-	return m.GenerateRowCapped(encOut, encLayout, encSlots, caps, mode)
-}
-
-// GenerateRowCapped is GenerateRow with a per-segment generation cap —
-// the natural setting for seq2seq serving, where output length tracks
-// input length and requests in one batch therefore finish at different
-// decoder steps (the premise of §4.2.2's early memory cleaning).
-// len(caps) must equal the number of segments.
-func (m *Model) GenerateRowCapped(encOut *tensor.Matrix, encLayout RowLayout, encSlots []Slot,
-	caps []int, mode AttentionMode) []GenerateResult {
-	nSeg := len(encLayout.Segments)
-	if len(caps) != nSeg {
-		panic(fmt.Sprintf("model: %d caps for %d segments", len(caps), nSeg))
-	}
-	maxNew := 0
-	for _, c := range caps {
-		if c > maxNew {
-			maxNew = c
-		}
-	}
-	ws := tensor.NewWorkspace()
-	defer ws.Close()
-	results := make([]GenerateResult, nSeg)
-	prefixes := make([][]int, nSeg)
-	finished := make([]bool, nSeg)
-	for i := range prefixes {
-		prefixes[i] = []int{vocab.BosID}
-		if caps[i] <= 0 {
-			finished[i] = true
-		}
-	}
-	for step := 0; step < maxNew; step++ {
-		allDone := true
-		for _, f := range finished {
-			if !f {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			break
-		}
-		// Build the concatenated decoder row from current prefixes.
-		lengths := make([]int, nSeg)
-		total := 0
-		for i, p := range prefixes {
-			lengths[i] = len(p)
-			total += len(p)
-		}
-		decLayout := ConcatLayout(lengths, total)
-		decTokens := make([]int, 0, total)
-		for _, p := range prefixes {
-			decTokens = append(decTokens, p...)
-		}
-		var decSlots []Slot
-		if mode == AttSlotted {
-			decSlots = regroupSlots(encSlots, decLayout)
-		}
-		hidden := m.decodeStep(decTokens, decLayout, decSlots, encOut, encLayout, mode, ws)
-		// Read the logits at each segment's last position.
-		for i, seg := range decLayout.Segments {
-			if finished[i] {
-				continue
-			}
-			last := hidden.View(seg.End()-1, seg.End())
-			logits := m.Logits(last)
-			next := tensor.ArgmaxRows(logits)[0]
-			results[i].Steps = step + 1
-			if next == vocab.EosID {
-				finished[i] = true
-				continue
-			}
-			prefixes[i] = append(prefixes[i], next)
-			results[i].Tokens = append(results[i].Tokens, next)
-			if len(results[i].Tokens) >= caps[i] {
-				finished[i] = true
-			}
-		}
-	}
-	return results
-}
-
-// EncodeSingle is a convenience wrapper: run one request alone (no
-// concatenation, no padding) through the encoder. This is the reference
-// the ConcatBatching equivalence tests compare against.
-func (m *Model) EncodeSingle(tokens []int) *tensor.Matrix {
-	layout := SingleSegment(len(tokens), len(tokens))
-	return m.EncodeRow(tokens, layout, layout.WholeRowSlot(), AttDense, true)
 }

@@ -88,30 +88,6 @@ type Handle struct {
 // Valid reports whether the handle pins an entry (i.e. the lookup hit).
 func (h Handle) Valid() bool { return h.e != nil }
 
-// Len returns the pinned prefix's length in tokens (0 for a zero Handle).
-func (h Handle) Len() int {
-	if h.e == nil {
-		return 0
-	}
-	return h.e.length
-}
-
-// Enc returns the pinned prefix's frozen encoder output rows (read-only).
-func (h Handle) Enc() *tensor.Matrix {
-	if h.e == nil {
-		return nil
-	}
-	return h.e.enc
-}
-
-// KV returns the pinned prefix's frozen cross-attention K/V (read-only).
-func (h Handle) KV() *model.PrefixKV {
-	if h.e == nil {
-		return nil
-	}
-	return h.e.kv
-}
-
 // Release drops the pin. Idempotent through the receiving pointer: the
 // handle forgets its entry on first release.
 func (h *Handle) Release() {

@@ -386,3 +386,27 @@ func FuzzTrieResidency(f *testing.F) {
 		}
 	})
 }
+
+// Len returns the pinned prefix's length in tokens (0 for a zero Handle).
+func (h Handle) Len() int {
+	if h.e == nil {
+		return 0
+	}
+	return h.e.length
+}
+
+// Enc returns the pinned prefix's frozen encoder output rows (read-only).
+func (h Handle) Enc() *tensor.Matrix {
+	if h.e == nil {
+		return nil
+	}
+	return h.e.enc
+}
+
+// KV returns the pinned prefix's frozen cross-attention K/V (read-only).
+func (h Handle) KV() *model.PrefixKV {
+	if h.e == nil {
+		return nil
+	}
+	return h.e.kv
+}

@@ -1,7 +1,7 @@
 // Package rng provides deterministic, splittable pseudo-random streams and
 // the distributions the TCB workload generator and experiments depend on:
-// uniform, truncated normal (request lengths), exponential and Poisson
-// (arrival processes).
+// uniform, truncated normal (request lengths) and exponential (the gaps of
+// a Poisson arrival process).
 //
 // Every experiment in this repository is seeded, so paper figures regenerate
 // bit-identically across runs and machines. The core generator is
@@ -111,40 +111,4 @@ func (s *Source) Exp(rate float64) float64 {
 		u = s.Float64()
 	}
 	return -math.Log(u) / rate
-}
-
-// Poisson returns a Poisson(lambda) sample (Knuth's method for small lambda,
-// normal approximation above 64 where Knuth's product underflows).
-func (s *Source) Poisson(lambda float64) int {
-	if lambda < 0 {
-		panic("rng: Poisson with lambda < 0")
-	}
-	if lambda == 0 {
-		return 0
-	}
-	if lambda > 64 {
-		v := int(math.Round(s.Normal(lambda, math.Sqrt(lambda))))
-		if v < 0 {
-			v = 0
-		}
-		return v
-	}
-	limit := math.Exp(-lambda)
-	p := 1.0
-	k := 0
-	for {
-		p *= s.Float64()
-		if p <= limit {
-			return k
-		}
-		k++
-	}
-}
-
-// Shuffle permutes xs uniformly at random (Fisher–Yates).
-func Shuffle[T any](s *Source, xs []T) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		xs[i], xs[j] = xs[j], xs[i]
-	}
 }

@@ -171,64 +171,58 @@ func TestExpNonNegative(t *testing.T) {
 	}
 }
 
-func TestPoissonMoments(t *testing.T) {
-	for _, lambda := range []float64{0.5, 4, 30, 200} {
-		s := New(uint64(lambda * 100))
-		const n = 50000
-		var sum, sq float64
-		for i := 0; i < n; i++ {
-			v := float64(s.Poisson(lambda))
-			sum += v
-			sq += v * v
-		}
-		mean := sum / n
-		variance := sq/n - mean*mean
-		if math.Abs(mean-lambda) > 0.05*lambda+0.1 {
-			t.Fatalf("Poisson(%v) mean %v", lambda, mean)
-		}
-		if math.Abs(variance-lambda) > 0.12*lambda+0.2 {
-			t.Fatalf("Poisson(%v) variance %v", lambda, variance)
-		}
-	}
-}
-
-func TestPoissonZero(t *testing.T) {
-	if v := New(1).Poisson(0); v != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", v)
-	}
-}
-
-func TestShufflePermutation(t *testing.T) {
+func TestIntRangeUniform(t *testing.T) {
 	s := New(12)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	Shuffle(s, xs)
-	seen := make(map[int]bool)
-	for _, x := range xs {
-		seen[x] = true
+	const n = 60000
+	counts := make(map[int]int)
+	for i := 0; i < n; i++ {
+		counts[s.IntRange(3, 8)]++
 	}
-	if len(seen) != 8 {
-		t.Fatalf("shuffle lost elements: %v", xs)
+	if len(counts) != 6 {
+		t.Fatalf("IntRange(3,8) hit %d values, want 6", len(counts))
+	}
+	for v, c := range counts {
+		if math.Abs(float64(c)-n/6) > 0.05*n/6 {
+			t.Fatalf("IntRange(3,8): value %d drawn %d times, want ~%d", v, c, n/6)
+		}
 	}
 }
 
-func TestShuffleUniformish(t *testing.T) {
-	// Element 0 should land in each position roughly uniformly.
+func TestTruncatedNormalIntMoments(t *testing.T) {
+	// Bounds 8σ away truncate nothing: the draws are N(50, 25) rounded,
+	// whose variance is 25 + 1/12.
 	s := New(13)
-	counts := make([]int, 4)
-	const n = 40000
+	const n = 100000
+	var sum, sq float64
 	for i := 0; i < n; i++ {
-		xs := []int{0, 1, 2, 3}
-		Shuffle(s, xs)
-		for pos, x := range xs {
-			if x == 0 {
-				counts[pos]++
-			}
-		}
+		v := float64(s.TruncatedNormalInt(50, 5, 10, 90))
+		sum += v
+		sq += v * v
 	}
-	for pos, c := range counts {
-		frac := float64(c) / n
-		if math.Abs(frac-0.25) > 0.02 {
-			t.Fatalf("position %d frequency %v, want ~0.25", pos, frac)
-		}
+	mean := sum / n
+	variance := sq/n - mean*mean
+	if math.Abs(mean-50) > 0.1 {
+		t.Fatalf("truncated normal mean %v, want ~50", mean)
+	}
+	if math.Abs(variance-25) > 0.6 {
+		t.Fatalf("truncated normal variance %v, want ~25", variance)
+	}
+}
+
+func TestInvalidParametersPanic(t *testing.T) {
+	for name, fn := range map[string]func(){
+		"IntRange(5,4)":             func() { New(1).IntRange(5, 4) },
+		"TruncatedNormalInt(lo>hi)": func() { New(1).TruncatedNormalInt(10, 1, 20, 3) },
+		"Exp(0)":                    func() { New(1).Exp(0) },
+		"Exp(-1)":                   func() { New(1).Exp(-1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic for %s", name)
+				}
+			}()
+			fn()
+		})
 	}
 }

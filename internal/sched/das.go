@@ -33,11 +33,6 @@ func (d *DAS) Validate() error {
 	return nil
 }
 
-// CompetitiveRatio returns ηq/(ηq+1), the bound of Theorem 5.1.
-func (d *DAS) CompetitiveRatio() float64 {
-	return d.Eta * d.Q / (d.Eta*d.Q + 1)
-}
-
 // Schedule implements Algorithm 1.
 func (d *DAS) Schedule(now float64, pending []*Request, B, L int) Decision {
 	if err := d.Validate(); err != nil {

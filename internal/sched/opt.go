@@ -1,47 +1,5 @@
 package sched
 
-// BruteForceOPT solves the offline scheduling MILP (Eq. 9–13) exactly by
-// exhaustive search, for the small instances the competitive-ratio tests
-// use. slotTimes lists the batch start times; each slot offers B rows of
-// capacity L. A request may go to any (t, k) with aₙ ≤ t ≤ dₙ, or be
-// dropped. Returns the maximum achievable total utility.
-//
-// The search is exponential in len(requests); keep instances tiny (≤ 10
-// requests, ≤ 4 slots).
-func BruteForceOPT(requests []*Request, slotTimes []float64, B, L int) float64 {
-	nCells := len(slotTimes) * B
-	capacity := make([]int, nCells)
-	for i := range capacity {
-		capacity[i] = L
-	}
-	var rec func(i int) float64
-	rec = func(i int) float64 {
-		if i == len(requests) {
-			return 0
-		}
-		r := requests[i]
-		best := rec(i + 1) // drop r
-		for t, st := range slotTimes {
-			if st < r.Arrival || st > r.Deadline {
-				continue
-			}
-			for k := 0; k < B; k++ {
-				cell := t*B + k
-				if capacity[cell] < r.Len {
-					continue
-				}
-				capacity[cell] -= r.Len
-				if v := r.Utility() + rec(i+1); v > best {
-					best = v
-				}
-				capacity[cell] += r.Len
-			}
-		}
-		return best
-	}
-	return rec(0)
-}
-
 // RunOnline simulates a scheduler over fixed slot times: at each slot, the
 // alive pending requests are offered to the scheduler and the chosen ones
 // leave the pool. It returns the total utility achieved — the ALG side of

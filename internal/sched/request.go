@@ -129,28 +129,6 @@ func (d Decision) Chosen() []*Request {
 // Utility returns the total utility of the decision.
 func (d Decision) Utility() float64 { return TotalUtility(d.Chosen()) }
 
-// Validate checks Eq. 10–12 for the decision: each request at most once,
-// row loads within L, every request schedulable at time now.
-func (d Decision) Validate(now float64, L int) error {
-	seen := make(map[int64]bool)
-	for k, row := range d.Rows {
-		if TotalLen(row) > L {
-			return fmt.Errorf("sched: row %d load %d exceeds L=%d", k, TotalLen(row), L)
-		}
-		for _, r := range row {
-			if seen[r.ID] {
-				return fmt.Errorf("sched: request %d scheduled twice", r.ID)
-			}
-			seen[r.ID] = true
-			if now < r.Arrival || now > r.Deadline {
-				return fmt.Errorf("sched: request %d scheduled at %g outside [%g, %g]",
-					r.ID, now, r.Arrival, r.Deadline)
-			}
-		}
-	}
-	return nil
-}
-
 // Scheduler selects requests for the batch starting at time now.
 // pending must contain only schedulable requests (see Expire); B is the
 // number of batch rows and L the per-row token capacity.

@@ -358,12 +358,14 @@ type Server struct {
 	// completion (and the same DrainTimeout deadline).
 	drainOnce sync.Once
 	drainDone chan struct{}
-	// wake is a capacity-1 edge trigger: Submit (and batch completion, for
-	// Drain) signal it so the loop reacts immediately instead of sleeping
-	// out the Poll interval. Poll remains only as a deadline-expiry
-	// fallback.
-	wake chan struct{}
-	base time.Time
+	// wake and progress are capacity-1 edge triggers, one per waiter:
+	// every Submit, completion and requeue signals both, so the idle loop
+	// (wake) and Drain (progress) react immediately instead of sleeping out
+	// the Poll interval, and neither can consume the other's signal. Poll
+	// remains only as a deadline-expiry fallback.
+	wake     chan struct{}
+	progress chan struct{}
+	base     time.Time
 
 	// wfq stamps every request at submission; the stamps order the
 	// scheduler's candidate pool (per tenant when Config.Fair is on, one
@@ -470,6 +472,7 @@ func New(cfg Config) (*Server, error) {
 		done:        make(chan struct{}),
 		drainDone:   make(chan struct{}),
 		wake:        make(chan struct{}, 1),
+		progress:    make(chan struct{}, 1),
 		base:        time.Now(),
 		classes:     cfg.Classes,
 		tenantStats: make(map[string]*tenantCounter),
@@ -560,11 +563,11 @@ func (s *Server) drainLoop() {
 		if empty {
 			break
 		}
-		// Wait for the loop to report progress (a finished batch or expiry
-		// sweep notifies wake); Poll bounds the wait in case a wakeup was
-		// already consumed.
+		// Wait for the loop to report progress (a finished batch or a
+		// requeue notifies progress); Poll bounds the wait for progress
+		// nothing signals, such as a deadline expiring in the queue.
 		select {
-		case <-s.wake:
+		case <-s.progress:
 		case <-time.After(s.cfg.Poll):
 		case <-s.done:
 			// Stopped out from under the drain (a concurrent Stop, or a
@@ -702,12 +705,14 @@ func (s *Server) SubmitOpts(tokens []int, deadline time.Duration, opt SubmitOpti
 	return p.out, nil
 }
 
-// notify nudges the scheduler loop (and Drain) without blocking: the
+// notify nudges the scheduler loop and Drain without blocking: each
 // capacity-1 channel coalesces bursts into a single pending wakeup.
 func (s *Server) notify() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
+	for _, ch := range [...]chan struct{}{s.wake, s.progress} {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -800,22 +805,6 @@ func (s *Server) Health() Health {
 	}
 	h.Serviceable = h.State == "running" && h.Breaker != "open"
 	return h
-}
-
-// BreakerState returns the circuit breaker's current state
-// (BreakerClosed when no breaker is configured).
-func (s *Server) BreakerState() BreakerState {
-	if s.breaker == nil {
-		return BreakerClosed
-	}
-	return s.breaker.State()
-}
-
-// QueueLen returns the number of requests waiting.
-func (s *Server) QueueLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
 }
 
 // clock returns seconds since server construction (the scheduler's time

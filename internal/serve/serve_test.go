@@ -485,3 +485,89 @@ func TestDrainWakes(t *testing.T) {
 		t.Fatalf("drain took %v with Poll=%v: drain loop is sleeping instead of waking on progress", elapsed, poll)
 	}
 }
+
+// gatedRunner runs the real engine once gate closes, reporting each start on
+// started: the test decides when the one batch completes.
+type gatedRunner struct {
+	e       *engine.Engine
+	started chan struct{}
+	gate    chan struct{}
+}
+
+func (r gatedRunner) Run(b *batch.Batch, tokens map[int64][]int) (*engine.Report, error) {
+	select {
+	case r.started <- struct{}{}:
+	default:
+	}
+	<-r.gate
+	return r.e.Run(b, tokens)
+}
+
+// TestDrainNotDelayedByWakeConsumer: Drain waits on a signal of its own, so
+// a goroutine competing for the loop's wake channel — as the idle serving
+// loop does — cannot take the last batch's completion signal and leave
+// Drain sleeping out Poll. The competitor queues on wake before Drain
+// starts waiting, so at the parent (one shared channel) it receives that
+// signal every time.
+func TestDrainNotDelayedByWakeConsumer(t *testing.T) {
+	r := gatedRunner{
+		e:       engine.New(model.New(model.TestConfig(testVocab), 7), 2),
+		started: make(chan struct{}, 1),
+		gate:    make(chan struct{}),
+	}
+	const poll = 3 * time.Second
+	s, err := New(Config{
+		Engine: r, Scheduler: sched.NewDAS(), Scheme: batch.Concat,
+		B: 4, L: 64, Poll: poll,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	ch, err := s.Submit(randTokens(rng.New(23), 5), 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-r.started // the only batch is in flight
+
+	go func() {
+		for {
+			select {
+			case <-s.wake:
+			case <-s.done:
+				return
+			}
+		}
+	}()
+	time.Sleep(20 * time.Millisecond) // the competitor is parked on wake
+	drained := make(chan time.Duration, 1)
+	go func() {
+		start := time.Now()
+		s.Drain()
+		drained <- time.Since(start)
+	}()
+	time.Sleep(20 * time.Millisecond) // Drain is parked behind it
+	close(r.gate)
+	if resp := <-ch; resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	if elapsed := <-drained; elapsed > poll/2 {
+		t.Fatalf("drain took %v with Poll=%v: the batch's completion signal went to the wake consumer", elapsed, poll)
+	}
+}
+
+// BreakerState returns the circuit breaker's current state
+// (BreakerClosed when no breaker is configured).
+func (s *Server) BreakerState() BreakerState {
+	if s.breaker == nil {
+		return BreakerClosed
+	}
+	return s.breaker.State()
+}
+
+// QueueLen returns the number of requests waiting.
+func (s *Server) QueueLen() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.queue)
+}

@@ -38,20 +38,6 @@ func (m *Metrics) tenant(r *sched.Request) *TenantMetrics {
 	return tm
 }
 
-// JainGoodput is Jain's fairness index over per-tenant scheduled counts
-// (1 = perfectly even split; 1/n = one tenant taking everything; 1 for
-// untagged or empty runs).
-func (m *Metrics) JainGoodput() float64 {
-	if len(m.Tenants) == 0 {
-		return 1
-	}
-	goodput := make(map[string]int, len(m.Tenants))
-	for name, tm := range m.Tenants {
-		goodput[name] = tm.Scheduled
-	}
-	return fair.JainIndexMap(goodput)
-}
-
 // simWFQ is a replica's fairness state: the WFQ plus each pending request's
 // stamp. Nil when System.Fair is off — every fair-off code path is the
 // pre-fairness code untouched, which is what the bitwise escape-hatch test

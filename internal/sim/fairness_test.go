@@ -6,6 +6,7 @@ import (
 
 	"tcb/internal/batch"
 	"tcb/internal/cluster"
+	"tcb/internal/fair"
 	"tcb/internal/sched"
 	"tcb/internal/workload"
 )
@@ -226,4 +227,18 @@ func TestClusterFairTenantAccounting(t *testing.T) {
 	if m.Failovers == 0 {
 		t.Fatal("kill with queued work must fail over")
 	}
+}
+
+// JainGoodput is Jain's fairness index over per-tenant scheduled counts
+// (1 = perfectly even split; 1/n = one tenant taking everything; 1 for
+// untagged or empty runs).
+func (m *Metrics) JainGoodput() float64 {
+	if len(m.Tenants) == 0 {
+		return 1
+	}
+	goodput := make(map[string]int, len(m.Tenants))
+	for name, tm := range m.Tenants {
+		goodput[name] = tm.Scheduled
+	}
+	return fair.JainIndexMap(goodput)
 }

@@ -117,15 +117,6 @@ func (m *Metrics) Throughput() float64 {
 	return float64(m.Scheduled) / m.SimSeconds
 }
 
-// Utilization returns the fraction of processed tokens that were real.
-func (m *Metrics) Utilization() float64 {
-	total := m.UsedTokens + m.PaddedTokens
-	if total == 0 {
-		return 1
-	}
-	return float64(m.UsedTokens) / float64(total)
-}
-
 // Run simulates sys over the trace (sorted by arrival) and returns metrics:
 // a cluster of one fault-free replica.
 func Run(sys System, trace []*sched.Request) (*Metrics, error) {

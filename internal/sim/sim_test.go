@@ -8,6 +8,7 @@ import (
 	"tcb/internal/cost"
 	"tcb/internal/model"
 	"tcb/internal/sched"
+	"tcb/internal/stats"
 	"tcb/internal/workload"
 )
 
@@ -374,11 +375,20 @@ func TestBacklogGrowsPastSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calm.Backlog.N() == 0 || stormy.Backlog.N() == 0 {
+	if calm.Backlog == (stats.Running{}) || stormy.Backlog == (stats.Running{}) {
 		t.Fatal("backlog not sampled")
 	}
 	if stormy.Backlog.Mean() < 5*calm.Backlog.Mean() {
 		t.Fatalf("saturated backlog %v should dwarf calm backlog %v",
 			stormy.Backlog.Mean(), calm.Backlog.Mean())
 	}
+}
+
+// Utilization returns the fraction of processed tokens that were real.
+func (m *Metrics) Utilization() float64 {
+	total := m.UsedTokens + m.PaddedTokens
+	if total == 0 {
+		return 1
+	}
+	return float64(m.UsedTokens) / float64(total)
 }

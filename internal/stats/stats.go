@@ -1,7 +1,7 @@
 // Package stats provides the small statistics toolkit used across TCB's
 // experiments: running moments, percentile estimation over recorded samples,
-// fixed-bucket histograms, and ordinary least squares for calibrating the
-// analytic cost model against measured engine times.
+// and ordinary least squares for calibrating the analytic cost model against
+// measured engine times.
 package stats
 
 import (
@@ -37,9 +37,6 @@ func (r *Running) Add(x float64) {
 	r.m2 += d * (x - r.mean)
 }
 
-// N returns the number of samples recorded.
-func (r *Running) N() int { return r.n }
-
 // Mean returns the sample mean (0 when empty).
 func (r *Running) Mean() float64 { return r.mean }
 
@@ -53,15 +50,6 @@ func (r *Running) Var() float64 {
 
 // Std returns the sample standard deviation.
 func (r *Running) Std() float64 { return math.Sqrt(r.Var()) }
-
-// Min returns the smallest sample (0 when empty).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest sample (0 when empty).
-func (r *Running) Max() float64 { return r.max }
-
-// Sum returns n·mean.
-func (r *Running) Sum() float64 { return r.mean * float64(r.n) }
 
 func (r *Running) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g max=%.4g", r.n, r.Mean(), r.Std(), r.min, r.max)
@@ -106,61 +94,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
-}
-
-// Mean returns the sample mean (0 when empty).
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
-
-// Histogram counts observations into equal-width buckets over [lo, hi).
-// Out-of-range observations are clamped into the first/last bucket so totals
-// always reconcile.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	total   int
-}
-
-// NewHistogram creates a histogram with n equal-width buckets spanning
-// [lo, hi). It panics if n <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, n)}
-}
-
-// Add records x.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Buckets)
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(n))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	h.Buckets[idx]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of observations in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Buckets[i]) / float64(h.total)
 }
 
 // LinearFit returns slope and intercept of the least-squares line through

@@ -75,6 +75,34 @@ func TestRunningMatchesDirect(t *testing.T) {
 	}
 }
 
+func TestRunningStdAndString(t *testing.T) {
+	var r Running
+	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+		r.Add(x)
+	}
+	if want := math.Sqrt(32.0 / 7.0); math.Abs(r.Std()-want) > 1e-12 {
+		t.Fatalf("Std = %v, want %v", r.Std(), want)
+	}
+	if got, want := r.String(), "n=8 mean=5 std=2.138 min=2 max=9"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
+	}
+}
+
+func TestSampleN(t *testing.T) {
+	var s Sample
+	if s.N() != 0 {
+		t.Fatalf("empty N = %d", s.N())
+	}
+	for _, x := range []float64{3, 1, 2} {
+		s.Add(x)
+	}
+	s.Percentile(50) // sorting in place must not change the count
+	s.Add(4)
+	if s.N() != 4 {
+		t.Fatalf("N = %d, want 4", s.N())
+	}
+}
+
 func TestPercentile(t *testing.T) {
 	var s Sample
 	for i := 1; i <= 100; i++ {
@@ -116,54 +144,6 @@ func TestPercentileEmptyPanics(t *testing.T) {
 	}()
 	var s Sample
 	s.Percentile(50)
-}
-
-func TestSampleMean(t *testing.T) {
-	var s Sample
-	if s.Mean() != 0 {
-		t.Fatal("empty mean should be 0")
-	}
-	s.Add(2)
-	s.Add(4)
-	if s.Mean() != 3 {
-		t.Fatalf("Mean = %v, want 3", s.Mean())
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 5, 9.9, -3, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d, want 7", h.Total())
-	}
-	// -3 clamps into bucket 0, 42 into bucket 4.
-	if h.Buckets[0] != 3 { // 0, 1.9, -3
-		t.Fatalf("bucket0 = %d, want 3", h.Buckets[0])
-	}
-	if h.Buckets[4] != 2 { // 9.9, 42
-		t.Fatalf("bucket4 = %d, want 2", h.Buckets[4])
-	}
-	if f := h.Fraction(1); math.Abs(f-1.0/7) > 1e-12 { // just 2
-		t.Fatalf("Fraction(1) = %v", f)
-	}
-}
-
-func TestHistogramInvalidPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 0, 5) },
-		func() { NewHistogram(0, 10, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic for invalid histogram")
-				}
-			}()
-			fn()
-		}()
-	}
 }
 
 func TestLinearFitExact(t *testing.T) {
@@ -230,3 +210,15 @@ func TestLinearFit2Degenerate(t *testing.T) {
 		}()
 	}
 }
+
+// N returns the number of samples recorded.
+func (r *Running) N() int { return r.n }
+
+// Min returns the smallest sample (0 when empty).
+func (r *Running) Min() float64 { return r.min }
+
+// Max returns the largest sample (0 when empty).
+func (r *Running) Max() float64 { return r.max }
+
+// Sum returns n·mean.
+func (r *Running) Sum() float64 { return r.mean * float64(r.n) }

@@ -261,17 +261,6 @@ func blockAttendRange(out, q, k, v *Matrix, heads, dh int, scale float32,
 	}
 }
 
-// AttendScoreArea returns the number of score entries BlockAttendInto
-// computes for the given blocks — the Σ zᵢ² quantity of Fig. 7 when blocks
-// are slots. Useful for asserting the kernel's work bound in tests.
-func AttendScoreArea(blocks []AttendBlock) int {
-	area := 0
-	for _, b := range blocks {
-		area += b.Q.Len() * b.K.Len()
-	}
-	return area
-}
-
 // attendCachedRow computes one query row's multi-head attention over cached
 // key/value matrices (the incremental-decode hot path): dst and qrow are
 // d-wide, keys/vals hold the cached rows. scores is scratch of at least
@@ -305,19 +294,4 @@ func attendCachedRow(dst, qrow []float32, keys, vals *Matrix, heads, dh int, sca
 			tailAxpy1(dstH, vals.Row(t)[c0:c0+dh], srow[t]*inv)
 		}
 	}
-}
-
-// AttendCachedRow is the exported form of the incremental-decode kernel used
-// by the model's DecodeState.
-func AttendCachedRow(dst, qrow []float32, keys, vals *Matrix, heads, dh int, scale float32, scores []float32) {
-	if len(dst) != heads*dh || len(qrow) != heads*dh {
-		panic(fmt.Sprintf("tensor: cached attend dst/q len %d/%d != %d", len(dst), len(qrow), heads*dh))
-	}
-	if keys.Rows != vals.Rows || keys.Cols != heads*dh || vals.Cols != heads*dh {
-		panic(fmt.Sprintf("tensor: cached attend keys %dx%d vals %dx%d", keys.Rows, keys.Cols, vals.Rows, vals.Cols))
-	}
-	if len(scores) < keys.Rows {
-		panic(fmt.Sprintf("tensor: cached attend scores len %d < %d", len(scores), keys.Rows))
-	}
-	attendCachedRow(dst, qrow, keys, vals, heads, dh, scale, scores)
 }

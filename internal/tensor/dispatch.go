@@ -76,7 +76,7 @@ var (
 )
 
 // KernelCounts is a point-in-time snapshot of GEMM dispatches per kernel
-// path since process start (or the last ResetKernelCounters).
+// path since process start.
 type KernelCounts struct {
 	Scalar uint64 `json:"scalar"` // 2×4 register-blocked float32 dispatches
 	Wide   uint64 `json:"wide"`   // 8-lane float32 dispatches
@@ -101,13 +101,6 @@ func laneISA() string {
 		return "avx2"
 	}
 	return "go"
-}
-
-// ResetKernelCounters zeroes the dispatch counters (tests and benchmarks).
-func ResetKernelCounters() {
-	scalarCalls.Store(0)
-	wideCalls.Store(0)
-	int8Calls.Store(0)
 }
 
 // mulDispatch picks the float32 kernel by the size of b and the process-wide

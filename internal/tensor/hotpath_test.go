@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -195,12 +196,6 @@ func TestWorkspaceGetPutReuse(t *testing.T) {
 	}
 	if n.Data[0] != 3 {
 		t.Fatal("Get did not reuse the pooled buffer (contents are unspecified but the pool should serve LIFO)")
-	}
-	z := ws.GetZeroed(9, 11)
-	for _, v := range z.Data {
-		if v != 0 {
-			t.Fatal("GetZeroed returned stale data")
-		}
 	}
 }
 
@@ -507,19 +502,6 @@ func TestBlockAttendCrossAttention(t *testing.T) {
 	}
 }
 
-func TestAttendScoreArea(t *testing.T) {
-	blocks := []AttendBlock{
-		{Q: Span{0, 10}, K: Span{0, 10}},
-		{Q: Span{10, 14}, K: Span{10, 14}},
-	}
-	if got := AttendScoreArea(blocks); got != 100+16 {
-		t.Fatalf("AttendScoreArea = %d, want 116", got)
-	}
-	if got := AttendScoreArea(nil); got != 0 {
-		t.Fatalf("AttendScoreArea(nil) = %d", got)
-	}
-}
-
 func TestAttendCachedRowMatchesDense(t *testing.T) {
 	keys := randMatrix(7, 8, 51)
 	vals := randMatrix(7, 8, 52)
@@ -597,4 +579,20 @@ func TestAttendKernelsZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("BlockAttendInto allocated %g times per run", allocs)
 	}
+}
+
+// ColView returns a sub-matrix sharing storage with m covering columns
+// [c0, c1) of every row. The view is strided: its rows alias m's rows, so
+// mutations through the view are visible in m. This is how attention
+// addresses one head's slice of a projection without copying.
+func (m *Matrix) ColView(c0, c1 int) *Matrix {
+	if c0 < 0 || c1 > m.Cols || c0 > c1 {
+		panic(fmt.Sprintf("tensor: ColView [%d,%d) out of range %d", c0, c1, m.Cols))
+	}
+	s := m.stride()
+	out := &Matrix{Rows: m.Rows, Cols: c1 - c0, Stride: s}
+	if m.Rows > 0 && c1 > c0 {
+		out.Data = m.Data[c0 : (m.Rows-1)*s+c1]
+	}
+	return out
 }

@@ -126,20 +126,6 @@ func (q *QuantizedMatrix) buildKernelForm() {
 	}
 }
 
-// Dequantize expands the quantized weights back to float32 — the reference
-// the bounded-error tests compare against; not used on the hot path.
-func (q *QuantizedMatrix) Dequantize() *Matrix {
-	m := New(q.Rows, q.Cols)
-	for i := 0; i < q.Rows; i++ {
-		src := q.Row(i)
-		dst := m.Row(i)
-		for j, v := range src {
-			dst[j] = float32(v) * q.Scales[j]
-		}
-	}
-	return m
-}
-
 // quantizeValue rounds v*inv half-away-from-zero and clamps to [-127, 127].
 // The clamp happens before the float→int conversion, so denormal absmax
 // values (whose reciprocal overflows) cannot hit Go's undefined

@@ -128,14 +128,19 @@ func TestKernelCounters(t *testing.T) {
 	dst := New(8, 8)
 
 	withKernel(t, KernelWide)
-	ResetKernelCounters()
-	t.Cleanup(ResetKernelCounters)
+	before := KernelCounters()
 	MatMulInto(dst, a, b)
 	MatMulInto(dst, a, b)
 	SetKernel(KernelScalar)
 	MatMulInto(dst, a, b)
 	MatMulQuantizedInto(dst, a, q, nil)
-	got := KernelCounters()
+	after := KernelCounters()
+	got := KernelCounts{
+		Scalar: after.Scalar - before.Scalar,
+		Wide:   after.Wide - before.Wide,
+		Int8:   after.Int8 - before.Int8,
+		ISA:    after.ISA,
+	}
 	want := KernelCounts{Scalar: 1, Wide: 2, Int8: 1, ISA: laneISA()}
 	if got != want {
 		t.Fatalf("counters = %+v, want %+v", got, want)

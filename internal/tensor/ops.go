@@ -105,25 +105,6 @@ func softmaxRow(row []float32) {
 	}
 }
 
-// ScaleMaskSoftmaxRows fuses the attention-score epilogue into one pass per
-// row: m = softmax(m·scale + mask), with mask optional (nil means no mask).
-// Equivalent to Scale + AddInPlace + SoftmaxRows but without the two extra
-// full-matrix memory passes. Fully masked rows become all-zero, matching
-// SoftmaxRows.
-func ScaleMaskSoftmaxRows(m *Matrix, scale float32, mask *Matrix) {
-	if mask != nil && (mask.Rows != m.Rows || mask.Cols != m.Cols) {
-		panic(fmt.Sprintf("tensor: mask %dx%d vs scores %dx%d",
-			mask.Rows, mask.Cols, m.Rows, m.Cols))
-	}
-	if planWorkers(m.Rows, 16) == 1 {
-		scaleMaskSoftmaxRange(m, scale, mask, 0, m.Rows)
-		return
-	}
-	parallelRows(m.Rows, 16, func(lo, hi int) {
-		scaleMaskSoftmaxRange(m, scale, mask, lo, hi)
-	})
-}
-
 func scaleMaskSoftmaxRange(m *Matrix, scale float32, mask *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		row := m.Row(i)
@@ -190,18 +171,6 @@ func ReLU(m *Matrix) {
 	}
 }
 
-// GELU applies the tanh-approximated Gaussian error linear unit in place.
-func GELU(m *Matrix) {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			x := float64(v)
-			row[j] = float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
-		}
-	}
-}
-
 // ArgmaxRows returns, for each row, the column index of its maximum element.
 func ArgmaxRows(m *Matrix) []int {
 	out := make([]int, m.Rows)
@@ -216,15 +185,4 @@ func ArgmaxRows(m *Matrix) []int {
 		out[i] = bestj
 	}
 	return out
-}
-
-// SumAbs returns the sum of absolute values of all elements (debug/metrics).
-func SumAbs(m *Matrix) float64 {
-	var s float64
-	for i := 0; i < m.Rows; i++ {
-		for _, v := range m.Row(i) {
-			s += math.Abs(float64(v))
-		}
-	}
-	return s
 }

@@ -202,25 +202,6 @@ func (p *Pool) next() (*poolJob, bool) {
 	return j, j != nil
 }
 
-// Close makes every helper exit and waits for them. Jobs submitted after
-// Close run entirely on the calling goroutine. Safe to call twice.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	n := p.helpers
-	p.helpers = 0
-	p.live.Store(0)
-	p.mu.Unlock()
-	for i := 0; i < n; i++ {
-		p.work <- nil
-	}
-	p.wg.Wait()
-}
-
 // defaultPool serves every package-level kernel dispatch for the life of
 // the process; its helpers park between batches rather than exiting.
 var defaultPool = NewPool()

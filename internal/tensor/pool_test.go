@@ -126,3 +126,22 @@ func TestReserveShrinksPlan(t *testing.T) {
 		t.Fatalf("after releasing all: planWorkers = %d, want 4", got)
 	}
 }
+
+// Close makes every helper exit and waits for them. Jobs submitted after
+// Close run entirely on the calling goroutine. Safe to call twice.
+func (p *Pool) Close() {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return
+	}
+	p.closed = true
+	n := p.helpers
+	p.helpers = 0
+	p.live.Store(0)
+	p.mu.Unlock()
+	for i := 0; i < n; i++ {
+		p.work <- nil
+	}
+	p.wg.Wait()
+}

@@ -12,7 +12,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 )
 
 // Matrix is a dense row-major float32 matrix, optionally strided.
@@ -20,8 +19,8 @@ import (
 // The zero value is an empty 0×0 matrix. Element (i, j) lives at
 // Data[i*stride+j] where stride is Stride when non-zero and Cols otherwise.
 // A Stride of 0 (the common case) means rows are packed back to back;
-// Stride > Cols arises from ColView, which lets attention address per-head
-// column blocks of a projection without copying them out.
+// Stride > Cols describes a column range of a wider matrix; every routine
+// honours it, and View keeps it.
 type Matrix struct {
 	Rows, Cols int
 	// Stride is the row stride in elements; 0 means Cols (contiguous).
@@ -35,15 +34,6 @@ func New(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("tensor: negative dimension %dx%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
-}
-
-// FromSlice wraps data as a rows×cols matrix without copying.
-// It panics if len(data) != rows*cols.
-func FromSlice(rows, cols int, data []float32) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: FromSlice length %d != %d*%d", len(data), rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
 // stride returns the effective row stride.
@@ -64,12 +54,6 @@ func (m *Matrix) Contiguous() bool {
 func (m *Matrix) At(i, j int) float32 {
 	m.check(i, j)
 	return m.Data[i*m.stride()+j]
-}
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float32) {
-	m.check(i, j)
-	m.Data[i*m.stride()+j] = v
 }
 
 func (m *Matrix) check(i, j int) {
@@ -168,22 +152,6 @@ func (m *Matrix) View(r0, r1 int) *Matrix {
 		Data: m.Data[r0*s : (r1-1)*s+m.Cols]}
 }
 
-// ColView returns a sub-matrix sharing storage with m covering columns
-// [c0, c1) of every row. The view is strided: its rows alias m's rows, so
-// mutations through the view are visible in m. This is how attention
-// addresses one head's slice of a projection without copying.
-func (m *Matrix) ColView(c0, c1 int) *Matrix {
-	if c0 < 0 || c1 > m.Cols || c0 > c1 {
-		panic(fmt.Sprintf("tensor: ColView [%d,%d) out of range %d", c0, c1, m.Cols))
-	}
-	s := m.stride()
-	out := &Matrix{Rows: m.Rows, Cols: c1 - c0, Stride: s}
-	if m.Rows > 0 && c1 > c0 {
-		out.Data = m.Data[c0 : (m.Rows-1)*s+c1]
-	}
-	return out
-}
-
 // Resize reshapes m in place to rows×cols, reusing its backing storage.
 // The contents become unspecified. It panics if the backing array is too
 // small; grow-capable callers should use AppendRow or allocate anew.
@@ -225,60 +193,6 @@ func growCap(need, doubled int) int {
 		return doubled
 	}
 	return need
-}
-
-// Equal reports whether m and other have the same shape and elements.
-func (m *Matrix) Equal(other *Matrix) bool {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		a, b := m.Row(i), other.Row(i)
-		for j, v := range a {
-			if v != b[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// AllClose reports whether m and other have the same shape and every pair of
-// elements differs by at most tol (absolute) or tol (relative to magnitude).
-func (m *Matrix) AllClose(other *Matrix, tol float64) bool {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		ra, rb := m.Row(i), other.Row(i)
-		for j, v := range ra {
-			a, b := float64(v), float64(rb[j])
-			diff := math.Abs(a - b)
-			if diff > tol && diff > tol*math.Max(math.Abs(a), math.Abs(b)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// MaxAbsDiff returns the largest absolute elementwise difference between m
-// and other. Shapes must match.
-func (m *Matrix) MaxAbsDiff(other *Matrix) float64 {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("tensor: MaxAbsDiff shape mismatch")
-	}
-	var worst float64
-	for i := 0; i < m.Rows; i++ {
-		ra, rb := m.Row(i), other.Row(i)
-		for j, v := range ra {
-			d := math.Abs(float64(v) - float64(rb[j]))
-			if d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
 }
 
 // String renders small matrices for debugging; large matrices are summarized.

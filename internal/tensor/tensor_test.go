@@ -347,32 +347,11 @@ func TestReLU(t *testing.T) {
 	}
 }
 
-func TestGELUProperties(t *testing.T) {
-	m := FromSlice(1, 3, []float32{-10, 0, 10})
-	GELU(m)
-	if math.Abs(float64(m.At(0, 0))) > 1e-3 {
-		t.Fatalf("GELU(-10) = %v, want ~0", m.At(0, 0))
-	}
-	if m.At(0, 1) != 0 {
-		t.Fatalf("GELU(0) = %v, want 0", m.At(0, 1))
-	}
-	if math.Abs(float64(m.At(0, 2))-10) > 1e-3 {
-		t.Fatalf("GELU(10) = %v, want ~10", m.At(0, 2))
-	}
-}
-
 func TestArgmaxRows(t *testing.T) {
 	m := FromSlice(2, 3, []float32{1, 5, 2, -1, -3, -2})
 	got := ArgmaxRows(m)
 	if got[0] != 1 || got[1] != 0 {
 		t.Fatalf("ArgmaxRows = %v, want [1 0]", got)
-	}
-}
-
-func TestSumAbs(t *testing.T) {
-	m := FromSlice(1, 3, []float32{-1, 2, -3})
-	if s := SumAbs(m); s != 6 {
-		t.Fatalf("SumAbs = %v, want 6", s)
 	}
 }
 
@@ -576,4 +555,10 @@ func TestAddRowVectorPanics(t *testing.T) {
 		}
 	}()
 	AddRowVector(New(1, 3), []float32{1})
+}
+
+// Set assigns element (i, j).
+func (m *Matrix) Set(i, j int, v float32) {
+	m.check(i, j)
+	m.Data[i*m.stride()+j] = v
 }

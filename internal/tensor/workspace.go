@@ -57,8 +57,7 @@ func bucketFor(n int) int {
 }
 
 // Get checks out a rows×cols matrix. Contents are unspecified (callers
-// overwrite); use GetZeroed when stale data must not leak through. A nil
-// workspace degrades to a plain allocation, so workspace-threaded code paths
+// overwrite). A nil workspace degrades to a plain allocation, so workspace-threaded code paths
 // also work without one.
 func (w *Workspace) Get(rows, cols int) *Matrix {
 	if w == nil {
@@ -81,13 +80,6 @@ func (w *Workspace) Get(rows, cols int) *Matrix {
 		return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, 1<<b)[:n]}
 	}
 	return New(rows, cols)
-}
-
-// GetZeroed is Get with the contents cleared.
-func (w *Workspace) GetZeroed(rows, cols int) *Matrix {
-	m := w.Get(rows, cols)
-	m.Zero()
-	return m
 }
 
 // Put releases a matrix previously returned by Get for reuse. Only matrices

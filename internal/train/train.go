@@ -37,18 +37,6 @@ func Backprop(m *model.Model, ex Example, g *Grads) (float64, error) {
 	return loss, nil
 }
 
-// Loss computes the teacher-forced loss without touching gradients.
-func Loss(m *model.Model, ex Example) (float64, error) {
-	decIn := append([]int{vocab.BosID}, ex.Tgt...)
-	target := append(append([]int{}, ex.Tgt...), vocab.EosID)
-	fc, err := forward(m, ex.Src, decIn)
-	if err != nil {
-		return 0, err
-	}
-	loss, _ := crossEntropy(fc.logits, target)
-	return loss, nil
-}
-
 // crossEntropy returns the mean −log p(target) over positions plus the
 // gradient w.r.t. the logits.
 func crossEntropy(logits *tensor.Matrix, target []int) (float64, *tensor.Matrix) {

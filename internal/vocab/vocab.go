@@ -6,9 +6,6 @@
 package vocab
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"sort"
 	"strings"
 )
@@ -114,42 +111,4 @@ func (v *Vocab) Decode(ids []int) string {
 		words = append(words, v.Word(id))
 	}
 	return strings.Join(words, " ")
-}
-
-// vocabFile is the JSON representation: the id→word table (reserved ids
-// included, so index == id).
-type vocabFile struct {
-	Words []string `json:"words"`
-}
-
-// Save writes the vocabulary as JSON. Serving text requires shipping the
-// vocabulary with the model checkpoint; this is its other half.
-func (v *Vocab) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(vocabFile{Words: v.idToWord})
-}
-
-// Load reads a vocabulary written by Save and validates the reserved ids.
-func Load(r io.Reader) (*Vocab, error) {
-	var vf vocabFile
-	if err := json.NewDecoder(r).Decode(&vf); err != nil {
-		return nil, fmt.Errorf("vocab: decode: %w", err)
-	}
-	if len(vf.Words) < FirstWordID {
-		return nil, fmt.Errorf("vocab: %d words, need at least the %d reserved", len(vf.Words), FirstWordID)
-	}
-	for id, want := range []string{"<pad>", "<bos>", "<eos>", "<unk>"} {
-		if vf.Words[id] != want {
-			return nil, fmt.Errorf("vocab: reserved id %d is %q, want %q", id, vf.Words[id], want)
-		}
-	}
-	v := &Vocab{wordToID: make(map[string]int, len(vf.Words)), idToWord: vf.Words}
-	for id, w := range vf.Words {
-		if prev, dup := v.wordToID[w]; dup {
-			return nil, fmt.Errorf("vocab: word %q at both ids %d and %d", w, prev, id)
-		}
-		v.wordToID[w] = id
-	}
-	return v, nil
 }

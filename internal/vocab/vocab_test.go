@@ -1,7 +1,6 @@
 package vocab
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -109,39 +108,17 @@ func TestWordIDInverse(t *testing.T) {
 	}
 }
 
-func TestVocabSaveLoadRoundTrip(t *testing.T) {
-	v := Build([]string{"the quick brown fox"})
-	var buf bytes.Buffer
-	if err := v.Save(&buf); err != nil {
-		t.Fatal(err)
+func TestBuildLowercasesDedupesAndSorts(t *testing.T) {
+	v := Build([]string{"Banana  apple\tcherry", "APPLE banana"})
+	if v.Size() != FirstWordID+3 {
+		t.Fatalf("Size = %d, want %d", v.Size(), FirstWordID+3)
 	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Size() != v.Size() {
-		t.Fatalf("size %d != %d", loaded.Size(), v.Size())
-	}
-	for _, w := range []string{"the", "quick", "brown", "fox"} {
-		if loaded.ID(w) != v.ID(w) {
-			t.Fatalf("id of %q changed across round trip", w)
+	for i, w := range []string{"apple", "banana", "cherry"} {
+		if id := v.ID(w); id != FirstWordID+i {
+			t.Fatalf("id of %q = %d, want %d (sorted order)", w, id, FirstWordID+i)
 		}
 	}
-	if loaded.Decode(loaded.Encode("quick fox")) != "quick fox" {
-		t.Fatal("round-tripped vocab cannot decode")
-	}
-}
-
-func TestVocabLoadRejectsCorrupt(t *testing.T) {
-	cases := []string{
-		"not json",
-		`{"words":[]}`,
-		`{"words":["<pad>","<bos>","<eos>","wrong"]}`,
-		`{"words":["<pad>","<bos>","<eos>","<unk>","dup","dup"]}`,
-	}
-	for i, c := range cases {
-		if _, err := Load(bytes.NewBufferString(c)); err == nil {
-			t.Fatalf("case %d should fail", i)
-		}
+	if v.ID("Banana") != UnkID {
+		t.Fatal("Build must store words lowercased only")
 	}
 }

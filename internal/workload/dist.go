@@ -81,54 +81,6 @@ func (d LogNormalLengths) Name() string {
 	return fmt.Sprintf("lognormal(μ=%g,σ=%g)", d.Mu, d.Sigma)
 }
 
-// EmpiricalLengths samples from an explicit histogram (replaying a real
-// corpus's measured length profile). Weights need not be normalized.
-type EmpiricalLengths struct {
-	Lengths []int
-	Weights []float64
-	cum     []float64
-	total   float64
-}
-
-// NewEmpiricalLengths validates and precomputes the sampler.
-func NewEmpiricalLengths(lengths []int, weights []float64) (*EmpiricalLengths, error) {
-	if len(lengths) == 0 || len(lengths) != len(weights) {
-		return nil, fmt.Errorf("workload: %d lengths vs %d weights", len(lengths), len(weights))
-	}
-	e := &EmpiricalLengths{Lengths: lengths, Weights: weights}
-	for i, w := range weights {
-		if w < 0 || lengths[i] <= 0 {
-			return nil, fmt.Errorf("workload: invalid bin %d (len %d, weight %g)", i, lengths[i], w)
-		}
-		e.total += w
-		e.cum = append(e.cum, e.total)
-	}
-	if e.total == 0 {
-		return nil, fmt.Errorf("workload: all weights zero")
-	}
-	return e, nil
-}
-
-// Sample implements LengthDist.
-func (e *EmpiricalLengths) Sample(src *rng.Source) int {
-	u := src.Float64() * e.total
-	lo, hi := 0, len(e.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if e.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return e.Lengths[lo]
-}
-
-// Name implements LengthDist.
-func (e *EmpiricalLengths) Name() string {
-	return fmt.Sprintf("empirical(%d bins)", len(e.Lengths))
-}
-
 // GenerateWithDist is Generate with an arbitrary length distribution.
 // spec's MeanLen/VarLen are ignored; its Min/Max still bound (clamp) the
 // samples so downstream capacity checks hold.

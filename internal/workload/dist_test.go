@@ -99,46 +99,6 @@ func TestLogNormalLengthsTail(t *testing.T) {
 	}
 }
 
-func TestEmpiricalLengths(t *testing.T) {
-	e, err := NewEmpiricalLengths([]int{5, 10, 50}, []float64{1, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := sampleMany(t, e, 40000, 4)
-	counts := map[int]int{}
-	for _, x := range xs {
-		counts[x]++
-	}
-	if len(counts) != 3 {
-		t.Fatalf("support = %v", counts)
-	}
-	frac10 := float64(counts[10]) / float64(len(xs))
-	if math.Abs(frac10-0.5) > 0.02 {
-		t.Fatalf("P(10) = %v, want 0.5", frac10)
-	}
-	if e.Name() == "" {
-		t.Fatal("name required")
-	}
-}
-
-func TestEmpiricalLengthsValidation(t *testing.T) {
-	cases := []struct {
-		lens []int
-		ws   []float64
-	}{
-		{nil, nil},
-		{[]int{1}, []float64{1, 2}},
-		{[]int{0}, []float64{1}},
-		{[]int{5}, []float64{-1}},
-		{[]int{5}, []float64{0}},
-	}
-	for i, c := range cases {
-		if _, err := NewEmpiricalLengths(c.lens, c.ws); err == nil {
-			t.Fatalf("case %d should fail", i)
-		}
-	}
-}
-
 func TestGenerateWithDist(t *testing.T) {
 	spec := PaperSpec(200, 3, 5)
 	d := BimodalLengths{
