@@ -320,8 +320,7 @@ func (s *BatchDecodeState) Step(tokens []int) ([][]float32, error) {
 
 		ff := s.ff
 		ff.Resize(n, s.m.Cfg.DFF)
-		layer.FFN.In.ApplyInto(ff, x)
-		tensor.ReLU(ff)
+		layer.FFN.In.applyReLUInto(ff, x)
 		layer.FFN.Out.ApplyInto(proj, ff)
 		tensor.AddInPlace(x, proj)
 		layer.Norm3.Apply(x)

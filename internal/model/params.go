@@ -31,11 +31,16 @@ func (l *Linear) Apply(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // ApplyInto computes dst = x·W + b into a caller-provided matrix, the
-// allocation-free form used by the inference hot path. dst must be
-// x.Rows × out and must not alias x.
+// allocation-free form used by the inference hot path: one GEMM pass that
+// adds the bias as it stores each output. dst must be x.Rows × out and must
+// not alias x.
 func (l *Linear) ApplyInto(dst, x *tensor.Matrix) {
-	tensor.MatMulInto(dst, x, l.W)
-	tensor.AddRowVector(dst, l.B)
+	tensor.MatMulBiasInto(dst, x, l.W, l.B, false)
+}
+
+// applyReLUInto is ApplyInto followed by ReLU, in the same single pass.
+func (l *Linear) applyReLUInto(dst, x *tensor.Matrix) {
+	tensor.MatMulBiasInto(dst, x, l.W, l.B, true)
 }
 
 // LayerNorm holds per-feature gain and bias for row normalization.
@@ -92,8 +97,7 @@ func NewFFNWeights(src *rng.Source, dModel, dFF int) *FFNWeights {
 // not alias x.
 func (f *FFNWeights) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 	h := ws.Get(x.Rows, f.In.W.Cols)
-	f.In.ApplyInto(h, x)
-	tensor.ReLU(h)
+	f.In.applyReLUInto(h, x)
 	f.Out.ApplyInto(dst, h)
 	ws.Put(h)
 }

@@ -264,9 +264,14 @@ func blockAttendRange(out, q, k, v *Matrix, heads, dh int, scale float32,
 // attendCachedRow computes one query row's multi-head attention over cached
 // key/value matrices (the incremental-decode hot path): dst and qrow are
 // d-wide, keys/vals hold the cached rows. scores is scratch of at least
-// keys.Rows entries. Zero allocations.
+// keys.Rows entries. Zero allocations. Per head, one scoreRow call makes the
+// scores and one valueRow call the value product.
 func attendCachedRow(dst, qrow []float32, keys, vals *Matrix, heads, dh int, scale float32, scores []float32) {
 	n := keys.Rows
+	if n == 0 {
+		clear(dst)
+		return
+	}
 	srow := scores[:n]
 	for h := 0; h < heads; h++ {
 		c0 := h * dh
@@ -285,13 +290,6 @@ func attendCachedRow(dst, qrow []float32, keys, vals *Matrix, heads, dh int, sca
 			srow[t] = e
 			norm += e
 		}
-		inv := 1 / norm
-		dstH := dst[c0 : c0+dh]
-		for j := range dstH {
-			dstH[j] = 0
-		}
-		for t := 0; t < n; t++ {
-			tailAxpy1(dstH, vals.Row(t)[c0:c0+dh], srow[t]*inv)
-		}
+		valueRow(dst[c0:c0+dh], srow, vals.Data[c0:], vals.stride(), 1/norm)
 	}
 }

@@ -4,7 +4,7 @@ import "fmt"
 
 // blockSize is the tile edge for the blocked kernel: 128×128 float32 tiles
 // (64 KiB per operand tile) keep the a, b and dst tiles L2-resident while
-// giving the lane helpers 128-column rows to amortize their call over.
+// giving each GEMM tile helper call 128 columns to amortize itself over.
 const blockSize = 128
 
 // matMulThreshold is the size of the right operand (k×p floats) from which

@@ -14,11 +14,10 @@ import (
 type Kernel int32
 
 const (
-	// KernelWide is the 8-lane form of the 2×4 register-blocked kernel: the
-	// innermost column loop runs through the lane helpers of
-	// lanes_generic.go — AVX2 assembly on amd64 CPUs that have it, plain Go
-	// elsewhere — keeping each element's k-accumulation order bitwise
-	// identical to the scalar kernel's.
+	// KernelWide is the register-tiled 8-lane kernel: every output is
+	// computed by a GEMM tile helper of lanes_generic.go — AVX2 assembly on
+	// amd64 CPUs that have it, plain Go elsewhere — keeping each element's
+	// k-accumulation order bitwise identical to the scalar kernel's.
 	KernelWide Kernel = iota
 	// KernelScalar is the PR 2 reference: 2×4 register blocking with plain
 	// slice indexing. Reference and measurement code only: the equality
@@ -108,12 +107,7 @@ func laneISA() string {
 // per-row accumulation order, so the choice is invisible in the output.
 func mulDispatch(dst, a, b *Matrix) {
 	if ActiveKernel() == KernelWide {
-		wideCalls.Add(1)
-		if b.Rows*b.Cols >= matMulThreshold {
-			MatMulWideBlocked(dst, a, b)
-			return
-		}
-		matMulWideSmall(dst, a, b)
+		mulWide(dst, a, b, nil, 0)
 		return
 	}
 	scalarCalls.Add(1)
@@ -122,4 +116,15 @@ func mulDispatch(dst, a, b *Matrix) {
 		return
 	}
 	matMulSmall(dst, a, b)
+}
+
+// mulWide runs the wide kernel, ending each output with the tileBias and
+// tileReLU steps epi asks for: one dispatch, one count.
+func mulWide(dst, a, b *Matrix, bias []float32, epi int) {
+	wideCalls.Add(1)
+	if b.Rows*b.Cols >= matMulThreshold {
+		matMulWideBlocked(dst, a, b, bias, epi)
+		return
+	}
+	matMulWideSmall(dst, a, b, bias, epi)
 }

@@ -579,6 +579,17 @@ func TestAttendKernelsZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("BlockAttendInto allocated %g times per run", allocs)
 	}
+	// The benchmark's cached-attention probe passes a score scratch exactly
+	// as wide as the caches are tall.
+	keys := []*Matrix{randMatrix(20, 16, 69), randMatrix(20, 16, 70)}
+	vals := []*Matrix{randMatrix(20, 16, 71), randMatrix(20, 16, 72)}
+	idx, cq, cout, cscores := []int{0, 1}, randMatrix(2, 16, 73), New(2, 16), New(2, 20)
+	allocs = testing.AllocsPerRun(20, func() {
+		AttendCachedRows(cout, cq, keys, vals, idx, 4, 4, 0.25, cscores)
+	})
+	if allocs != 0 {
+		t.Fatalf("AttendCachedRows allocated %g times per run", allocs)
+	}
 }
 
 // ColView returns a sub-matrix sharing storage with m covering columns

@@ -65,6 +65,13 @@ func TestWideMatchesScalarBitwise(t *testing.T) {
 	}
 }
 
+// MatMulWideBlocked runs the wide kernel's cache-tiled form whatever the
+// operand size, so tests can hold it to the scalar blocked kernel.
+func MatMulWideBlocked(dst, a, b *Matrix) {
+	checkMatMul(dst, a, b)
+	matMulWideBlocked(dst, a, b, nil, 0)
+}
+
 // The blocked (cache-tiled) forms of both kernels share the same tiling
 // geometry, so they must agree bitwise too.
 func TestWideBlockedMatchesScalarBlockedBitwise(t *testing.T) {
@@ -94,6 +101,83 @@ func TestWideDispatchCrossesThreshold(t *testing.T) {
 	requireBitwiseEqual(t, got, want, "dispatch at threshold")
 }
 
+// The fused dense-layer pass MatMulBiasInto equals MatMulInto, AddRowVector
+// and ReLU run one after the other, bit for bit (any NaN matching any NaN):
+// at GEMM heights 1–9 and 28 (every row split into 4-, 2- and 1-row tiles),
+// k ∈ 1…9 (every k tail, where a single row skips zero multipliers and
+// paired rows do not) and 128 and 512, widths that are not a multiple of 8,
+// strided operands and destination, ±0, denormals, ±Inf and NaN in a, b and
+// the bias (small k; at large k they would turn every output into NaN), one
+// product past the blocked threshold, under each lane body and KernelScalar.
+func TestMatMulBiasMatchesUnfused(t *testing.T) {
+	vals := laneValues(7)
+	special := func(m *Matrix) *Matrix {
+		for i := range m.Data {
+			m.Data[i] = vals.next()
+		}
+		return m
+	}
+	type tc struct {
+		a, b *Matrix
+		bias []float32
+	}
+	var cases []tc
+	for _, h := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 28} {
+		for _, k := range tileKs {
+			for _, p := range []int{5, 13, 37} {
+				var a, b *Matrix
+				if k < 128 {
+					a, b = special(New(h, k+2)), special(New(k, p+3))
+				} else {
+					a, b = randMatrix(h, k+2, uint64(h*k)), randMatrix(k, p+3, uint64(k+p))
+					sprinkleZeros(a)
+				}
+				cases = append(cases, tc{a.ColView(1, 1+k), b.ColView(2, 2+p), special(New(1, p)).Row(0)})
+			}
+		}
+	}
+	big := randMatrix(600, 900, 9) // past matMulThreshold: the blocked k-blocks
+	cases = append(cases, tc{randMatrix(9, 600, 8), big, special(New(1, 900)).Row(0)})
+
+	want := make([][2]*Matrix, len(cases))
+	withKernel(t, KernelScalar)
+	for i, c := range cases {
+		for r, relu := range []bool{false, true} {
+			w := New(c.a.Rows, c.b.Cols)
+			MatMulInto(w, c.a, c.b)
+			AddRowVector(w, c.bias)
+			if relu {
+				ReLU(w)
+			}
+			want[i][r] = w
+		}
+	}
+	run := func(name string) {
+		for i, c := range cases {
+			for r, relu := range []bool{false, true} {
+				got := New(c.a.Rows, c.b.Cols+3).ColView(1, 1+c.b.Cols)
+				MatMulBiasInto(got, c.a, c.b, c.bias, relu)
+				for row := 0; row < got.Rows; row++ {
+					for j, v := range got.Row(row) {
+						if w := want[i][r].At(row, j); !sameFloat(v, w) {
+							t.Fatalf("%s %dx%dx%d relu=%v: (%d,%d) = %v (%#08x), unfused %v (%#08x)", name,
+								c.a.Rows, c.a.Cols, c.b.Cols, relu, row, j, v, math.Float32bits(v), w, math.Float32bits(w))
+						}
+					}
+				}
+			}
+		}
+	}
+	run("scalar")
+	SetKernel(KernelWide)
+	for _, body := range laneBodies() {
+		if body == "go" {
+			useGoLanes(t)
+		}
+		run(body)
+	}
+}
+
 func TestParseKernel(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -120,7 +204,8 @@ func TestParseKernel(t *testing.T) {
 	}
 }
 
-// Dispatch counters tick once per GEMM on the path that actually ran it.
+// Dispatch counters tick once per GEMM on the path that actually ran it; a
+// fused bias+ReLU pass is one GEMM.
 func TestKernelCounters(t *testing.T) {
 	a := randMatrix(8, 8, 51)
 	b := randMatrix(8, 8, 52)
@@ -130,7 +215,7 @@ func TestKernelCounters(t *testing.T) {
 	withKernel(t, KernelWide)
 	before := KernelCounters()
 	MatMulInto(dst, a, b)
-	MatMulInto(dst, a, b)
+	MatMulBiasInto(dst, a, b, make([]float32, 8), true)
 	SetKernel(KernelScalar)
 	MatMulInto(dst, a, b)
 	MatMulQuantizedInto(dst, a, q, nil)
@@ -165,5 +250,14 @@ func TestWideKernelZeroAllocs(t *testing.T) {
 	allocs = testing.AllocsPerRun(5, func() { MatMulInto(ldst, la, lb) })
 	if allocs != 0 {
 		t.Fatalf("wide blocked kernel allocated %g times per run", allocs)
+	}
+	bias, lbias := make([]float32, 64), make([]float32, 730)
+	allocs = testing.AllocsPerRun(20, func() { MatMulBiasInto(dst, a, b, bias, true) })
+	if allocs != 0 {
+		t.Fatalf("fused bias+ReLU pass allocated %g times per run", allocs)
+	}
+	allocs = testing.AllocsPerRun(5, func() { MatMulBiasInto(ldst, la, lb, lbias, true) })
+	if allocs != 0 {
+		t.Fatalf("blocked fused bias+ReLU pass allocated %g times per run", allocs)
 	}
 }

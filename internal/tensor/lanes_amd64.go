@@ -30,14 +30,16 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func quadAxpy2AVX2(d0, d1, b0, b1, b2, b3 []float32,
-	a00, a01, a02, a03, a10, a11, a12, a13 float32)
+func tile4x8AVX2(d []float32, sd int, a []float32, sa int, b []float32, sb, k, n int, bias []float32, flags int)
+
+//go:noescape
+func tile2x16AVX2(d []float32, sd int, a []float32, sa int, b []float32, sb, k, n int, bias []float32, flags int)
+
+//go:noescape
+func tile1x32AVX2(d []float32, sd int, a []float32, sa int, b []float32, sb, k, n int, bias []float32, flags int)
 
 //go:noescape
 func quadAxpy1AVX2(d, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
-
-//go:noescape
-func tailAxpy2AVX2(d0, d1, b []float32, a0, a1 float32)
 
 //go:noescape
 func tailAxpy1AVX2(d, b []float32, a float32)
@@ -45,19 +47,42 @@ func tailAxpy1AVX2(d, b []float32, a float32)
 //go:noescape
 func scoreRowAVX2(dst, q, k []float32, stride int)
 
-// The assembly reads len(d0) (len(dst) for scoreRow) elements through every
-// operand without checking; the reslices below are the bounds checks, and
-// panic on the same short operands the Go bodies panic on.
+//go:noescape
+func valueRowAVX2(dst, w, v []float32, stride int, s float32)
 
-func quadAxpy2(d0, d1, b0, b1, b2, b3 []float32,
-	a00, a01, a02, a03, a10, a11, a12, a13 float32) {
-	if !useAVX2 {
-		quadAxpy2Go(d0, d1, b0, b1, b2, b3, a00, a01, a02, a03, a10, a11, a12, a13)
-		return
+// The assembly reads and writes through every operand without checking; the
+// reslices below are the bounds checks, and panic on the same short operands
+// the Go bodies panic on.
+
+func tile4x8(d []float32, sd int, a []float32, sa int, b []float32, sb, k, j0, j1 int, bias []float32, flags int) {
+	tileRun(tile4x8AVX2, 4, 8, d, sd, a, sa, b, sb, k, j0, j1, bias, flags)
+}
+
+func tile2x16(d []float32, sd int, a []float32, sa int, b []float32, sb, k, j0, j1 int, bias []float32, flags int) {
+	tileRun(tile2x16AVX2, 2, 16, d, sd, a, sa, b, sb, k, j0, j1, bias, flags)
+}
+
+func tile1x32(d []float32, sd int, a []float32, sa int, b []float32, sb, k, j0, j1 int, bias []float32, flags int) {
+	tileRun(tile1x32AVX2, 1, 32, d, sd, a, sa, b, sb, k, j0, j1, bias, flags)
+}
+
+// tileRun runs an h×w tile helper's assembly body on the full w-column tiles
+// of columns [j0, j1) and its Go body on the rest, cutting the operands to
+// exactly the rows, columns and k steps the assembly touches.
+func tileRun(asm func(d []float32, sd int, a []float32, sa int, b []float32, sb, k, n int, bias []float32, flags int),
+	h, w int, d []float32, sd int, a []float32, sa int, b []float32, sb, k, j0, j1 int, bias []float32, flags int) {
+	m := j0
+	if useAVX2 && k > 0 {
+		m += (j1 - j0) / w * w
 	}
-	n := len(d0)
-	quadAxpy2AVX2(d0, d1[:n], b0[:n], b1[:n], b2[:n], b3[:n],
-		a00, a01, a02, a03, a10, a11, a12, a13)
+	if m > j0 {
+		var bm []float32
+		if flags&tileBias != 0 {
+			bm = bias[j0:m]
+		}
+		asm(d[j0:(h-1)*sd+m], sd, a[:(h-1)*sa+k], sa, b[j0:(k-1)*sb+m], sb, k, m-j0, bm, flags)
+	}
+	tileGo(d, sd, a, sa, b, sb, h, k, m, j1, bias, flags)
 }
 
 func quadAxpy1(d, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
@@ -67,15 +92,6 @@ func quadAxpy1(d, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	}
 	n := len(d)
 	quadAxpy1AVX2(d, b0[:n], b1[:n], b2[:n], b3[:n], a0, a1, a2, a3)
-}
-
-func tailAxpy2(d0, d1, b []float32, a0, a1 float32) {
-	if !useAVX2 {
-		tailAxpy2Go(d0, d1, b, a0, a1)
-		return
-	}
-	n := len(d0)
-	tailAxpy2AVX2(d0, d1[:n], b[:n], a0, a1)
 }
 
 func tailAxpy1(d, b []float32, a float32) {
@@ -92,4 +108,12 @@ func scoreRow(dst, q, k []float32, stride int) {
 		return
 	}
 	scoreRowAVX2(dst, q, k[:(len(dst)-1)*stride+len(q)], stride)
+}
+
+func valueRow(dst, w, v []float32, stride int, s float32) {
+	if !useAVX2 || len(w) == 0 {
+		valueRowGo(dst, w, v, stride, s)
+		return
+	}
+	valueRowAVX2(dst, w, v[:(len(w)-1)*stride+len(dst)], stride, s)
 }

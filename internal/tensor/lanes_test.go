@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -37,7 +38,13 @@ const (
 	laneMaxKeys = 5
 	lanePad     = 5 // extra key stride in the strided scoreRow cases
 	laneOperand = 6 // d0 d1 b0 b1 b2 b3
+	tileMaxK    = 512
 )
+
+// tileKs are the k ranges every tile helper is checked over: each k tail
+// (where the one-row tile skips zero multipliers and the taller ones do
+// not) and the model's two inner sizes.
+var tileKs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 128, 512}
 
 var laneCanary = math.Float32frombits(0xDEADBEEF)
 
@@ -48,12 +55,20 @@ var laneCanary = math.Float32frombits(0xDEADBEEF)
 type laneArenas struct {
 	op   [laneOperand][]float32
 	keys []float32
+	tile [4][]float32 // a tile's d, a, b and bias
 }
 
 func newLaneArenas(tb testing.TB) *laneArenas {
 	ar := &laneArenas{keys: guardedFloats(tb, (laneMaxKeys-1)*(laneMaxN+lanePad)+laneMaxN+8)}
 	for i := range ar.op {
 		ar.op[i] = guardedFloats(tb, laneMaxN+8)
+	}
+	w := laneMaxN + 2 + lanePad // widest tile row: j0 ≤ 2, plus a stride pad
+	ar.tile = [4][]float32{
+		guardedFloats(tb, 4*w+8),
+		guardedFloats(tb, 4*(tileMaxK+lanePad)+8),
+		guardedFloats(tb, tileMaxK*w+8),
+		guardedFloats(tb, w+8),
 	}
 	return ar
 }
@@ -118,24 +133,44 @@ func checkLaneBodies(t *testing.T, ar *laneArenas, n, off int, next func() float
 	}
 
 	fresh()
-	quadAxpy2(op[0], op[1], op[2], op[3], op[4], op[5], a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7])
-	quadAxpy2Go(ref[0], ref[1], ref[2], ref[3], ref[4], ref[5], a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7])
-	check("quadAxpy2", 2)
-
-	fresh()
 	quadAxpy1(op[0], op[2], op[3], op[4], op[5], a[0], a[1], a[2], a[3])
 	quadAxpy1Go(ref[0], ref[2], ref[3], ref[4], ref[5], a[0], a[1], a[2], a[3])
 	check("quadAxpy1", 1)
 
 	fresh()
-	tailAxpy2(op[0], op[1], op[2], a[0], a[1])
-	tailAxpy2Go(ref[0], ref[1], ref[2], a[0], a[1])
-	check("tailAxpy2", 2)
-
-	fresh()
 	tailAxpy1(op[0], op[2], a[0])
 	tailAxpy1Go(ref[0], ref[2], a[0])
 	check("tailAxpy1", 1)
+
+	// The tiles: n is the column count. The model's long k ranges run at one
+	// offset per n, which still walks every offset across n.
+	for _, th := range tileHelpers {
+		for _, k := range tileKs {
+			if k < 128 || off == n%8 {
+				checkTileBodies(t, ar, th.h, th.run, n, k, off, next)
+			}
+		}
+	}
+
+	// valueRow: n is the head width; the value run ends exactly at the guard.
+	for nk := 0; nk <= laneMaxKeys; nk++ {
+		for _, stride := range []int{n, n + lanePad} {
+			vlen := 0
+			if nk > 0 {
+				vlen = (nk-1)*stride + n
+			}
+			dst := cut(ar.op[0], n, off, next)
+			w := cut(ar.op[1], nk, off, next)
+			v := cut(ar.keys, vlen, 0, next)
+			s := next()
+			want := make([]float32, n)
+			valueRow(dst, w, v, stride, s)
+			valueRowGo(want, w, v, stride, s)
+			what := fmt.Sprintf("valueRow keys=%d stride=%d", nk, stride)
+			requireSameFloats(t, what, n, off, dst, want)
+			checkCanary(t, what, ar.op[0], n, off)
+		}
+	}
 
 	// scoreRow: n is the head width; the key run ends exactly at the guard.
 	for nk := 0; nk <= laneMaxKeys; nk++ {
@@ -155,6 +190,40 @@ func checkLaneBodies(t *testing.T, ar *laneArenas, n, off int, next func() float
 			checkCanary(t, what, ar.op[0], nk, off)
 		}
 	}
+}
+
+// checkTileBodies runs one h-row tile helper through its dispatcher (the
+// assembly on the full tiles of columns [j0, j0+p), the Go body on the rest)
+// and tileGo alone, on guarded operands that end off floats before the guard
+// page, and requires equal results and an untouched arena around d. The
+// offset also picks j0, the flags and whether each stride exceeds its row.
+func checkTileBodies(t *testing.T, ar *laneArenas, h int,
+	tile func(d []float32, sd int, a []float32, sa int, b []float32, sb, k, j0, j1 int, bias []float32, flags int),
+	p, k, off int, next func() float32) {
+	t.Helper()
+	j0 := off % 3
+	j1 := j0 + p
+	sd, sa, sb := j1+lanePad*(off&1), k+lanePad*(off>>1&1), j1+lanePad*(off>>2&1)
+	flags := (p + off) % 8
+	// Only d is written, so only d's arena needs the canary.
+	operand := func(arena []float32, n int) []float32 {
+		s := arena[len(arena)-off-n : len(arena)-off : len(arena)-off]
+		for i := range s {
+			s[i] = next()
+		}
+		return s
+	}
+	dLen := (h-1)*sd + j1
+	d := cut(ar.tile[0], dLen, off, next)
+	a := operand(ar.tile[1], (h-1)*sa+k)
+	b := operand(ar.tile[2], (k-1)*sb+j1)
+	bias := operand(ar.tile[3], j1)
+	want := append([]float32(nil), d...)
+	tile(d, sd, a, sa, b, sb, k, j0, j1, bias, flags)
+	tileGo(want, sd, a, sa, b, sb, h, k, j0, j1, bias, flags)
+	what := fmt.Sprintf("tile h=%d k=%d j0=%d strides=%d,%d,%d flags=%d", h, k, j0, sd, sa, sb, flags)
+	requireSameFloats(t, what, p, off, d, want)
+	checkCanary(t, what, ar.tile[0], dLen, off)
 }
 
 // laneValues draws floats that stress rounding and special-value handling:
@@ -222,8 +291,9 @@ func FuzzLaneBodies(f *testing.F) {
 }
 
 // The kernels built on the helpers — GEMM on both sides of the blocked
-// threshold, dense, block-sparse and cached attention — give the same bits
-// whichever body serves them.
+// threshold, dense, block-sparse and cached attention, the fused bias+ReLU
+// pass at heights 1–9 and 28 and past the blocked threshold — give the same
+// bits whichever body serves them.
 func TestKernelsBitwiseAcrossLaneBodies(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no assembly body on this build or CPU")
@@ -240,6 +310,10 @@ func TestKernelsBitwiseAcrossLaneBodies(t *testing.T) {
 	vals := []*Matrix{randMatrix(5, d, 12), randMatrix(1, d, 13), randMatrix(11, d, 14)}
 	cq := randMatrix(3, d, 15)
 
+	bias := randMatrix(1, 133, 16).Row(0)
+	la, lb := randMatrix(9, 600, 17), randMatrix(600, 900, 18) // past the blocked threshold
+	lbias := randMatrix(1, 900, 19).Row(0)
+
 	run := func() []*Matrix {
 		small, large := New(9, 133), New(131, 133)
 		MatMulInto(small, a.Slice(0, 9), b)
@@ -248,12 +322,48 @@ func TestKernelsBitwiseAcrossLaneBodies(t *testing.T) {
 		MultiHeadAttendInto(dense, q, k, v, heads, 0.3, nil, New(37, 37))
 		BlockAttendInto(block, bq, bk, bv, heads, 0.3, blocks, seg, seg, true, New(len(seg), len(seg)))
 		AttendCachedRows(cached, cq, keys, vals, []int{2, 0, 1}, heads, dh, 0.3, New(3, 11))
-		return []*Matrix{small, large, dense, block, cached}
+		out := []*Matrix{small, large, dense, block, cached}
+		for _, h := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 28} {
+			fused := New(h, 133)
+			MatMulBiasInto(fused, a.Slice(0, h), b, bias, true)
+			out = append(out, fused)
+		}
+		blocked := New(9, 900)
+		MatMulBiasInto(blocked, la, lb, lbias, true)
+		return append(out, blocked)
 	}
 	asm := run()
 	useGoLanes(t)
 	for i, want := range run() {
 		requireBitwiseEqual(t, asm[i], want, fmt.Sprintf("kernel %d, avx2 vs go body", i))
+	}
+}
+
+// attendCachedRow's value product, one valueRow call per head, equals the
+// per-key tailAxpy1 loop it replaced, under each lane body.
+func TestValueRowMatchesPerKeyAxpy(t *testing.T) {
+	vals := laneValues(3)
+	for _, body := range laneBodies() {
+		if body == "go" {
+			useGoLanes(t)
+		}
+		for _, dh := range []int{4, 8, 16, 24} {
+			for _, n := range []int{1, 5, 48, 200} {
+				v := randMatrix(n, 3*dh+5, uint64(dh*n)) // head 1 of 3, stride ≠ dh
+				w := make([]float32, n)
+				for i := range w {
+					w[i] = vals.next()
+				}
+				const s = 0.37
+				c0 := dh
+				want, got := make([]float32, dh), make([]float32, dh)
+				for t := range w {
+					tailAxpy1(want, v.Row(t)[c0:c0+dh], w[t]*s)
+				}
+				valueRow(got, w, v.Data[c0:], v.stride(), s)
+				requireSameFloats(t, fmt.Sprintf("%s valueRow dh=%d keys=%d", body, dh, n), dh, 0, got, want)
+			}
+		}
 	}
 }
 
@@ -305,48 +415,86 @@ func gflops(b *testing.B, flopsPerOp float64) {
 	b.ReportMetric(flopsPerOp*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
-// BenchmarkLaneHelpers times each helper alone at the row widths the serving
-// benchmark's model gives it (d_model 128, d_ff 512, head 16), per body.
+// tileHelpers lists the GEMM tile helpers with their heights.
+var tileHelpers = []struct {
+	name string
+	h    int
+	run  func(d []float32, sd int, a []float32, sa int, b []float32, sb, k, j0, j1 int, bias []float32, flags int)
+}{{"tile4x8", 4, tile4x8}, {"tile2x16", 2, tile2x16}, {"tile1x32", 1, tile1x32}}
+
+// BenchmarkLaneHelpers times each helper alone at the shapes the serving
+// benchmark's model gives it (d_model 128, d_ff 512, 8 heads of 16), per
+// body: the row helpers at 16, 128 and 512 columns, each GEMM tile helper
+// across a 128- or 512-column weight over k = 128 or 512, and one
+// head's scores and value product against 8, 20 and 48 cached keys.
 func BenchmarkLaneHelpers(b *testing.B) {
 	for _, body := range laneBodies() {
+		run := func(name string, flops int, f func()) {
+			b.Run(strings.Replace(name, "/", "/"+body+"/", 1), func(b *testing.B) {
+				if body == "go" {
+					useGoLanes(b)
+				}
+				for i := 0; i < b.N; i++ {
+					f()
+				}
+				gflops(b, float64(flops))
+			})
+		}
 		for _, n := range []int{16, 128, 512} {
-			d0, d1 := make([]float32, n), make([]float32, n)
+			d0 := make([]float32, n)
 			src := randMatrix(4, n, 1)
 			b0, b1, b2, b3 := src.Row(0), src.Row(1), src.Row(2), src.Row(3)
-			run := func(name string, flops int, f func()) {
-				b.Run(fmt.Sprintf("%s/%s/n=%d", name, body, n), func(b *testing.B) {
-					if body == "go" {
-						useGoLanes(b)
-					}
-					for i := 0; i < b.N; i++ {
-						f()
-					}
-					gflops(b, float64(flops))
+			run(fmt.Sprintf("quadAxpy1/n=%d", n), 8*n, func() { quadAxpy1(d0, b0, b1, b2, b3, 1, 2, 3, 4) })
+			run(fmt.Sprintf("tailAxpy1/n=%d", n), 2*n, func() { tailAxpy1(d0, b0, 1) })
+		}
+		for _, kp := range [][2]int{{128, 128}, {128, 512}, {512, 128}} {
+			k, p := kp[0], kp[1]
+			x, w, dst := randMatrix(4, k, 4), randMatrix(k, p, 5), New(4, p)
+			bias := make([]float32, p)
+			for _, t := range tileHelpers {
+				run(fmt.Sprintf("%s/k=%d,p=%d", t.name, k, p), 2*t.h*p*k, func() {
+					t.run(dst.Data, p, x.Data, k, w.Data, p, k, 0, p, bias, tileBias|tileReLU)
 				})
 			}
-			run("quadAxpy2", 16*n, func() { quadAxpy2(d0, d1, b0, b1, b2, b3, 1, 2, 3, 4, 5, 6, 7, 8) })
-			run("quadAxpy1", 8*n, func() { quadAxpy1(d0, b0, b1, b2, b3, 1, 2, 3, 4) })
-			run("tailAxpy2", 4*n, func() { tailAxpy2(d0, d1, b0, 1, 2) })
-			run("tailAxpy1", 2*n, func() { tailAxpy1(d0, b0, 1) })
 		}
-		// One 16-wide head against 32 keys of a 128-wide cache.
-		keys, q, dst := randMatrix(32, 128, 2), randMatrix(1, 16, 3).Row(0), make([]float32, 32)
-		b.Run("scoreRow/"+body+"/dh=16,keys=32", func(b *testing.B) {
-			if body == "go" {
-				useGoLanes(b)
-			}
-			for i := 0; i < b.N; i++ {
-				scoreRow(dst, q, keys.Data, 128)
-			}
-			gflops(b, 2*16*32)
-		})
+		q, w, dst := randMatrix(1, 16, 3).Row(0), randMatrix(1, 48, 6).Row(0), make([]float32, 48)
+		cache := randMatrix(48, 128, 2)
+		for _, keys := range []int{8, 20, 48} {
+			run(fmt.Sprintf("scoreRow/dh=16,keys=%d", keys), 2*16*keys, func() {
+				scoreRow(dst[:keys], q, cache.Data, 128)
+			})
+			run(fmt.Sprintf("valueRow/dh=16,keys=%d", keys), 2*16*keys, func() {
+				valueRow(dst[:16], w[:keys], cache.Data, 128, 0.5)
+			})
+		}
+	}
+}
+
+// BenchmarkAttendCachedRow times one decode row's cached attention — 8 heads
+// of 16 against 8, 20 and 48 cached keys — per body.
+func BenchmarkAttendCachedRow(b *testing.B) {
+	const heads, dh = 8, 16
+	for _, body := range laneBodies() {
+		for _, n := range []int{8, 20, 48} {
+			keys, vals := randMatrix(n, heads*dh, 1), randMatrix(n, heads*dh, 2)
+			q, dst, scores := randMatrix(1, heads*dh, 3).Row(0), make([]float32, heads*dh), make([]float32, n)
+			b.Run(fmt.Sprintf("%s/keys=%d", body, n), func(b *testing.B) {
+				if body == "go" {
+					useGoLanes(b)
+				}
+				for i := 0; i < b.N; i++ {
+					attendCachedRow(dst, q, keys, vals, heads, dh, 0.25, scores)
+				}
+			})
+		}
 	}
 }
 
 // BenchmarkMatMulBenchShapes times the wide kernel at the GEMM shapes the
 // serving benchmark runs — encoder rows (128 tokens through the attention and
 // FFN projections) and fused decode heights (1, 7, 32 live segments) — per
-// body, single-threaded.
+// body, single-threaded; "+relu" is the FFN input projection as serving runs
+// it, through MatMulBiasInto with its bias and ReLU.
 func BenchmarkMatMulBenchShapes(b *testing.B) {
 	shapes := [][3]int{{128, 128, 128}, {128, 128, 512}, {128, 512, 128}}
 	for _, m := range []int{1, 7, 32} {
@@ -355,17 +503,31 @@ func BenchmarkMatMulBenchShapes(b *testing.B) {
 	for _, body := range laneBodies() {
 		for _, s := range shapes {
 			x, y, dst := randMatrix(s[0], s[1], 1), randMatrix(s[1], s[2], 2), New(s[0], s[2])
-			b.Run(fmt.Sprintf("%s/%dx%dx%d", body, s[0], s[1], s[2]), func(b *testing.B) {
-				if body == "go" {
-					useGoLanes(b)
+			bias := randMatrix(1, s[2], 3).Row(0)
+			for _, relu := range []bool{false, true} {
+				if relu && s[2] != 512 {
+					continue
 				}
-				defer Reserve(runtime.GOMAXPROCS(0))()
-				withKernel(b, KernelWide)
-				for i := 0; i < b.N; i++ {
-					MatMulInto(dst, x, y)
+				name := fmt.Sprintf("%s/%dx%dx%d", body, s[0], s[1], s[2])
+				if relu {
+					name += "+relu"
 				}
-				gflops(b, 2*float64(s[0]*s[1]*s[2]))
-			})
+				b.Run(name, func(b *testing.B) {
+					if body == "go" {
+						useGoLanes(b)
+					}
+					defer Reserve(runtime.GOMAXPROCS(0))()
+					withKernel(b, KernelWide)
+					for i := 0; i < b.N; i++ {
+						if relu {
+							MatMulBiasInto(dst, x, y, bias, true)
+						} else {
+							MatMulInto(dst, x, y)
+						}
+					}
+					gflops(b, 2*float64(s[0]*s[1]*s[2]))
+				})
+			}
 		}
 	}
 }

@@ -14,13 +14,42 @@ func MatMul(a, b *Matrix) *Matrix {
 // MatMulInto computes dst = a × b. dst must be a.Rows×b.Cols and must not
 // alias a or b. Large products dispatch to the cache-blocked kernel.
 func MatMulInto(dst, a, b *Matrix) {
+	checkMatMul(dst, a, b)
+	mulDispatch(dst, a, b)
+}
+
+func checkMatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %d != %d", a.Cols, b.Rows))
 	}
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul dst %dx%d != %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
-	mulDispatch(dst, a, b)
+}
+
+// MatMulBiasInto computes dst = a × b + bias, then, when relu is set,
+// clamps negatives to zero (−0 and NaN stay) — a dense layer and its
+// activation in one pass that stores each output once. len(bias) must be
+// b.Cols. The result is bitwise MatMulInto, AddRowVector and ReLU in
+// sequence, which is what it runs under KernelScalar.
+func MatMulBiasInto(dst, a, b *Matrix, bias []float32, relu bool) {
+	if len(bias) != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMulBias bias len %d != cols %d", len(bias), b.Cols))
+	}
+	if ActiveKernel() != KernelWide {
+		MatMulInto(dst, a, b)
+		AddRowVector(dst, bias)
+		if relu {
+			ReLU(dst)
+		}
+		return
+	}
+	checkMatMul(dst, a, b)
+	epi := tileBias
+	if relu {
+		epi |= tileReLU
+	}
+	mulWide(dst, a, b, bias, epi)
 }
 
 // matMulSmall is the streaming ikj kernel for small operands.
