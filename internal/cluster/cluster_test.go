@@ -26,7 +26,11 @@ type echoRunner struct {
 	runs int
 }
 
-func (r *echoRunner) Run(b *batch.Batch, _ map[int64][]int) (*engine.Report, error) {
+func (r *echoRunner) Prepare(b *batch.Batch, tokens map[int64][]int) (*engine.Prepared, error) {
+	return &engine.Prepared{Batch: b, Tokens: tokens}, nil
+}
+
+func (r *echoRunner) RunPreparedRefill(p *engine.Prepared, _ engine.RefillHook) (*engine.Report, error) {
 	r.mu.Lock()
 	r.runs++
 	fail := r.fail
@@ -38,7 +42,7 @@ func (r *echoRunner) Run(b *batch.Batch, _ map[int64][]int) (*engine.Report, err
 		return nil, errors.New("replica engine down")
 	}
 	rep := &engine.Report{}
-	for _, it := range b.Items() {
+	for _, it := range p.Batch.Items() {
 		rep.Results = append(rep.Results, engine.Result{ID: it.ID, Output: []int{int(it.ID)}})
 	}
 	return rep, nil
@@ -407,7 +411,7 @@ func TestAllEjectedDegradesToShedding(t *testing.T) {
 		srv, err := testServe(&echoRunner{fail: true, delay: 20 * time.Millisecond}, func(cfg *serve.Config) {
 			cfg.BreakerThreshold = 1
 			cfg.BreakerCooldown = time.Hour // latch open
-			cfg.QueueCap = 8                // OpenQueueCap = 1
+			cfg.QueueCap = 8                // open bound 1
 			cfg.Retry = serve.RetryPolicy{MaxAttempts: 1, Backoff: time.Millisecond}
 		})
 		return srv, nil, err

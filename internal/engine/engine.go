@@ -3,7 +3,7 @@
 // the token sequences of its items, the engine builds each row's
 // concatenated layout, runs the ConcatBatching-aware encoder and the
 // auto-regressive decoder, and returns per-request outputs together with
-// wall-clock timing and simulated-memory accounting.
+// the encoder work the launch executed.
 //
 // The engine supports all batching schemes, and encodes every one of them
 // through the block attention kernel. TCB rows are staged pad-free — a row's
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tcb/internal/batch"
 	"tcb/internal/gpu"
@@ -44,9 +43,10 @@ type Engine struct {
 	// nothing else may read or write them.
 	UseCache   bool
 	FuseDecode bool
-	// BytesPerToken is the simulated activation footprint used for the
-	// memory reports (d_model × 4 bytes × a small constant in a real
-	// system; any positive value preserves the comparisons).
+	// BytesPerToken is the simulated activation footprint behind the Mem
+	// reservations and the §4.2.2 cleaning simulations (d_model × 4 bytes ×
+	// a small constant in a real system; any positive value preserves the
+	// comparisons).
 	BytesPerToken int64
 	// Mem, when non-nil, enforces a device-memory budget: each batch
 	// reserves TotalTokens × BytesPerToken of activation memory for the
@@ -87,13 +87,6 @@ type Result struct {
 // Report summarizes one batch execution.
 type Report struct {
 	Results []Result
-	Elapsed time.Duration
-	// Memory reports are present when the batch decodes (MaxNew > 0):
-	// WholeBatch is the §4.2.2 baseline, Early the slotted policy (only
-	// for SlottedConcat batches; zero value otherwise).
-	WholeBatch gpu.CleaningReport
-	Early      gpu.CleaningReport
-	HasEarly   bool
 	// Refill is present on refill-enabled launches (RunPreparedRefill).
 	Refill *RefillReport
 	// EncodedTokens and EncodedScores count the encoder work the launch
@@ -106,8 +99,9 @@ type Report struct {
 // Run executes b. tokens maps item IDs to their input token sequences; the
 // sequence length must equal the item's Len. Rows execute in parallel —
 // the batch dimension of a real GPU launch. Run is Prepare + RunPrepared +
-// Release in one call; the serve pipeline drives the three pieces
-// separately so staging and cleanup overlap neighbouring batches' compute.
+// Release in one call; the serve pipeline drives Prepare, RunPreparedRefill
+// and Release separately so staging and release overlap neighbouring
+// batches' compute.
 func (e *Engine) Run(b *batch.Batch, tokens map[int64][]int) (*Report, error) {
 	p, err := e.Prepare(b, tokens)
 	if err != nil {
@@ -125,11 +119,6 @@ func (e *Engine) Run(b *batch.Batch, tokens map[int64][]int) (*Report, error) {
 type Prepared struct {
 	Batch  *batch.Batch
 	Tokens map[int64][]int
-	// DeferCleaning makes RunPrepared skip the memory-cleaning simulations
-	// (the §4.2.2 whole-batch vs early-cleaning reports); the caller runs
-	// FinishReport later — the pipeline's cleanup stage, overlapped with
-	// the next batch's compute.
-	DeferCleaning bool
 
 	// Staged per non-empty row, in batch-row order. layouts is the decode
 	// (item) layout — one segment per item, spanning its resident tokens.
@@ -263,39 +252,9 @@ func (p *Prepared) Release() {
 
 // RunPrepared executes a staged batch to completion: RunPreparedRefill with
 // nobody to deliver early to and nothing to admit. It does not release the
-// memory reservation (Release does) and, with DeferCleaning set, leaves the
-// cleaning simulations to FinishReport.
+// memory reservation (Release does).
 func (e *Engine) RunPrepared(p *Prepared) (*Report, error) {
 	return e.RunPreparedRefill(p, nil)
-}
-
-// FinishReport fills rep's memory-cleaning simulations (whole-batch
-// baseline, and the early policy for slotted batches). RunPreparedRefill
-// calls it inline unless DeferCleaning moved it to the serve loop's cleanup
-// stage.
-func (p *Prepared) FinishReport(rep *Report) error {
-	e := p.eng
-	if e.MaxNew <= 0 || len(rep.Results) == 0 {
-		return nil
-	}
-	finish := make(map[int64]int)
-	for _, r := range rep.Results {
-		finish[r.ID] = r.Steps
-	}
-	whole, err := gpu.SimulateWholeBatchCleaning(p.Batch, finish, e.BytesPerToken)
-	if err != nil {
-		return err
-	}
-	rep.WholeBatch = whole
-	if p.Batch.Scheme == batch.SlottedConcat {
-		early, err := gpu.SimulateEarlyCleaning(p.Batch, finish, e.BytesPerToken)
-		if err != nil {
-			return err
-		}
-		rep.Early = early
-		rep.HasEarly = true
-	}
-	return nil
 }
 
 // launchSeq numbers engine launches process-wide for memory-manager tags.

@@ -16,7 +16,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"tcb/internal/model"
 	"tcb/internal/tensor"
@@ -112,7 +111,6 @@ func (p *Prepared) growReservation(bytes int64) error {
 // calibration timing exactly the encoder — and returns one empty Result per
 // item in row order.
 func (e *Engine) RunPreparedRefill(p *Prepared, hook RefillHook) (*Report, error) {
-	start := time.Now()
 	rep := &Report{}
 	decRows := e.encodeLaunch(p, rep)
 	if e.MaxNew > 0 {
@@ -132,12 +130,6 @@ func (e *Engine) RunPreparedRefill(p *Prepared, hook RefillHook) (*Report, error
 			for _, it := range row.Items {
 				rep.Results = append(rep.Results, Result{ID: it.ID})
 			}
-		}
-	}
-	rep.Elapsed = time.Since(start)
-	if !p.DeferCleaning {
-		if err := p.FinishReport(rep); err != nil {
-			return nil, err
 		}
 	}
 	return rep, nil

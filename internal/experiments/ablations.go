@@ -5,6 +5,7 @@ import (
 
 	"tcb/internal/batch"
 	"tcb/internal/engine"
+	"tcb/internal/gpu"
 	"tcb/internal/model"
 	"tcb/internal/rng"
 	"tcb/internal/sched"
@@ -139,8 +140,9 @@ func (f *fixedSlotDAS) Schedule(now float64, pending []*sched.Request, B, L int)
 // batch sizes, it decodes a slotted batch and reports the byte-step
 // integral under whole-batch cleaning vs early slot cleaning, plus the
 // decode-step overlap window the freed slots open for the next batch.
-// Decoding runs through the fused cached serving path; the figure only
-// depends on finish steps, which are identical across decode paths.
+// Decoding runs through the fused cached serving path; the §4.2.2 report is
+// computed here from the launch's finish steps (Result.Steps), which are
+// identical across decode paths.
 func AblationEarlyCleaning(opt Options) (*Figure, error) {
 	cfg := model.Config{
 		VocabSize: 64, DModel: 32, NumHeads: 4, DFF: 64,
@@ -181,12 +183,17 @@ func AblationEarlyCleaning(opt Options) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !rep.HasEarly {
-			return nil, fmt.Errorf("early-cleaning ablation: no early report")
+		finish := make(map[int64]int, len(rep.Results))
+		for _, r := range rep.Results {
+			finish[r.ID] = r.Steps
 		}
-		fig.AddPoint("whole-batch", float64(rep.Early.TotalBytes)*float64(rep.Early.FinalStep))
-		fig.AddPoint("early-slot", float64(rep.Early.ByteSteps))
-		fig.AddPoint("overlap-steps", float64(rep.Early.FinalStep-rep.Early.EarliestFree))
+		early, err := gpu.SimulateEarlyCleaning(b, finish, eng.BytesPerToken)
+		if err != nil {
+			return nil, err
+		}
+		fig.AddPoint("whole-batch", float64(early.TotalBytes)*float64(early.FinalStep))
+		fig.AddPoint("early-slot", float64(early.ByteSteps))
+		fig.AddPoint("overlap-steps", float64(early.FinalStep-early.EarliestFree))
 	}
 	return fig, fig.Validate()
 }

@@ -35,28 +35,6 @@ func maxFinish(items []batch.Item, finish map[int64]int) (int, error) {
 	return worst, nil
 }
 
-// SimulateWholeBatchCleaning models the baseline policy: the entire batch's
-// activation memory stays resident until every request finishes, then frees
-// at once. This applies to Naive, Turbo and pure ConcatBatching — in pure
-// ConcatBatching "request data do not aligned and we cannot separate the
-// ones whose results are generated" (§4.2.2).
-func SimulateWholeBatchCleaning(b *batch.Batch, finish map[int64]int, bytesPerToken int64) (CleaningReport, error) {
-	if bytesPerToken <= 0 {
-		return CleaningReport{}, fmt.Errorf("gpu: bytesPerToken %d", bytesPerToken)
-	}
-	last, err := maxFinish(b.Items(), finish)
-	if err != nil {
-		return CleaningReport{}, err
-	}
-	total := int64(b.TotalTokens()) * bytesPerToken
-	return CleaningReport{
-		TotalBytes:   total,
-		FinalStep:    last,
-		ByteSteps:    total * int64(last),
-		EarliestFree: last,
-	}, nil
-}
-
 // SimulateEarlyCleaning models §4.2.2's slotted policy: each slot is an
 // independent tensor of SlotSize tokens that frees at the step its last
 // request finishes. Only SlottedConcat batches support it — that is the

@@ -37,7 +37,7 @@ type ChaosRunner struct {
 }
 
 // ChaosConfig selects fault modes for a ChaosRunner. Rates are independent
-// probabilities per Run call, checked in the order: slow, panic, err, lose.
+// probabilities per engine call, checked in the order: slow, panic, err, lose.
 // KillAfter and WedgeAfter are deterministic call-count triggers (they draw
 // no randomness, so adding them never shifts an existing seed's schedule):
 // they model a whole replica dying or hanging, the faults the cluster layer
@@ -105,8 +105,7 @@ func (c *ChaosRunner) Counts() ChaosCounts {
 }
 
 // chaosDraw is one call's fault schedule, drawn under the lock in call
-// order so the same seed yields the same schedule on the plain and the
-// prepared execution paths alike.
+// order so the same seed yields the same schedule run to run.
 type chaosDraw struct {
 	slow, pan, fail, lose bool
 	kill, wedge           bool
@@ -187,63 +186,23 @@ func (c *ChaosRunner) maybeLose(d chaosDraw, rep *engine.Report) *engine.Report 
 	return &clone
 }
 
-// Run implements Runner with fault injection. Injected panics are expected
-// to be recovered by the SupervisedRunner above this one.
-func (c *ChaosRunner) Run(b *batch.Batch, tokens map[int64][]int) (*engine.Report, error) {
-	d := c.draw()
-	if err := c.inject(d, b); err != nil {
-		return nil, err
-	}
-	rep, err := c.Inner.Run(b, tokens)
-	if err == nil {
-		rep = c.maybeLose(d, rep)
-	}
-	return rep, err
-}
-
-// Prepare forwards to the inner runner's prepared handoff. Staging itself
-// is never faulted (faults fire at execution time, like a real launch); a
-// nil, nil return tells the server the inner runner has no prepared path.
+// Prepare forwards to the inner runner. Staging itself is never faulted
+// (faults fire at execution time, like a real launch).
 func (c *ChaosRunner) Prepare(b *batch.Batch, tokens map[int64][]int) (*engine.Prepared, error) {
-	if pr, ok := c.Inner.(PreparedRunner); ok {
-		return pr.Prepare(b, tokens)
-	}
-	return nil, nil
+	return c.Inner.Prepare(b, tokens)
 }
 
-// RunPrepared implements PreparedRunner with the same per-call fault
-// schedule as Run: one draw per engine invocation, in call order.
-func (c *ChaosRunner) RunPrepared(p *engine.Prepared) (*engine.Report, error) {
-	d := c.draw()
-	if err := c.inject(d, p.Batch); err != nil {
-		return nil, err
-	}
-	pr, ok := c.Inner.(PreparedRunner)
-	if !ok {
-		return nil, fmt.Errorf("chaos: inner runner has no prepared path")
-	}
-	rep, err := pr.RunPrepared(p)
-	if err == nil {
-		rep = c.maybeLose(d, rep)
-	}
-	return rep, err
-}
-
-// RunPreparedRefill implements RefillRunner with the same per-call fault
-// schedule as Run and RunPrepared: one draw per engine invocation, acted
-// out before the engine starts. Mid-run, the hook's early deliveries are
-// real — the lose fault can only trim the final report, which the server
-// ignores for already-delivered requests.
+// RunPreparedRefill implements Runner with fault injection: one draw per
+// engine invocation, acted out before the engine starts. Injected panics are
+// expected to be recovered by the SupervisedRunner above this one. Mid-run,
+// the hook's early deliveries are real — the lose fault can only trim the
+// final report, which the server ignores for already-delivered requests.
 func (c *ChaosRunner) RunPreparedRefill(p *engine.Prepared, hook engine.RefillHook) (*engine.Report, error) {
 	d := c.draw()
 	if err := c.inject(d, p.Batch); err != nil {
 		return nil, err
 	}
-	rr, ok := c.Inner.(RefillRunner)
-	if !ok {
-		return nil, fmt.Errorf("chaos: inner runner has no refill path")
-	}
-	rep, err := rr.RunPreparedRefill(p, hook)
+	rep, err := c.Inner.RunPreparedRefill(p, hook)
 	if err == nil {
 		rep = c.maybeLose(d, rep)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tcb/internal/batch"
+	"tcb/internal/engine"
 	"tcb/internal/rng"
 	"tcb/internal/sched"
 )
@@ -66,7 +67,7 @@ func chaosTrace(cfg ChaosConfig, n int) []string {
 					trace = append(trace, "panic")
 				}
 			}()
-			rep, err := c.Run(b, nil)
+			rep, err := c.RunPreparedRefill(&engine.Prepared{Batch: b}, nil)
 			switch {
 			case err != nil:
 				trace = append(trace, "err")
@@ -110,12 +111,12 @@ func TestChaosKillAfter(t *testing.T) {
 		{Items: []batch.Item{{ID: 1, Len: 2}}, PadTo: 8},
 	}}
 	for i := 0; i < 3; i++ {
-		if _, err := c.Run(b, nil); err != nil {
+		if _, err := c.RunPreparedRefill(&engine.Prepared{Batch: b}, nil); err != nil {
 			t.Fatalf("call %d before the trigger failed: %v", i+1, err)
 		}
 	}
 	for i := 0; i < 4; i++ {
-		_, err := c.Run(b, nil)
+		_, err := c.RunPreparedRefill(&engine.Prepared{Batch: b}, nil)
 		if !errors.Is(err, ErrChaosKilled) {
 			t.Fatalf("call after kill trigger: err = %v, want ErrChaosKilled", err)
 		}
@@ -133,12 +134,13 @@ func TestChaosWedgeAfterClose(t *testing.T) {
 	b := &batch.Batch{Scheme: batch.Concat, Rows: []batch.Row{
 		{Items: []batch.Item{{ID: 1, Len: 2}}, PadTo: 8},
 	}}
-	if _, err := c.Run(b, nil); err != nil {
+	p := &engine.Prepared{Batch: b}
+	if _, err := c.RunPreparedRefill(p, nil); err != nil {
 		t.Fatalf("call before the trigger failed: %v", err)
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.Run(b, nil)
+		_, err := c.RunPreparedRefill(p, nil)
 		errc <- err
 	}()
 	select {

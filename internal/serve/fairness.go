@@ -152,14 +152,14 @@ func (s *Server) poolLocked(now float64) []*sched.Request {
 	return pool
 }
 
-// shedLocked evicts queued requests beyond OpenQueueCap by share: the tenant
+// shedLocked evicts queued requests beyond the open-breaker queue bound by share: the tenant
 // most over its weighted share of the reduced queue sheds first, lowest
 // utility first within the tenant. A flooding tenant therefore absorbs its
 // own losses — a well-behaved tenant under its share is never touched while
 // anyone is over. With Config.Fair off there is one virtual tenant, which
 // makes this the global lowest-utility-first shed. Callers hold s.mu.
 func (s *Server) shedLocked() {
-	excess := len(s.queue) - s.cfg.OpenQueueCap
+	excess := len(s.queue) - s.openQueueCap()
 	if excess <= 0 {
 		return
 	}
@@ -203,7 +203,7 @@ func (s *Server) shedLocked() {
 			if len(g) == 0 {
 				continue
 			}
-			over := float64(len(g)) * totalWeight / (weightOf[name] * float64(s.cfg.OpenQueueCap))
+			over := float64(len(g)) * totalWeight / (weightOf[name] * float64(s.openQueueCap()))
 			if over > worst {
 				worst, victimName = over, name
 			}

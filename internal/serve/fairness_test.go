@@ -48,7 +48,7 @@ func fairServer(t *testing.T, mut func(*Config)) *Server {
 // well-behaved tenant first.
 func TestFairShedFloodingTenantFirst(t *testing.T) {
 	src := rng.New(7)
-	s := fairServer(t, func(c *Config) { c.QueueCap = 64; c.OpenQueueCap = 10 })
+	s := fairServer(t, func(c *Config) { c.QueueCap = 80 }) // open bound 10
 
 	// Flooder submits 20 SHORT requests (high utility: the global shed
 	// would keep all of them); the light tenant 3 longer ones.
@@ -77,8 +77,8 @@ func TestFairShedFloodingTenantFirst(t *testing.T) {
 	}
 	s.mu.Unlock()
 
-	if queueLen != s.cfg.OpenQueueCap {
-		t.Fatalf("queue = %d after shed, want %d", queueLen, s.cfg.OpenQueueCap)
+	if queueLen != 10 {
+		t.Fatalf("queue = %d after shed, want 10", queueLen)
 	}
 	if lightLeft != 3 {
 		t.Fatalf("light tenant kept %d of 3 — fair shed must charge the flooder", lightLeft)
@@ -101,7 +101,7 @@ func TestFairShedFloodingTenantFirst(t *testing.T) {
 // lowest-utility order, tenants ignored.
 func TestGlobalShedUnchangedWhenFairOff(t *testing.T) {
 	src := rng.New(8)
-	s := fairServer(t, func(c *Config) { c.Fair = false; c.QueueCap = 64; c.OpenQueueCap = 5 })
+	s := fairServer(t, func(c *Config) { c.Fair = false; c.QueueCap = 40 }) // open bound 5
 	// Flooder short (high utility), light tenant long (low utility): the
 	// global order evicts light first even though flood is over any share.
 	for i := 0; i < 6; i++ {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -15,8 +16,9 @@ type InferRequest struct {
 	// Tokens is the tokenized input (use your own tokenizer, or the
 	// vocab package). Required.
 	Tokens []int `json:"tokens"`
-	// DeadlineMS is the scheduling deadline in milliseconds from receipt.
-	// Zero defers to the SLO class default when Class is set, else 1000.
+	// DeadlineMS is the scheduling deadline in milliseconds from receipt;
+	// its magnitude must fit a time.Duration (~292 years). Zero or negative
+	// defers to the SLO class default when Class is set, else 1000.
 	DeadlineMS int `json:"deadline_ms"`
 	// Class is the request's SLO class ("interactive", "standard", "batch",
 	// or whatever the server was configured with). Empty means unclassed:
@@ -39,6 +41,10 @@ type InferResponse struct {
 type errorBody struct {
 	Error string `json:"error"`
 }
+
+// maxDeadlineMS is the largest deadline_ms magnitude a time.Duration can
+// hold; a larger one is a 400, not an overflow into the past (or future).
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
 
 // MaxInferBody caps the /v1/infer request body; larger bodies fail with
 // 413 before JSON decoding buffers them.
@@ -75,6 +81,14 @@ type Front struct {
 //	                  traffic is being accepted, 503 with the same body when
 //	                  it is not — so an external load balancer can rotate
 //	                  the process out
+//
+// /v1/infer answers exactly once, with one of: 200 (output), 400 (bad JSON,
+// empty or over-long tokens, bad prefix_len, deadline_ms out of range, a
+// token outside the vocabulary), 405 (not POST), 408 (client went away),
+// 413 (body over MaxInferBody), 429 (admission refused or queue full), 500
+// (engine failure after retries), 503 (breaker open, shed, draining, no
+// replica) or 504 (deadline passed in the queue). Every error has a JSON
+// {"error": …} body.
 //
 // It returns the mux so a front can add its own introspection routes. The
 // handler does not own the lifecycle of whatever is behind Submit.
@@ -122,6 +136,10 @@ func (f Front) infer(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
+		return
+	}
+	if d := int64(req.DeadlineMS); d > maxDeadlineMS || d < -maxDeadlineMS {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("deadline_ms %d outside ±%d", req.DeadlineMS, maxDeadlineMS))
 		return
 	}
 	if req.DeadlineMS <= 0 && req.Class == "" {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -194,24 +195,25 @@ func TestHTTPHealthzUnserviceable(t *testing.T) {
 }
 
 // failingRunner fails every batch.
-type failingRunner struct{}
+type failingRunner struct{ stager }
 
-func (failingRunner) Run(*batch.Batch, map[int64][]int) (*engine.Report, error) {
+func (failingRunner) RunPreparedRefill(*engine.Prepared, engine.RefillHook) (*engine.Report, error) {
 	return nil, errors.New("down")
 }
 
 // flakyRunner fails the first n batch launches, then delegates.
 type flakyRunner struct {
-	real  Runner
+	stager
+	real  *engine.Engine
 	fails int
 }
 
-func (f *flakyRunner) Run(b *batch.Batch, tokens map[int64][]int) (*engine.Report, error) {
+func (f *flakyRunner) RunPreparedRefill(p *engine.Prepared, _ engine.RefillHook) (*engine.Report, error) {
 	if f.fails > 0 {
 		f.fails--
 		return nil, errors.New("injected device failure")
 	}
-	return f.real.Run(b, tokens)
+	return f.real.Run(p.Batch, p.Tokens)
 }
 
 func TestEngineFailureInjection(t *testing.T) {
@@ -287,7 +289,7 @@ func TestHTTPBreakerOpen503(t *testing.T) {
 		Retry:            RetryPolicy{MaxAttempts: 100, Backoff: time.Millisecond},
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Hour,
-		OpenQueueCap:     1,
+		QueueCap:         8, // open bound 1
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -333,10 +335,13 @@ func TestHTTPBreakerOpen503(t *testing.T) {
 }
 
 // lossyRunner drops one request's result from the report.
-type lossyRunner struct{ real Runner }
+type lossyRunner struct {
+	stager
+	real *engine.Engine
+}
 
-func (l *lossyRunner) Run(b *batch.Batch, tokens map[int64][]int) (*engine.Report, error) {
-	rep, err := l.real.Run(b, tokens)
+func (l *lossyRunner) RunPreparedRefill(p *engine.Prepared, _ engine.RefillHook) (*engine.Report, error) {
+	rep, err := l.real.Run(p.Batch, p.Tokens)
 	if err != nil || len(rep.Results) == 0 {
 		return rep, err
 	}
@@ -369,4 +374,94 @@ func TestEngineLosingResultsSurfaced(t *testing.T) {
 	if fmt.Sprint(resp.Err) == "" {
 		t.Fatal("error must be descriptive")
 	}
+}
+
+// overflowBody's deadline_ms is past what a time.Duration holds: multiplied
+// out unchecked it wraps negative and reads as a deadline already passed in
+// the queue (504).
+const overflowBody = `{"tokens":[5,6,7],"deadline_ms":9999999999999}`
+
+// TestHTTPDeadlineOverflow400: a deadline_ms beyond time.Duration, either
+// sign, is the client's error (400); the largest one that fits is served,
+// and so is a negative one under a class (the class default).
+func TestHTTPDeadlineOverflow400(t *testing.T) {
+	_, ts := httpServer(t)
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{overflowBody, http.StatusBadRequest},
+		{fmt.Sprintf(`{"tokens":[5,6,7],"deadline_ms":%d}`, maxDeadlineMS+1), http.StatusBadRequest},
+		{fmt.Sprintf(`{"tokens":[5,6,7],"deadline_ms":%d,"class":"batch"}`, -maxDeadlineMS-1), http.StatusBadRequest},
+		{fmt.Sprintf(`{"tokens":[5,6,7],"deadline_ms":%d}`, maxDeadlineMS), http.StatusOK},
+		{fmt.Sprintf(`{"tokens":[5,6,7],"deadline_ms":%d,"class":"interactive"}`, -maxDeadlineMS), http.StatusOK},
+	} {
+		r, err := http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader([]byte(tc.body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != tc.want {
+			t.Fatalf("%s: status %d, want %d", tc.body, r.StatusCode, tc.want)
+		}
+	}
+}
+
+// headerCounter counts how many responses a handler started.
+type headerCounter struct {
+	*httptest.ResponseRecorder
+	n int
+}
+
+func (h *headerCounter) WriteHeader(code int) {
+	h.n++
+	h.ResponseRecorder.WriteHeader(code)
+}
+
+// FuzzInfer throws arbitrary bodies at POST /v1/infer on a live server. The
+// handler must not panic, must answer exactly once with a status from the
+// documented set (NewFrontHandler), must never blame the server (5xx) for a
+// body the JSON decoder rejects, and must refuse a deadline_ms whose
+// magnitude a time.Duration cannot hold with 400.
+func FuzzInfer(f *testing.F) {
+	f.Add([]byte(overflowBody))
+	f.Add([]byte(`{"tokens":[5,6,7],"deadline_ms":5000}`))
+	f.Add([]byte(`{"tokens":[5,6,7],"deadline_ms":-9999999999999,"class":"batch"}`))
+	f.Add([]byte(`{"tokens":[5,6,`))                                // malformed
+	f.Add([]byte(`{"tokens":[5,6,7],"prefix_len":-1}`))             // negative prefix
+	f.Add([]byte(`{"tokens":[]}`))                                  // empty tokens
+	f.Add([]byte(`{"tokens":[5,1048576,7]}`))                       // outside the vocabulary
+	f.Add([]byte(`{"tokens":[5,6,7],"deadline_ms":"5"}`))           // wrong type
+	f.Add([]byte(`{"tokens":[` + strings.Repeat("5,", 64) + `5]}`)) // longer than a row
+	srv, _ := testServer(f, batch.Concat, sched.NewDAS())
+	srv.Start()
+	f.Cleanup(srv.Stop)
+	h := NewHTTPHandler(srv)
+	documented := map[int]bool{200: true, 400: true, 405: true, 408: true, 413: true, 429: true, 500: true, 503: true, 504: true}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := &headerCounter{ResponseRecorder: httptest.NewRecorder()}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body)))
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no response in 5s for %q", body)
+		}
+		if rec.n != 1 || !documented[rec.Code] {
+			t.Fatalf("%d responses, last status %d, for %q", rec.n, rec.Code, body)
+		}
+		var req InferRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			if rec.Code >= 500 {
+				t.Fatalf("status %d for a body the decoder rejects (%v): %q", rec.Code, err, body)
+			}
+			return
+		}
+		if d := int64(req.DeadlineMS); (d > maxDeadlineMS || d < -maxDeadlineMS) && len(body) <= MaxInferBody && rec.Code != http.StatusBadRequest {
+			t.Fatalf("deadline_ms %d: status %d, want 400", req.DeadlineMS, rec.Code)
+		}
+	})
 }

@@ -34,15 +34,6 @@ func (f *faultyEngine) RunPreparedRefill(p *engine.Prepared, hook engine.RefillH
 	return f.Engine.RunPreparedRefill(p, hook)
 }
 
-// plainRunner exposes only Run: the server falls back to the one-shot call,
-// so nothing retires early and completeBatch delivers the whole launch from
-// its report.
-type plainRunner struct{ e *engine.Engine }
-
-func (r plainRunner) Run(b *batch.Batch, tokens map[int64][]int) (*engine.Report, error) {
-	return r.e.Run(b, tokens)
-}
-
 // TestLifecycleReleasesOnEveryOutcome drives requests to every terminal
 // outcome under every loop / fairness / prefix setting and checks the
 // lifecycle's promises as whole-server invariants: one response per request,
@@ -54,7 +45,6 @@ func TestLifecycleReleasesOnEveryOutcome(t *testing.T) {
 	parked := func(st Stats) bool { return st.Retried == st.Submitted }
 	cases := []struct {
 		name     string
-		plain    bool // a plain Runner: no hook, delivery waits for batch end
 		deadline time.Duration
 		fail     func() error
 		cfg      func(*Config)
@@ -63,8 +53,6 @@ func TestLifecycleReleasesOnEveryOutcome(t *testing.T) {
 		want     []error          // errors a response may carry (nil = delivered)
 		counter  func(Stats) int64
 	}{
-		{name: "delivered at batch end", plain: true, deadline: time.Minute, ready: settled,
-			want: []error{nil}, counter: func(st Stats) int64 { return st.Served }},
 		{name: "delivered by early retire", deadline: time.Minute, ready: settled,
 			want: []error{nil}, counter: func(st Stats) int64 { return st.Served }},
 		{name: "expired in queue", deadline: time.Nanosecond, ready: settled,
@@ -77,7 +65,7 @@ func TestLifecycleReleasesOnEveryOutcome(t *testing.T) {
 			want: []error{errBoom}, counter: func(st Stats) int64 { return st.Failed }},
 		{name: "shed", deadline: time.Minute, fail: always,
 			cfg: func(c *Config) {
-				c.BreakerThreshold, c.BreakerCooldown, c.OpenQueueCap = 1, time.Hour, 1
+				c.BreakerThreshold, c.BreakerCooldown, c.QueueCap = 1, time.Hour, 8 // open bound 1
 				c.Retry = RetryPolicy{MaxAttempts: 10, Backoff: time.Millisecond}
 			},
 			ready: func(st Stats) bool { return st.Shed == st.Submitted-1 },
@@ -127,12 +115,8 @@ func TestLifecycleReleasesOnEveryOutcome(t *testing.T) {
 								t.Fatalf("prefix not resident (leaked pin blocks eviction?): %+v", pc.Stats())
 							}
 						}
-						var runner Runner = &faultyEngine{Engine: eng, fail: tc.fail}
-						if tc.plain {
-							runner = plainRunner{eng}
-						}
 						cfg := Config{
-							Engine: runner, Scheduler: sched.NewDAS(),
+							Engine: &faultyEngine{Engine: eng, fail: tc.fail}, Scheduler: sched.NewDAS(),
 							Scheme: batch.Concat, B: 4, L: 64, Poll: 200 * time.Microsecond,
 							Refill: true, Pipeline: pipelined, Fair: fairOn, PrefixCache: pc,
 							BreakerThreshold: -1,

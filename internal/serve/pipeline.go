@@ -15,7 +15,7 @@ import (
 //
 //	stage A (the loop goroutine): sweep → schedule → layout → stage tensors
 //	stage B (computeStage):       supervised engine execution
-//	stage C (cleanupStage):       cleaning report → release → deliver/requeue
+//	stage C (cleanupStage):       release → deliver/requeue
 //
 // and Config.Pipeline only decides where B and C run. Off, the loop calls
 // them back to back after A: one batch in flight. On, they run on their own
@@ -42,10 +42,10 @@ func (s *Server) loop() {
 	run := func(l *launch) { s.cleanupStage(s.computeStage(l)) }
 	flush := func() {}
 	if s.cfg.Pipeline {
-		// Keep cores for the non-compute stages: kernels plan their chunk
+		// Keep a core for the non-compute stages: kernels plan their chunk
 		// fan-out around the reservation, so stage B's compute cannot starve
 		// stage A/C of the scheduler.
-		defer tensor.Reserve(s.cfg.ReserveCores)()
+		defer tensor.Reserve(1)()
 		prepCh := make(chan *launch, 1)
 		compCh := make(chan *computed, 1)
 		var wg sync.WaitGroup
@@ -114,7 +114,7 @@ func (s *Server) computeStage(l *launch) *computed {
 	return &computed{l: l, rep: rep, err: err, served: served}
 }
 
-// cleanupStage is stage C: memory-clean, release, deliver, requeue.
+// cleanupStage is stage C: release, deliver, requeue.
 func (s *Server) cleanupStage(c *computed) {
 	t0 := time.Now()
 	s.completeBatch(c.l, c.rep, c.err, c.served)

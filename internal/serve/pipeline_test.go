@@ -202,25 +202,21 @@ func TestPipelineStageOverruns(t *testing.T) {
 // releases it); later invocations pass through. It models the hung launch
 // the supervision watchdog abandons.
 type hangRunner struct {
-	inner   PreparedRunner
+	inner   *engine.Engine
 	calls   atomic.Int64
 	release chan struct{}
-}
-
-func (h *hangRunner) Run(b *batch.Batch, tokens map[int64][]int) (*engine.Report, error) {
-	return h.inner.Run(b, tokens)
 }
 
 func (h *hangRunner) Prepare(b *batch.Batch, tokens map[int64][]int) (*engine.Prepared, error) {
 	return h.inner.Prepare(b, tokens)
 }
 
-func (h *hangRunner) RunPrepared(p *engine.Prepared) (*engine.Report, error) {
+func (h *hangRunner) RunPreparedRefill(p *engine.Prepared, hook engine.RefillHook) (*engine.Report, error) {
 	if h.calls.Add(1) == 1 {
 		<-h.release
 		return nil, ErrChaos
 	}
-	return h.inner.RunPrepared(p)
+	return h.inner.RunPreparedRefill(p, hook)
 }
 
 // TestReleaseBeforeRequeue pins the deadlock fix: a batch killed by the

@@ -31,33 +31,27 @@ import (
 	"tcb/internal/tensor"
 )
 
-// Runner abstracts the inference engine so tests can inject failures and
-// deployments can substitute backends. *engine.Engine implements it.
+// Runner is the inference engine behind the server: Prepare stages a batch
+// (validation, device-memory reservation, host-side tensor staging) and
+// RunPreparedRefill executes it as a persistent execution context,
+// delivering finished requests through the hook the moment they retire and
+// admitting queued requests into the freed capacity between decode steps.
+// Staging and execution are separate calls so the serving loop can overlap
+// them with neighbouring batches' compute. *engine.Engine implements it;
+// ChaosRunner wraps one with a fault schedule.
 type Runner interface {
-	Run(b *batch.Batch, tokens map[int64][]int) (*engine.Report, error)
-}
-
-// PreparedRunner is a Runner with a prepared-batch handoff: Prepare stages
-// a batch (validation, memory reservation, host-side tensor staging) and
-// RunPrepared executes it, so the server can overlap staging and cleanup
-// with a neighbouring batch's compute. *engine.Engine implements it; a
-// Prepare that returns (nil, nil) tells the server to fall back to Run for
-// that batch (wrappers around a plain Runner do this).
-type PreparedRunner interface {
-	Runner
 	Prepare(b *batch.Batch, tokens map[int64][]int) (*engine.Prepared, error)
-	RunPrepared(p *engine.Prepared) (*engine.Report, error)
-}
-
-// RefillRunner is a PreparedRunner whose launches are persistent execution
-// contexts: RunPreparedRefill delivers finished requests through the hook
-// the moment they retire and admits queued requests into the freed capacity
-// between decode steps. *engine.Engine implements it; ChaosRunner forwards
-// it with the usual fault schedule.
-type RefillRunner interface {
-	PreparedRunner
 	RunPreparedRefill(p *engine.Prepared, hook engine.RefillHook) (*engine.Report, error)
 }
+
+// RefillRunner is Runner under its former name, kept only because the
+// frozen benchmark module (bench/) still asserts it; nothing else may use it.
+type RefillRunner = Runner
+
+var (
+	_ Runner = (*engine.Engine)(nil)
+	_ Runner = (*ChaosRunner)(nil)
+)
 
 // RetryPolicy bounds how failed batches are retried. A request consumes one
 // attempt per failed batch it was part of; when its attempts are exhausted
@@ -81,20 +75,12 @@ type Config struct {
 	Scheduler sched.Scheduler
 	Scheme    batch.Scheme
 	B, L      int
-	// SlotSize fixes the slot length for batch.SlottedConcat when the
-	// scheduler's decision does not carry one (SlottedDAS does; the fixed
-	// baselines do not). Submissions longer than the effective slot size
-	// are rejected up front — they could never be laid out. Zero means
-	// whole-row slots (L).
-	SlotSize int
 	// QueueCap bounds the submission queue; Submit fails fast beyond it.
+	// While the circuit breaker is open the bound drops to QueueCap/8 (at
+	// least 1): submissions beyond it are refused with ErrBreakerOpen and
+	// already-queued lowest-utility requests beyond it are shed, instead of
+	// accepting work a down engine will drop anyway.
 	QueueCap int
-	// OpenQueueCap is the reduced queue bound enforced while the circuit
-	// breaker is open: submissions beyond it are refused with
-	// ErrBreakerOpen and already-queued lowest-utility requests beyond it
-	// are shed, instead of accepting work a down engine will drop anyway.
-	// Zero means QueueCap/8 (at least 1).
-	OpenQueueCap int
 	// Poll bounds how long the scheduler loop waits between rounds when no
 	// wakeup arrives. Submissions wake the loop immediately through a
 	// channel, so Poll only paces the deadline-expiry sweep of requests
@@ -129,19 +115,14 @@ type Config struct {
 
 	// Pipeline runs the serving loop's compute and cleanup stages on their
 	// own goroutines (pipeline.go): stage A schedules, lays out and stages
-	// batch t+1 while stage B computes batch t and stage C delivers,
-	// requeues and memory-cleans batch t−1. Off, the same three stages run
+	// batch t+1 while stage B computes batch t and stage C releases,
+	// delivers and requeues batch t−1. Off, the same three stages run
 	// back to back on the loop goroutine. Outputs are identical either way
 	// (concat isolation: each request's output depends only on its own
-	// tokens); only overlap changes. Requires an Engine implementing
-	// PreparedRunner for full overlap; plain Runners still work, stage A
-	// just stops at layout.
+	// tokens); only overlap changes. The pipeline withholds one logical
+	// core from the tensor kernel worker plan (tensor.Reserve) so its
+	// non-compute stages keep running while compute saturates the rest.
 	Pipeline bool
-	// ReserveCores is how many logical cores the pipeline withholds from
-	// the tensor kernel worker plan (tensor.Reserve) so its non-compute
-	// stages keep running while compute saturates the rest. Zero defaults
-	// to 1 when Pipeline is set; ignored otherwise.
-	ReserveCores int
 	// PredictStages, when non-nil, predicts a batch's prepare and cleanup
 	// stage durations (e.g. cost.Params.PredictStageDurations); a stage
 	// exceeding its prediction × TimeoutSlack counts as a stage overrun in
@@ -155,10 +136,8 @@ type Config struct {
 	// requests whose lengths fit the freed token capacity are also admitted
 	// into the running batch between decode steps (utility-ordered,
 	// backoff- and deadline-respecting, like the scheduler's own
-	// admission). Admission needs an Engine implementing RefillRunner whose
-	// decoder can take mid-flight insertions; any other engine runs each
-	// batch to completion and the setting is inert. Half-open breaker
-	// probes never refill — a probe must stay minimal.
+	// admission). Half-open breaker probes never refill — a probe must stay
+	// minimal.
 	Refill bool
 
 	// Fair enables multi-tenant isolation (package fair). Requests are always
@@ -212,10 +191,10 @@ type Stats struct {
 	// Per-stage wall-clock totals, replacing the old lumped queue-wait +
 	// compute number: ScheduleNs covers the deadline sweep, scheduling,
 	// layout and host-side staging (stage A); ComputeNs the supervised
-	// engine execution (stage B); CleanupNs delivery, requeueing, the
-	// memory-cleaning report and reservation release (stage C). Under the
-	// pipeline the three accrue concurrently, so their sum can exceed
-	// wall time — that surplus is exactly the hidden latency.
+	// engine execution (stage B); CleanupNs reservation release, delivery
+	// and requeueing (stage C). Under the pipeline the three accrue
+	// concurrently, so their sum can exceed wall time — that surplus is
+	// exactly the hidden latency.
 	ScheduleNs int64
 	ComputeNs  int64
 	CleanupNs  int64
@@ -231,7 +210,7 @@ type Stats struct {
 	// still decoding; SlotIdleSteps accumulates per-step
 	// retired-but-unfilled slots; BatchOccupancyPct is the mean live-token
 	// occupancy of launches across decode steps. All but the first are
-	// populated for every prepared launch that decodes.
+	// populated for every launch that decodes.
 	RefillsAdmitted      int64
 	SegmentsRetiredEarly int64
 	SlotIdleSteps        int64
@@ -241,8 +220,8 @@ type Stats struct {
 	// what a request costs to encode, padding and off-block scores included.
 	EncodedTokens int64
 	EncodedScores int64
-	// Refilling reports whether continuous batching is active (Config.Refill
-	// set and the engine supports the refill path).
+	// Refilling reports whether continuous batching is active
+	// (Config.Refill).
 	Refilling bool
 
 	// Kernels snapshots the process-wide GEMM dispatch counters and the
@@ -291,21 +270,15 @@ var ErrServerClosed = errors.New("serve: server closed")
 // ErrQueueFull marks submissions beyond QueueCap.
 var ErrQueueFull = errors.New("serve: queue full")
 
-// TooLongError rejects submissions that exceed the row capacity — or, under
-// batch.SlottedConcat with a fixed slot size, the slot capacity: such a
+// TooLongError rejects submissions that exceed the row capacity: such a
 // request would be accepted and then sit unschedulable until its deadline.
 type TooLongError struct {
-	Len   int  // submitted token count
-	Limit int  // effective capacity it exceeded
-	Slot  bool // true when the limit is the slot size, not the row
+	Len   int // submitted token count
+	Limit int // row capacity it exceeded
 }
 
 func (e *TooLongError) Error() string {
-	what := "row capacity"
-	if e.Slot {
-		what = "slot size"
-	}
-	return fmt.Sprintf("serve: request of %d tokens exceeds %s %d", e.Len, what, e.Limit)
+	return fmt.Sprintf("serve: request of %d tokens exceeds row capacity %d", e.Len, e.Limit)
 }
 
 type pending struct {
@@ -338,21 +311,15 @@ type pending struct {
 
 // Server is a running TCB serving instance.
 type Server struct {
-	cfg     Config
-	runner  *SupervisedRunner
-	breaker *Breaker
-	// preparer is cfg.Engine's prepared-batch handoff, when it has one;
-	// nil servers run every batch through the plain Run path.
-	preparer PreparedRunner
-	// refilling records that launches admit queued requests mid-flight:
-	// Config.Refill is on and the engine has the refill path.
-	refilling bool
-	mu        sync.Mutex
-	queue     map[int64]*pending
-	next      int64
-	stop      chan struct{}
-	stopOnce  sync.Once
-	done      chan struct{}
+	cfg      Config
+	runner   *SupervisedRunner
+	breaker  *Breaker
+	mu       sync.Mutex
+	queue    map[int64]*pending
+	next     int64
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
 	// drainOnce/drainDone make Drain idempotent: the first caller runs the
 	// drain sequence, every later or concurrent caller waits on the same
 	// completion (and the same DrainTimeout deadline).
@@ -405,10 +372,9 @@ type Server struct {
 // stage C. hook holds the launch's members — the selection plus whatever it
 // admits mid-flight — until stage C closes it.
 type launch struct {
-	tokens map[int64][]int
-	b      *batch.Batch
-	ep     *engine.Prepared // nil when the engine has no prepared handoff
-	hook   *refillHook
+	b    *batch.Batch
+	ep   *engine.Prepared
+	hook *refillHook
 }
 
 // New validates cfg and returns an unstarted server.
@@ -419,17 +385,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.B <= 0 || cfg.L <= 0 {
 		return nil, fmt.Errorf("serve: B=%d L=%d must be positive", cfg.B, cfg.L)
 	}
-	if cfg.SlotSize < 0 || cfg.SlotSize > cfg.L {
-		return nil, fmt.Errorf("serve: SlotSize=%d must be in [0, L=%d]", cfg.SlotSize, cfg.L)
-	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 4096
-	}
-	if cfg.OpenQueueCap <= 0 {
-		cfg.OpenQueueCap = cfg.QueueCap / 8
-		if cfg.OpenQueueCap < 1 {
-			cfg.OpenQueueCap = 1
-		}
 	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = time.Millisecond
@@ -454,12 +411,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MinBatchTimeout <= 0 {
 		cfg.MinBatchTimeout = 10 * cfg.Poll
-	}
-	if cfg.ReserveCores < 0 {
-		return nil, fmt.Errorf("serve: ReserveCores=%d must be non-negative", cfg.ReserveCores)
-	}
-	if cfg.Pipeline && cfg.ReserveCores == 0 {
-		cfg.ReserveCores = 1
 	}
 	if cfg.Classes == nil {
 		cfg.Classes = fair.DefaultClasses()
@@ -501,10 +452,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.runner = &SupervisedRunner{Inner: cfg.Engine, Timeout: timeout, Breaker: s.breaker}
-	s.preparer, _ = cfg.Engine.(PreparedRunner)
-	if _, ok := cfg.Engine.(RefillRunner); ok {
-		s.refilling = cfg.Refill
-	}
 	return s, nil
 }
 
@@ -641,9 +588,6 @@ func (s *Server) SubmitOpts(tokens []int, deadline time.Duration, opt SubmitOpti
 	if resident > s.cfg.L {
 		return reject(&TooLongError{Len: resident, Limit: s.cfg.L})
 	}
-	if s.cfg.Scheme == batch.SlottedConcat && s.cfg.SlotSize > 0 && resident > s.cfg.SlotSize {
-		return reject(&TooLongError{Len: resident, Limit: s.cfg.SlotSize, Slot: true})
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	select {
@@ -657,7 +601,7 @@ func (s *Server) SubmitOpts(tokens []int, deadline time.Duration, opt SubmitOpti
 	if len(s.queue) >= s.cfg.QueueCap {
 		return reject(ErrQueueFull)
 	}
-	if s.breaker != nil && s.breaker.State() == BreakerOpen && len(s.queue) >= s.cfg.OpenQueueCap {
+	if s.breaker != nil && s.breaker.State() == BreakerOpen && len(s.queue) >= s.openQueueCap() {
 		return reject(ErrBreakerOpen)
 	}
 	var weight float64
@@ -756,7 +700,7 @@ func (s *Server) Stats() Stats {
 		BatchOccupancyPct:    occupancy,
 		EncodedTokens:        s.encodedTokens.Load(),
 		EncodedScores:        s.encodedScores.Load(),
-		Refilling:            s.refilling,
+		Refilling:            s.cfg.Refill,
 		Kernels:              tensor.KernelCounters(),
 		FairEnabled:          s.cfg.Fair,
 	}
@@ -806,6 +750,10 @@ func (s *Server) Health() Health {
 	h.Serviceable = h.State == "running" && h.Breaker != "open"
 	return h
 }
+
+// openQueueCap is the queue bound while the breaker is open: QueueCap/8,
+// at least 1.
+func (s *Server) openQueueCap() int { return max(1, s.cfg.QueueCap/8) }
 
 // clock returns seconds since server construction (the scheduler's time
 // base).
@@ -889,75 +837,59 @@ func (s *Server) selectBatch() *launch {
 	s.mu.Unlock()
 
 	// Probes stay minimal: their hook admits nothing.
-	l := &launch{tokens: tokens, hook: newRefillHook(s, selected, s.refilling && state != BreakerHalfOpen)}
+	l := &launch{hook: newRefillHook(s, selected, s.cfg.Refill && state != BreakerHalfOpen)}
 	if state == BreakerHalfOpen {
 		items := []batch.Item{itemFor(selected[0])}
 		l.b, _ = batch.PackNaive(items, 1, s.cfg.L)
 	} else {
 		l.b = s.layout(dec, selected)
 	}
-	if s.preparer != nil {
-		ep, err := s.preparer.Prepare(l.b, l.tokens)
-		if err != nil {
-			// Staging or memory admission failed before the engine ran:
-			// park the selection for a Poll without charging an attempt. An
-			// expired deadline still retires it on a later sweep. A bad token
-			// fails only the request carrying it.
-			park := s.clock() + s.cfg.Poll.Seconds()
-			members := l.hook.close()
-			var te *engine.TokenError
-			s.mu.Lock()
-			if errors.As(err, &te) {
-				s.failBadTokens(members, te)
-			} else {
-				for _, p := range members {
-					s.requeue(p, park, false)
-				}
+	ep, err := s.cfg.Engine.Prepare(l.b, tokens)
+	if err != nil {
+		// Staging or memory admission failed before the engine ran: park
+		// the selection for a Poll without charging an attempt. An expired
+		// deadline still retires it on a later sweep. A bad token fails only
+		// the request carrying it.
+		park := s.clock() + s.cfg.Poll.Seconds()
+		members := l.hook.close()
+		var te *engine.TokenError
+		s.mu.Lock()
+		if errors.As(err, &te) {
+			s.failBadTokens(members, te)
+		} else {
+			for _, p := range members {
+				s.requeue(p, park, false)
 			}
-			s.inFlight--
-			s.mu.Unlock()
-			s.notify()
-			return nil
 		}
-		// ep may be nil (a wrapper around a plain Runner): fall back to Run.
-		if l.ep = ep; ep != nil {
-			// The cleaning report belongs to stage C, where the pipeline
-			// overlaps it with the next batch's compute.
-			ep.DeferCleaning = true
-		}
+		s.inFlight--
+		s.mu.Unlock()
+		s.notify()
+		return nil
 	}
+	l.ep = ep
 	return l
 }
 
-// executeBatch is stage B: the supervised engine invocation. Every prepared
-// launch runs as a persistent execution context under its hook; engines
-// without the prepared handoff get the plain call.
+// executeBatch is stage B: the supervised engine invocation. Every launch
+// runs as a persistent execution context under its hook. It is counted
+// before it starts, so a response its hook delivers early already sees it
+// in Stats.Batches.
 func (s *Server) executeBatch(l *launch) (*engine.Report, error) {
-	var rep *engine.Report
-	var err error
-	if l.ep != nil {
-		rep, err = s.runner.RunPreparedRefill(l.ep, l.hook, s.admissionBudget)
-	} else {
-		rep, err = s.runner.Run(l.b, l.tokens)
-	}
 	s.mu.Lock()
 	s.batches++
 	s.mu.Unlock()
-	return rep, err
+	return s.runner.RunPreparedRefill(l.ep, l.hook, s.admissionBudget)
 }
 
-// completeBatch is stage C: finish the deferred memory-cleaning report,
-// release the batch's reservation, then settle every member still running —
-// deliver its result, or charge it the failed attempt.
+// completeBatch is stage C: release the batch's reservation, then settle
+// every member still running — deliver its result, or charge it the failed
+// attempt.
 func (s *Server) completeBatch(l *launch, rep *engine.Report, err error, served time.Time) {
 	// Close the hook FIRST: from here on a watchdog-abandoned engine
 	// goroutine that is still stepping can no longer deliver, admit from the
 	// queue, or requeue — this stage owns the launch's members now (the ones
 	// still running: early retires and rejections already left the hook).
 	members := l.hook.close()
-	if err == nil && l.ep != nil && rep != nil {
-		err = l.ep.FinishReport(rep)
-	}
 	// Release the reservation BEFORE requeueing: the watchdog abandons a
 	// hung run without freeing anything, so a retried batch would otherwise
 	// deadlock against its own previous reservation.
@@ -980,22 +912,16 @@ func (s *Server) completeBatch(l *launch, rep *engine.Report, err error, served 
 	}
 	now := s.clock()
 	var pe *PanicError
-	var te *engine.TokenError
 	s.mu.Lock()
 	switch {
 	case errors.As(err, &pe):
 		s.panics++
 	case errors.Is(err, ErrBatchTimeout):
 		s.timeouts++
-	case errors.As(err, &te):
-		// An engine without the prepared handoff staged inside Run.
-		s.failBadTokens(members, te)
 	}
 	for _, p := range members {
 		r, ok := byID[p.req.ID]
 		switch {
-		case te != nil:
-			// Settled above by failBadTokens.
 		case errors.Is(err, ErrBreakerOpen):
 			// Raced a breaker trip between the state check and the run: the
 			// engine never saw the batch, so park it for the loop to
@@ -1057,9 +983,6 @@ func (s *Server) layout(dec sched.Decision, selected []*pending) *batch.Batch {
 	b := &batch.Batch{Scheme: s.cfg.Scheme}
 	if s.cfg.Scheme == batch.SlottedConcat {
 		b.SlotSize = dec.SlotSize
-		if b.SlotSize <= 0 {
-			b.SlotSize = s.cfg.SlotSize
-		}
 		if b.SlotSize <= 0 {
 			b.SlotSize = s.cfg.L
 		}

@@ -15,7 +15,7 @@ import (
 
 const testVocab = 60
 
-func testServer(t *testing.T, scheme batch.Scheme, scheduler sched.Scheduler) (*Server, *engine.Engine) {
+func testServer(t testing.TB, scheme batch.Scheme, scheduler sched.Scheduler) (*Server, *engine.Engine) {
 	t.Helper()
 	cfg := model.Config{
 		VocabSize: testVocab, DModel: 32, NumHeads: 4, DFF: 64,
@@ -306,7 +306,7 @@ func TestDrainConcurrentSharesDeadline(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
 	s, err := New(Config{
-		Engine:           blockingRunner{block},
+		Engine:           blockingRunner{block: block},
 		Scheduler:        sched.FCFS{},
 		Scheme:           batch.Concat,
 		B:                1,
@@ -352,11 +352,14 @@ func TestDrainConcurrentSharesDeadline(t *testing.T) {
 	}
 }
 
-// blockingRunner wedges every Run until its channel closes — the minimal
+// blockingRunner wedges every launch until its channel closes — the minimal
 // stand-in for an engine stuck in a kernel.
-type blockingRunner struct{ block chan struct{} }
+type blockingRunner struct {
+	stager
+	block chan struct{}
+}
 
-func (b blockingRunner) Run(*batch.Batch, map[int64][]int) (*engine.Report, error) {
+func (b blockingRunner) RunPreparedRefill(*engine.Prepared, engine.RefillHook) (*engine.Report, error) {
 	<-b.block
 	return nil, ErrChaos
 }
@@ -489,18 +492,19 @@ func TestDrainWakes(t *testing.T) {
 // gatedRunner runs the real engine once gate closes, reporting each start on
 // started: the test decides when the one batch completes.
 type gatedRunner struct {
+	stager
 	e       *engine.Engine
 	started chan struct{}
 	gate    chan struct{}
 }
 
-func (r gatedRunner) Run(b *batch.Batch, tokens map[int64][]int) (*engine.Report, error) {
+func (r gatedRunner) RunPreparedRefill(p *engine.Prepared, _ engine.RefillHook) (*engine.Report, error) {
 	select {
 	case r.started <- struct{}{}:
 	default:
 	}
 	<-r.gate
-	return r.e.Run(b, tokens)
+	return r.e.Run(p.Batch, p.Tokens)
 }
 
 // TestDrainNotDelayedByWakeConsumer: Drain waits on a signal of its own, so

@@ -176,40 +176,67 @@ type SupervisedRunner struct {
 	Breaker *Breaker
 }
 
-// Run executes the inner runner under supervision. A panic in the engine
-// becomes a *PanicError; a batch exceeding its budget fails with
+// RunPreparedRefill executes a staged launch under supervision. A panic in
+// the engine becomes a *PanicError; a batch exceeding its budget fails with
 // ErrBatchTimeout (the runaway engine goroutine is abandoned and its late
 // result discarded); an open breaker refuses the run with ErrBreakerOpen
-// without touching the engine or recording an outcome.
-func (s *SupervisedRunner) Run(b *batch.Batch, tokens map[int64][]int) (*engine.Report, error) {
-	return s.supervise(b, func(*deadline) (*engine.Report, error) { return s.Inner.Run(b, tokens) })
-}
-
-// RunPreparedRefill executes a staged launch under the identical supervision
-// envelope. The watchdog budget is extendable: every admission the hook
-// accepts adds extend(adm) to the deadline, so the budget tracks the batch's
-// composition as it changes instead of killing a healthy launch for serving
-// more work than it was born with. An inner runner without the refill path
-// runs the batch to completion through its prepared (or plain) path — the
-// hook stays silent and the serve loop's completion stage delivers
-// everything. Note a watchdog-abandoned run keeps computing in its goroutine
+// without touching the engine or recording an outcome. The watchdog budget
+// is extendable: every admission the hook accepts adds extend(adm) to the
+// deadline, so the budget tracks the batch's composition as it changes
+// instead of killing a healthy launch for serving more work than it was
+// born with. Note a watchdog-abandoned run keeps computing in its goroutine
 // — it never frees the batch's memory reservation, which is why the serve
 // loop releases the Prepared before requeueing (see completeBatch).
 func (s *SupervisedRunner) RunPreparedRefill(p *engine.Prepared, hook engine.RefillHook,
 	extend func(engine.Admission) time.Duration) (*engine.Report, error) {
-	return s.supervise(p.Batch, func(dl *deadline) (*engine.Report, error) {
-		switch inner := s.Inner.(type) {
-		case RefillRunner:
-			if dl != nil && extend != nil {
+	if s.Breaker != nil && !s.Breaker.Allow() {
+		return nil, ErrBreakerOpen
+	}
+	var dl *deadline
+	var budget time.Duration
+	if s.Timeout != nil {
+		if budget = s.Timeout(p.Batch); budget > 0 {
+			dl = &deadline{at: time.Now().Add(budget)}
+			if extend != nil {
 				hook = &extendingHook{RefillHook: hook, extend: extend, dl: dl}
 			}
-			return inner.RunPreparedRefill(p, hook)
-		case PreparedRunner:
-			return inner.RunPrepared(p)
-		default:
-			return s.Inner.Run(p.Batch, p.Tokens)
 		}
-	})
+	}
+	type outcome struct {
+		rep *engine.Report
+		err error
+	}
+	ch := make(chan outcome, 1) // buffered: an abandoned run must not leak its goroutine
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				ch <- outcome{nil, &PanicError{Value: r, Stack: debug.Stack()}}
+			}
+		}()
+		rep, err := s.Inner.RunPreparedRefill(p, hook)
+		ch <- outcome{rep, err}
+	}()
+	if dl == nil {
+		o := <-ch
+		s.record(o.err == nil)
+		return o.rep, o.err
+	}
+	for {
+		wait := time.Until(dl.get())
+		if wait <= 0 {
+			s.record(false)
+			return nil, fmt.Errorf("%w: %d items exceeded budget %v (before extensions)", ErrBatchTimeout, p.Batch.NumItems(), budget)
+		}
+		t := time.NewTimer(wait)
+		select {
+		case o := <-ch:
+			t.Stop()
+			s.record(o.err == nil)
+			return o.rep, o.err
+		case <-t.C:
+			// The deadline may have moved while we slept; loop re-checks.
+		}
+	}
 }
 
 // deadline is a mutex-guarded watchdog deadline the extendingHook pushes
@@ -248,58 +275,6 @@ func (h *extendingHook) Refill(free int) []engine.Admission {
 		h.dl.add(h.extend(adm))
 	}
 	return adms
-}
-
-// supervise runs one engine invocation under breaker gating, panic capture
-// and the per-batch watchdog. run receives the watchdog's movable deadline
-// (nil when the batch has no budget) so it can extend it; on timeout the run
-// goroutine is abandoned, never killed.
-func (s *SupervisedRunner) supervise(b *batch.Batch, run func(*deadline) (*engine.Report, error)) (*engine.Report, error) {
-	if s.Breaker != nil && !s.Breaker.Allow() {
-		return nil, ErrBreakerOpen
-	}
-	var dl *deadline
-	var budget time.Duration
-	if s.Timeout != nil {
-		if budget = s.Timeout(b); budget > 0 {
-			dl = &deadline{at: time.Now().Add(budget)}
-		}
-	}
-	type outcome struct {
-		rep *engine.Report
-		err error
-	}
-	ch := make(chan outcome, 1) // buffered: an abandoned run must not leak its goroutine
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- outcome{nil, &PanicError{Value: r, Stack: debug.Stack()}}
-			}
-		}()
-		rep, err := run(dl)
-		ch <- outcome{rep, err}
-	}()
-	if dl == nil {
-		o := <-ch
-		s.record(o.err == nil)
-		return o.rep, o.err
-	}
-	for {
-		wait := time.Until(dl.get())
-		if wait <= 0 {
-			s.record(false)
-			return nil, fmt.Errorf("%w: %d items exceeded budget %v (before extensions)", ErrBatchTimeout, b.NumItems(), budget)
-		}
-		t := time.NewTimer(wait)
-		select {
-		case o := <-ch:
-			t.Stop()
-			s.record(o.err == nil)
-			return o.rep, o.err
-		case <-t.C:
-			// The deadline may have moved while we slept; loop re-checks.
-		}
-	}
 }
 
 func (s *SupervisedRunner) record(ok bool) {

@@ -12,21 +12,34 @@ import (
 	"tcb/internal/sched"
 )
 
+// stager is the staging half of Runner for test fakes that run a whole
+// launch at once: Prepare holds only the batch and its tokens (no
+// reservation, no staged tensors), which is all such a fake reads. A fake
+// ignores the refill hook, so the server delivers every member from the
+// report when the launch ends.
+type stager struct{}
+
+func (stager) Prepare(b *batch.Batch, tokens map[int64][]int) (*engine.Prepared, error) {
+	return &engine.Prepared{Batch: b, Tokens: tokens}, nil
+}
+
 // scriptRunner fails its first failN runs (optionally by panicking), then
 // delegates to real — or, with real nil, synthesizes a one-token output per
 // item. It records every batch it was launched with.
 type scriptRunner struct {
+	stager
 	mu        sync.Mutex
 	failN     int
 	panicMode bool
-	real      Runner
+	real      *engine.Engine
 	runs      int
 	batches   []*batch.Batch
 }
 
 var errScripted = errors.New("scripted engine failure")
 
-func (r *scriptRunner) Run(b *batch.Batch, tokens map[int64][]int) (*engine.Report, error) {
+func (r *scriptRunner) RunPreparedRefill(p *engine.Prepared, _ engine.RefillHook) (*engine.Report, error) {
+	b := p.Batch
 	r.mu.Lock()
 	r.runs++
 	r.batches = append(r.batches, b)
@@ -42,7 +55,7 @@ func (r *scriptRunner) Run(b *batch.Batch, tokens map[int64][]int) (*engine.Repo
 		return nil, errScripted
 	}
 	if r.real != nil {
-		return r.real.Run(b, tokens)
+		return r.real.Run(b, p.Tokens)
 	}
 	rep := &engine.Report{}
 	for _, it := range b.Items() {
@@ -118,7 +131,7 @@ func TestBreakerLifecycle(t *testing.T) {
 
 func TestSupervisedRunnerPanicCapture(t *testing.T) {
 	sr := &SupervisedRunner{Inner: &scriptRunner{failN: 1, panicMode: true}}
-	_, err := sr.Run(&batch.Batch{}, nil)
+	_, err := sr.RunPreparedRefill(&engine.Prepared{Batch: &batch.Batch{}}, nil, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -130,10 +143,11 @@ func TestSupervisedRunnerPanicCapture(t *testing.T) {
 
 // slowRunner blocks until released (or forever with a nil channel).
 type slowRunner struct {
+	stager
 	release <-chan struct{}
 }
 
-func (r *slowRunner) Run(*batch.Batch, map[int64][]int) (*engine.Report, error) {
+func (r *slowRunner) RunPreparedRefill(*engine.Prepared, engine.RefillHook) (*engine.Report, error) {
 	<-r.release
 	return nil, errors.New("released")
 }
@@ -148,7 +162,7 @@ func TestSupervisedRunnerTimeout(t *testing.T) {
 		Breaker: br,
 	}
 	start := time.Now()
-	_, err := sr.Run(&batch.Batch{}, nil)
+	_, err := sr.RunPreparedRefill(&engine.Prepared{Batch: &batch.Batch{}}, nil, nil)
 	if !errors.Is(err, ErrBatchTimeout) {
 		t.Fatalf("err = %v, want ErrBatchTimeout", err)
 	}
@@ -160,7 +174,7 @@ func TestSupervisedRunnerTimeout(t *testing.T) {
 		t.Fatalf("breaker state after timeout = %v, want open", st)
 	}
 	// And the open breaker refuses the next run without touching the inner.
-	if _, err := sr.Run(&batch.Batch{}, nil); !errors.Is(err, ErrBreakerOpen) {
+	if _, err := sr.RunPreparedRefill(&engine.Prepared{Batch: &batch.Batch{}}, nil, nil); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("err = %v, want ErrBreakerOpen", err)
 	}
 }
@@ -288,7 +302,7 @@ func TestBreakerShedsWhileOpen(t *testing.T) {
 		Retry:            RetryPolicy{MaxAttempts: 100, Backoff: time.Millisecond},
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Hour, // stay open for the whole test
-		OpenQueueCap:     1,
+		QueueCap:         8,         // open bound 1
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -383,38 +397,28 @@ func TestDrainDeadlineWedgedEngine(t *testing.T) {
 	}
 }
 
-func TestSubmitSlotSizeValidation(t *testing.T) {
-	cfg := Config{
+// TestSubmitTooLongRejected: a request longer than the row is refused up
+// front with a typed error. Under SlottedConcat the row is the only bound —
+// the slot size is the scheduler's per-decision choice, so a request longer
+// than some slot is still schedulable.
+func TestSubmitTooLongRejected(t *testing.T) {
+	srv, err := New(Config{
+		Engine:    &scriptRunner{},
 		Scheduler: sched.NewSlottedDAS(),
 		Scheme:    batch.SlottedConcat,
-		B:         4, L: 64, SlotSize: 8,
-	}
-	cfg.Engine = &scriptRunner{}
-	srv, err := New(cfg)
+		B:         4, L: 64,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := rng.New(75)
-	if _, err := srv.Submit(randTokens(src, 8), time.Second); err != nil {
-		t.Fatalf("slot-sized request rejected: %v", err)
+	if _, err := srv.Submit(randTokens(src, 64), time.Second); err != nil {
+		t.Fatalf("row-sized request rejected: %v", err)
 	}
-	_, err = srv.Submit(randTokens(src, 10), time.Second)
-	var tooLong *TooLongError
-	if !errors.As(err, &tooLong) {
-		t.Fatalf("over-slot submit err = %v, want *TooLongError", err)
-	}
-	if !tooLong.Slot || tooLong.Limit != 8 || tooLong.Len != 10 {
-		t.Fatalf("unexpected TooLongError %+v", tooLong)
-	}
-	// Row-capacity overflows keep the typed error too, without Slot.
 	_, err = srv.Submit(randTokens(src, 65), time.Second)
-	if !errors.As(err, &tooLong) || tooLong.Slot {
-		t.Fatalf("over-row submit err = %v, want row-capacity *TooLongError", err)
-	}
-	// A slot size beyond the row is a configuration error.
-	cfg.SlotSize = 128
-	if _, err := New(cfg); err == nil {
-		t.Fatal("SlotSize > L must fail validation")
+	var tooLong *TooLongError
+	if !errors.As(err, &tooLong) || tooLong.Limit != 64 || tooLong.Len != 65 {
+		t.Fatalf("over-row submit err = %v, want *TooLongError{Len: 65, Limit: 64}", err)
 	}
 }
 

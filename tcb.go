@@ -156,8 +156,8 @@ func NewServer(cfg ServerConfig) (*Server, error) { return serve.New(cfg) }
 // ServerStats is a point-in-time snapshot of server counters.
 type ServerStats = serve.Stats
 
-// EngineRunner abstracts the engine for the server (fault injection,
-// alternative backends).
+// EngineRunner is the engine seam behind the server — Prepare +
+// RunPreparedRefill — for fault injection and alternative backends.
 type EngineRunner = serve.Runner
 
 // NewHTTPHandler exposes a server over HTTP (POST /v1/infer,
