@@ -17,41 +17,54 @@ import (
 )
 
 // TestEveryFunctionHasACaller enforces DESIGN.md §18 ("What code stays"): a
-// non-test function or method of this module must have a non-test use
-// somewhere in the module or in bench/ (the benchmark module, which counts
-// as a caller). A method that satisfies an interface counts as used. Three
-// places are exempt, because what they hold has its callers elsewhere:
+// non-test function or method of this module must be reachable from a root
+// through non-test code, where a function reaches every function its body
+// names. The roots are what has its callers outside the call graph:
 //
-//   - tcb.go, the public façade (callers are users of the module);
-//   - every oracle.go, the named oracles tests compare production paths
-//     against;
-//   - bench/, which is checked against the module, not by it.
+//   - main and init;
+//   - everything in tcb.go (the public façade; its callers are users of
+//     the module) and in every oracle.go (the named oracles tests compare
+//     production paths against);
+//   - every function a package-level declaration names;
+//   - every method that satisfies an interface (see satisfiesInterface);
+//   - everything in bench/ (the benchmark module, which is checked against
+//     the module, not by it).
 //
-// A type alias in tcb.go exports the type, not every method on it.
+// Two dead functions that only call each other reach neither from a root,
+// so both are flagged (TestCallersFlagDeadCycle pins that on a fixture). A
+// type alias in tcb.go exports the type, not every method on it.
 func TestEveryFunctionHasACaller(t *testing.T) {
 	l := newLoader(t)
 	l.walk(".", "tcb", func(rel string) bool { return rel == "bench" })
 	l.walk("bench", "tcb/bench", nil)
+	isBench := func(path string) bool { return strings.HasPrefix(path, "tcb/bench") }
+	dead := l.unreachable(isBench)
 	for _, path := range l.order() {
-		l.check(path)
-	}
-	used := l.uses()
-	for _, path := range l.order() {
-		if strings.HasPrefix(path, "tcb/bench") {
+		if isBench(path) {
 			continue
 		}
-		var unused []string
-		for _, d := range l.decls(path) {
-			if !used[d.fn] && !l.satisfiesInterface(d.fn) {
-				unused = append(unused, fmt.Sprintf("%s: %s", l.fset.Position(d.pos), d.name))
-			}
-		}
 		t.Run(path, func(t *testing.T) {
-			if len(unused) > 0 {
-				t.Errorf("%d functions without a non-test caller (delete them, or move an oracle into oracle.go):\n\t%s",
-					len(unused), strings.Join(unused, "\n\t"))
+			if d := dead[path]; len(d) > 0 {
+				t.Errorf("%d functions unreachable from the roots (delete them, or move an oracle into oracle.go):\n\t%s",
+					len(d), strings.Join(d, "\n\t"))
 			}
 		})
+	}
+}
+
+// TestCallersFlagDeadCycle runs the check on testdata/deadcycle, a program
+// with two dead functions that only call each other: each has a caller, so
+// a one-level "has a caller" rule passes both, but neither is reachable.
+func TestCallersFlagDeadCycle(t *testing.T) {
+	l := newLoader(t)
+	l.walk(filepath.Join("testdata", "deadcycle"), "deadcycle", nil)
+	dead := l.unreachable(func(string) bool { return false })
+	var got []string
+	for _, d := range dead["deadcycle"] {
+		got = append(got, d[strings.LastIndex(d, " ")+1:])
+	}
+	if want := []string{"ping", "pong"}; strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("unreachable = %v, want %v", dead, want)
 	}
 }
 
@@ -173,61 +186,75 @@ func (l *loader) check(path string) *types.Package {
 	return pkg
 }
 
-// uses returns every function a non-test file names, outside the function's
-// own body (a recursive call alone is not a caller).
-func (l *loader) uses() map[*types.Func]bool {
-	used := map[*types.Func]bool{}
-	for _, files := range l.files {
-		for _, f := range files {
-			for _, decl := range f.Decls {
-				var self types.Object
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					self = l.info.Defs[fd.Name]
+// unreachable type-checks every package and returns, per package that is
+// not a root package, the functions and methods no root reaches
+// ("file:line: name", in source order).
+func (l *loader) unreachable(rootPkg func(path string) bool) map[string][]string {
+	for _, path := range l.order() {
+		l.check(path)
+	}
+	type decl struct {
+		fn   *types.Func
+		path string
+		desc string
+	}
+	var roots []*types.Func
+	var decls []decl
+	edges := map[*types.Func][]*types.Func{}
+	for _, path := range l.order() {
+		for _, f := range l.files[path] {
+			base := filepath.Base(l.fset.Position(f.Pos()).Filename)
+			exempt := rootPkg(path) || base == "oracle.go" || (path == "tcb" && base == "tcb.go")
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Name.Name == "_" {
+					roots = append(roots, l.named(d)...)
+					continue
 				}
-				ast.Inspect(decl, func(n ast.Node) bool {
-					id, ok := n.(*ast.Ident)
-					if !ok {
-						return true
-					}
-					if fn, ok := l.info.Uses[id].(*types.Func); ok && fn != self {
-						used[fn.Origin()] = true
-					}
-					return true
-				})
+				fn := l.info.Defs[fd.Name].(*types.Func)
+				edges[fn] = l.named(fd)
+				if exempt || fd.Name.Name == "init" || (fd.Recv == nil && fd.Name.Name == "main") || l.satisfiesInterface(fn) {
+					roots = append(roots, fn)
+					continue
+				}
+				name := fd.Name.Name
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+					name = types.TypeString(recv.Type(), func(*types.Package) string { return "" }) + "." + name
+				}
+				decls = append(decls, decl{fn, path, fmt.Sprintf("%s: %s", l.fset.Position(fd.Name.Pos()), name)})
 			}
 		}
 	}
-	return used
-}
-
-type funcDecl struct {
-	fn   *types.Func
-	name string
-	pos  token.Pos
-}
-
-// decls lists the functions and methods of one package the rule applies
-// to: everything outside tcb.go and oracle.go except main and init.
-func (l *loader) decls(path string) []funcDecl {
-	var out []funcDecl
-	for _, f := range l.files[path] {
-		base := filepath.Base(l.fset.Position(f.Pos()).Filename)
-		if base == "oracle.go" || (path == "tcb" && base == "tcb.go") {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Name.Name == "_" || fd.Name.Name == "init" || (fd.Recv == nil && fd.Name.Name == "main") {
-				continue
-			}
-			fn := l.info.Defs[fd.Name].(*types.Func)
-			name := fd.Name.Name
-			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-				name = types.TypeString(recv.Type(), func(*types.Package) string { return "" }) + "." + name
-			}
-			out = append(out, funcDecl{fn: fn, name: name, pos: fd.Name.Pos()})
+	reached := map[*types.Func]bool{}
+	for len(roots) > 0 {
+		fn := roots[len(roots)-1]
+		roots = roots[:len(roots)-1]
+		if !reached[fn] {
+			reached[fn] = true
+			roots = append(roots, edges[fn]...)
 		}
 	}
+	dead := map[string][]string{}
+	for _, d := range decls {
+		if !reached[d.fn] {
+			dead[d.path] = append(dead[d.path], d.desc)
+		}
+	}
+	return dead
+}
+
+// named returns every function node names: a function's outgoing edges, or
+// the roots a package-level declaration adds.
+func (l *loader) named(node ast.Node) []*types.Func {
+	var out []*types.Func
+	ast.Inspect(node, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if fn, ok := l.info.Uses[id].(*types.Func); ok {
+				out = append(out, fn.Origin())
+			}
+		}
+		return true
+	})
 	return out
 }
 

@@ -3,7 +3,7 @@
 // stream and prints end-to-end statistics: a miniature live version of the
 // paper's serving experiments.
 //
-//	tcb-serve [-n 64] [-rate 30] [-scheduler das] [-scheme concat] [-deadline 2s]
+//	tcb-serve [-n 64] [-rate 30] [-scheduler das] [-deadline 2s]
 //	tcb-serve -replicas 3 -route least ...    # three replicas behind the front
 //	tcb-serve -chaos err=0.2,panic=0.05 ...   # deterministic fault injection
 //	tcb-serve -tenants "free:1,premium:4" ... # weighted fair queueing
@@ -80,7 +80,7 @@ type options struct {
 	pipeline, refill, prefixCache       bool
 	deadline, batchTimeout              time.Duration
 	stallTimeout, respawnDeadline       time.Duration
-	httpAddr, scheduler, scheme         string
+	httpAddr, scheduler                 string
 	chaos, route, tenants, classes      string
 }
 
@@ -90,8 +90,7 @@ func parseFlags(args []string) options {
 	fs := flag.NewFlagSet("tcb-serve", flag.ExitOnError)
 	fs.IntVar(&o.n, "n", 64, "number of requests to send")
 	fs.Float64Var(&o.rate, "rate", 30, "arrival rate (req/s)")
-	fs.StringVar(&o.scheduler, "scheduler", "das", "das|slotted|fcfs|sjf|def")
-	fs.StringVar(&o.scheme, "scheme", "concat", "concat|slotted|naive")
+	fs.StringVar(&o.scheduler, "scheduler", "das", "das|fcfs|sjf|def")
 	fs.DurationVar(&o.deadline, "deadline", 2*time.Second, "per-request deadline")
 	fs.StringVar(&o.httpAddr, "http", "", "serve HTTP on this address instead of running the batch demo")
 	fs.IntVar(&o.dmodel, "dmodel", 64, "model width")
@@ -169,26 +168,15 @@ type stack struct {
 	prefixMems []*gpu.MemoryManager
 }
 
-// The -scheduler and -scheme names (the schedulers are stateless, so replicas
-// share one).
-var (
-	schedulers = map[string]sched.Scheduler{
-		"das": sched.NewDAS(), "slotted": sched.NewSlottedDAS(),
-		"fcfs": sched.FCFS{}, "sjf": sched.SJF{}, "def": sched.DEF{},
-	}
-	schemes = map[string]batch.Scheme{
-		"concat": batch.Concat, "slotted": batch.SlottedConcat, "naive": batch.Naive,
-	}
-)
+// The -scheduler names (the schedulers are stateless, so replicas share one).
+var schedulers = map[string]sched.Scheduler{
+	"das": sched.NewDAS(), "fcfs": sched.FCFS{}, "sjf": sched.SJF{}, "def": sched.DEF{},
+}
 
 func build(o options) (*stack, error) {
 	scheduler, ok := schedulers[o.scheduler]
 	if !ok {
 		return nil, fmt.Errorf("unknown scheduler %q", o.scheduler)
-	}
-	scheme, ok := schemes[o.scheme]
-	if !ok {
-		return nil, fmt.Errorf("unknown scheme %q", o.scheme)
 	}
 	chaosCfg, err := serve.ParseChaos(o.chaos)
 	if err != nil {
@@ -219,8 +207,8 @@ func build(o options) (*stack, error) {
 
 	st := &stack{
 		tenants: registry.Names(),
-		banner: fmt.Sprintf("replicas=%d route=%s scheduler=%s scheme=%s dmodel=%d",
-			o.replicas, policy, scheduler.Name(), scheme, o.dmodel),
+		banner: fmt.Sprintf("replicas=%d route=%s scheduler=%s dmodel=%d",
+			o.replicas, policy, scheduler.Name(), o.dmodel),
 	}
 	modelCfg := model.Config{
 		VocabSize: vocabSize, DModel: o.dmodel, NumHeads: 4, DFF: 2 * o.dmodel,
@@ -258,7 +246,7 @@ func build(o options) (*stack, error) {
 			st.chaosRunners = append(st.chaosRunners, chaos)
 		}
 		cfg := serve.Config{
-			Engine: runner, Scheduler: scheduler, Scheme: scheme,
+			Engine: runner, Scheduler: scheduler, Scheme: batch.Concat,
 			B: batchRows, L: rowCapacity,
 			Retry:            serve.RetryPolicy{MaxAttempts: o.retries},
 			BreakerThreshold: o.breaker,

@@ -103,7 +103,7 @@ func TestReportKernelsLine(t *testing.T) {
 
 // TestRunRejectsBadNames: unknown names fail before anything is built.
 func TestRunRejectsBadNames(t *testing.T) {
-	for _, args := range []string{"-scheduler lifo", "-scheme ragged", "-route random", "-chaos oops", "-tenants a:b"} {
+	for _, args := range []string{"-scheduler lifo", "-scheduler slotted", "-route random", "-chaos oops", "-tenants a:b"} {
 		if err := run(parseFlags(strings.Fields(args)), &bytes.Buffer{}); err == nil {
 			t.Errorf("%s: no error", args)
 		}

@@ -202,9 +202,9 @@ func (p Params) PredictBatchDuration(b *batch.Batch) time.Duration {
 // PredictAdmissionDuration predicts the extra latency one continuous-
 // batching admission of the given input length adds to a running batch: its
 // encode cost (tokens and self-attention score area) plus its share of the
-// per-segment decode-round cost. The serving layer feeds this into the
-// supervision watchdog as each admission joins a launch, so the budget
-// keeps tracking the batch's composition (Config.PredictAdmission).
+// per-segment decode-round cost, with no per-launch overhead. Only the
+// benchmark module (bench/) calls it; the server's admission budget is
+// PredictBatch of a one-item row of the admission's length instead.
 func (p Params) PredictAdmissionDuration(lenTokens int) time.Duration {
 	if lenTokens <= 0 {
 		return 0

@@ -265,6 +265,31 @@ func TestEncodeWorkBound(t *testing.T) {
 		want(scheme.String(), run(e, b, tokens, nil), 3*17, 3*17*17)
 	}
 
+	// Slotting never saves work on this engine: the same items in the same
+	// rows and order stage the same Σlen rows as Slotted and as Concat, and
+	// a slot scores one block over every request it holds where Concat
+	// scores one block per request, so Slotted scores at least as much.
+	for seed := uint64(1); seed <= 4; seed++ {
+		rs := rng.New(seed)
+		lens := make([]int, 4+rs.Intn(12))
+		slot := 1
+		for i := range lens {
+			lens[i] = rs.IntRange(1, 24)
+			slot = max(slot, lens[i])
+		}
+		tokens, items := makeRequests(rs, lens...)
+		slotted, rest := batch.PackSlotted(items, len(items), 4*slot, slot)
+		if len(rest) != 0 {
+			t.Fatalf("seed %d: slotted pack left %d items", seed, len(rest))
+		}
+		concat := &batch.Batch{Scheme: batch.Concat, Rows: slotted.Rows}
+		sr, cr := run(e, slotted, tokens, nil), run(e, concat, tokens, nil)
+		if sr.EncodedTokens != cr.EncodedTokens || sr.EncodedScores < cr.EncodedScores {
+			t.Fatalf("seed %d, lens %v: slotted encoded %d tokens / %d scores, concat %d / %d; want equal tokens and slotted scores >= concat",
+				seed, lens, sr.EncodedTokens, sr.EncodedScores, cr.EncodedTokens, cr.EncodedScores)
+		}
+	}
+
 	// Mid-flight admissions are charged like launch rows. A cold declared
 	// prefix is two blocks — p² + s², never (p+s)² — and the next request of
 	// the family, a hit, encodes its suffix only.

@@ -11,6 +11,8 @@ package sched
 import (
 	"fmt"
 	"sort"
+
+	"tcb/internal/batch"
 )
 
 // Request is one inference request in the scheduling problem (§5.1).
@@ -128,6 +130,29 @@ func (d Decision) Chosen() []*Request {
 
 // Utility returns the total utility of the decision.
 func (d Decision) Utility() float64 { return TotalUtility(d.Chosen()) }
+
+// Batch lays the decision out as a launch: each non-empty row becomes a
+// batch row padded to L, in the decision's order, so no chosen request is
+// dropped between decision and launch (the scheduler already respected row
+// capacities). It is Concat, or SlottedConcat with the given slot size when
+// slotSize > 0. item builds each request's batch item.
+func (d Decision) Batch(L, slotSize int, item func(*Request) batch.Item) *batch.Batch {
+	b := &batch.Batch{Scheme: batch.Concat}
+	if slotSize > 0 {
+		b.Scheme, b.SlotSize = batch.SlottedConcat, slotSize
+	}
+	for _, row := range d.Rows {
+		if len(row) == 0 {
+			continue
+		}
+		r := batch.Row{Items: make([]batch.Item, 0, len(row)), PadTo: L}
+		for _, req := range row {
+			r.Items = append(r.Items, item(req))
+		}
+		b.Rows = append(b.Rows, r)
+	}
+	return b
+}
 
 // Scheduler selects requests for the batch starting at time now.
 // pending must contain only schedulable requests (see Expire); B is the

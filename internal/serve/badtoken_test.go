@@ -78,7 +78,7 @@ func TestBadTokenFailsOnlyItsRequest(t *testing.T) {
 
 // TestHTTPBadToken400: over HTTP the bad token is the client's error.
 func TestHTTPBadToken400(t *testing.T) {
-	s, _ := testServer(t, batch.Concat, sched.NewDAS())
+	s, _ := testServer(t, sched.NewDAS())
 	s.Start()
 	defer s.Stop()
 	h := NewHTTPHandler(s)

@@ -234,7 +234,7 @@ func TestSubmitOptsClassDefaults(t *testing.T) {
 func TestHTTPTenantThrottle429(t *testing.T) {
 	reg := fair.NewRegistry(fair.TenantConfig{Name: "meter", BucketRate: 1, BucketBurst: 8})
 	lim := fair.NewLimiter(reg)
-	srv, _ := testServer(t, batch.Concat, sched.NewDAS())
+	srv, _ := testServer(t, sched.NewDAS())
 	srv.Start()
 	ts := httptest.NewServer(NewFrontHandler(Front{
 		Submit: srv.SubmitOpts,

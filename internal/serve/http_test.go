@@ -19,7 +19,7 @@ import (
 
 func httpServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	srv, _ := testServer(t, batch.Concat, sched.NewDAS())
+	srv, _ := testServer(t, sched.NewDAS())
 	srv.Start()
 	ts := httptest.NewServer(NewHTTPHandler(srv))
 	t.Cleanup(func() {
@@ -217,7 +217,7 @@ func (f *flakyRunner) RunPreparedRefill(p *engine.Prepared, _ engine.RefillHook)
 }
 
 func TestEngineFailureInjection(t *testing.T) {
-	_, realEngine := testServer(t, batch.Concat, sched.NewDAS())
+	_, realEngine := testServer(t, sched.NewDAS())
 	// Retry is disabled so the failure surfaces directly — the
 	// pre-supervision semantics. supervise_test.go covers retry-on.
 	srv, err := New(Config{
@@ -350,7 +350,7 @@ func (l *lossyRunner) RunPreparedRefill(p *engine.Prepared, _ engine.RefillHook)
 }
 
 func TestEngineLosingResultsSurfaced(t *testing.T) {
-	_, realEngine := testServer(t, batch.Concat, sched.NewDAS())
+	_, realEngine := testServer(t, sched.NewDAS())
 	srv, err := New(Config{
 		Engine:    &lossyRunner{real: realEngine},
 		Scheduler: sched.NewDAS(),
@@ -433,7 +433,7 @@ func FuzzInfer(f *testing.F) {
 	f.Add([]byte(`{"tokens":[5,1048576,7]}`))                       // outside the vocabulary
 	f.Add([]byte(`{"tokens":[5,6,7],"deadline_ms":"5"}`))           // wrong type
 	f.Add([]byte(`{"tokens":[` + strings.Repeat("5,", 64) + `5]}`)) // longer than a row
-	srv, _ := testServer(f, batch.Concat, sched.NewDAS())
+	srv, _ := testServer(f, sched.NewDAS())
 	srv.Start()
 	f.Cleanup(srv.Stop)
 	h := NewHTTPHandler(srv)

@@ -69,7 +69,7 @@ func collectOutputs(t *testing.T, s *Server, seed uint64, n int) []Response {
 // only on its own tokens, so overlapping batches cannot change it.
 func TestPipelinedMatchesSerialOutputs(t *testing.T) {
 	const n = 24
-	serial, _ := testServer(t, batch.Concat, sched.NewDAS())
+	serial, _ := testServer(t, sched.NewDAS())
 	serial.Start()
 	want := collectOutputs(t, serial, 33, n)
 
@@ -158,7 +158,7 @@ func TestPipelineNoGoroutineLeakAfterDrain(t *testing.T) {
 // TestStageStatsSplit checks the per-stage latency counters accrue on both
 // loop shapes and that Pipelined reports the active mode.
 func TestStageStatsSplit(t *testing.T) {
-	serial, _ := testServer(t, batch.Concat, sched.NewDAS())
+	serial, _ := testServer(t, sched.NewDAS())
 	serial.Start()
 	collectOutputs(t, serial, 66, 6)
 	st := serial.Stats()

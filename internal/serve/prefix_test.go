@@ -200,7 +200,7 @@ func TestPrefixPinsReleasedAfterDelivery(t *testing.T) {
 // suffix, and a declaration without a cache still serves correctly (the
 // engine simply encodes prefix and suffix as two exact segments).
 func TestPrefixSubmitValidation(t *testing.T) {
-	s, e := testServer(t, batch.Concat, sched.FCFS{})
+	s, e := testServer(t, sched.FCFS{})
 	s.Start()
 	defer s.Stop()
 

@@ -137,9 +137,10 @@ func (h *refillHook) Reject(adm engine.Admission, err error) {
 }
 
 // admissionBudget predicts the watchdog extension one admission earns its
-// running batch: the cost model's prediction for a one-item batch of that
-// length, scaled like the base budget (TimeoutSlack). The running total
-// keeps the watchdog calibrated to the batch's current composition.
+// running batch: the cost model's prediction for a one-item Concat row of
+// exactly that length, scaled like the base budget (TimeoutSlack). The
+// running total keeps the watchdog calibrated to the batch's current
+// composition.
 func (s *Server) admissionBudget(adm engine.Admission) time.Duration {
 	// A prefix-cache hit only encodes (and occupies) its uncached suffix, so
 	// the budget tracks the resident length.
@@ -147,10 +148,7 @@ func (s *Server) admissionBudget(adm engine.Admission) time.Duration {
 	if s.cfg.PredictBatch == nil {
 		return 0
 	}
-	items := []batch.Item{{ID: adm.ID, Len: n}}
-	b, _ := batch.PackNaive(items, 1, n)
-	if b == nil {
-		return 0
-	}
+	row := batch.Row{Items: []batch.Item{{ID: adm.ID, Len: n}}, PadTo: n}
+	b := &batch.Batch{Scheme: batch.Concat, Rows: []batch.Row{row}}
 	return time.Duration(float64(s.cfg.PredictBatch(b)) * s.cfg.TimeoutSlack)
 }

@@ -73,8 +73,12 @@ type RetryPolicy struct {
 type Config struct {
 	Engine    Runner
 	Scheduler sched.Scheduler
-	Scheme    batch.Scheme
-	B, L      int
+	// Scheme must be batch.Concat: the server lays every launch out as
+	// concatenated rows (the other schemes are baselines the simulator and
+	// the figures run). The field is kept for bench/, which sets it; New
+	// refuses any other value, the zero value (Naive) included.
+	Scheme batch.Scheme
+	B, L   int
 	// QueueCap bounds the submission queue; Submit fails fast beyond it.
 	// While the circuit breaker is open the bound drops to QueueCap/8 (at
 	// least 1): submissions beyond it are refused with ErrBreakerOpen and
@@ -384,6 +388,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.B <= 0 || cfg.L <= 0 {
 		return nil, fmt.Errorf("serve: B=%d L=%d must be positive", cfg.B, cfg.L)
+	}
+	if cfg.Scheme != batch.Concat {
+		return nil, fmt.Errorf("serve: scheme %v is not served (only %v)", cfg.Scheme, batch.Concat)
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 4096
@@ -815,7 +822,7 @@ func (s *Server) selectBatch() *launch {
 	var dec sched.Decision
 	if state == BreakerHalfOpen {
 		// Probe the engine with the smallest useful launch: the single
-		// highest-utility request in a one-row naive batch.
+		// highest-utility request in a one-row Concat launch.
 		dec = probeDecision(pool)
 	} else {
 		dec = s.cfg.Scheduler.Schedule(now, pool, s.cfg.B, s.cfg.L)
@@ -838,12 +845,7 @@ func (s *Server) selectBatch() *launch {
 
 	// Probes stay minimal: their hook admits nothing.
 	l := &launch{hook: newRefillHook(s, selected, s.cfg.Refill && state != BreakerHalfOpen)}
-	if state == BreakerHalfOpen {
-		items := []batch.Item{itemFor(selected[0])}
-		l.b, _ = batch.PackNaive(items, 1, s.cfg.L)
-	} else {
-		l.b = s.layout(dec, selected)
-	}
+	l.b = s.layout(dec, selected)
 	ep, err := s.cfg.Engine.Prepare(l.b, tokens)
 	if err != nil {
 		// Staging or memory admission failed before the engine ran: park
@@ -954,48 +956,18 @@ func probeDecision(pool []*sched.Request) sched.Decision {
 	return sched.Decision{Rows: [][]*sched.Request{{best}}}
 }
 
-// itemFor rebuilds a pending's batch item, restoring the prefix declaration
-// the scheduler never saw: req.Len is already the resident length (suffix
-// only on a hit), so the item slots straight into the packed row.
-func itemFor(p *pending) batch.Item {
-	return batch.Item{ID: p.req.ID, Len: p.req.Len, PrefixLen: p.prefixLen, CachedLen: p.cachedLen}
-}
-
-// layout converts a decision to a batch under the configured scheme.
-// selected carries the pending entries for every chosen request (any order)
-// so items can restore their prefix declarations.
+// layout converts a decision to its Concat launch. selected carries the
+// pending entries for every chosen request (any order), so each item can
+// restore the prefix declaration the scheduler never saw: req.Len is already
+// the resident length (suffix only on a hit), so the item slots straight
+// into the packed row.
 func (s *Server) layout(dec sched.Decision, selected []*pending) *batch.Batch {
 	byID := make(map[int64]*pending, len(selected))
 	for _, p := range selected {
 		byID[p.req.ID] = p
 	}
-	if s.cfg.Scheme == batch.Naive {
-		items := make([]batch.Item, 0, len(dec.Chosen()))
-		for _, r := range dec.Chosen() {
-			items = append(items, itemFor(byID[r.ID]))
-		}
-		b, _ := batch.PackNaive(items, len(items), s.cfg.L)
-		return b
-	}
-	// Both concat schemes adopt the decision's rows directly (SlottedDAS
-	// emits slot-ordered feasible rows), so no chosen request can be dropped
-	// between decision and launch; slotted only adds the slot size.
-	b := &batch.Batch{Scheme: s.cfg.Scheme}
-	if s.cfg.Scheme == batch.SlottedConcat {
-		b.SlotSize = dec.SlotSize
-		if b.SlotSize <= 0 {
-			b.SlotSize = s.cfg.L
-		}
-	}
-	for _, row := range dec.Rows {
-		if len(row) == 0 {
-			continue
-		}
-		r := batch.Row{PadTo: s.cfg.L}
-		for _, req := range row {
-			r.Items = append(r.Items, itemFor(byID[req.ID]))
-		}
-		b.Rows = append(b.Rows, r)
-	}
-	return b
+	return dec.Batch(s.cfg.L, 0, func(r *sched.Request) batch.Item {
+		p := byID[r.ID]
+		return batch.Item{ID: r.ID, Len: r.Len, PrefixLen: p.prefixLen, CachedLen: p.cachedLen}
+	})
 }

@@ -15,7 +15,7 @@ import (
 
 const testVocab = 60
 
-func testServer(t testing.TB, scheme batch.Scheme, scheduler sched.Scheduler) (*Server, *engine.Engine) {
+func testServer(t testing.TB, scheduler sched.Scheduler) (*Server, *engine.Engine) {
 	t.Helper()
 	cfg := model.Config{
 		VocabSize: testVocab, DModel: 32, NumHeads: 4, DFF: 64,
@@ -23,7 +23,7 @@ func testServer(t testing.TB, scheme batch.Scheme, scheduler sched.Scheduler) (*
 	}
 	e := engine.New(model.New(cfg, 5), 3)
 	s, err := New(Config{
-		Engine: e, Scheduler: scheduler, Scheme: scheme,
+		Engine: e, Scheduler: scheduler, Scheme: batch.Concat,
 		B: 4, L: 64, Poll: 200 * time.Microsecond,
 	})
 	if err != nil {
@@ -51,8 +51,68 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestServerServesConcatOnly: the server lays every launch out as Concat, so
+// New refuses every other scheme (the zero value, Naive, included), and a
+// Concat server never launches more than B rows however many requests wait.
+func TestServerServesConcatOnly(t *testing.T) {
+	rows := []struct {
+		name   string
+		scheme batch.Scheme
+		ok     bool
+	}{
+		{"zero value", 0, false},
+		{"naive", batch.Naive, false},
+		{"turbo", batch.Turbo, false},
+		{"slotted", batch.SlottedConcat, false},
+		{"concat", batch.Concat, true},
+	}
+	for _, row := range rows {
+		_, err := New(Config{Engine: &scriptRunner{}, Scheduler: sched.NewDAS(), Scheme: row.scheme, B: 2, L: 64})
+		if (err == nil) != row.ok {
+			t.Errorf("%s: New err = %v, want accepted=%v", row.name, err, row.ok)
+		}
+	}
+
+	const B = 2
+	runner := &scriptRunner{}
+	s, err := New(Config{
+		Engine: runner, Scheduler: sched.NewDAS(), Scheme: batch.Concat,
+		B: B, L: 64, Poll: 200 * time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(13)
+	var chans []<-chan Response
+	for i := 0; i < 12; i++ {
+		ch, err := s.Submit(randTokens(src, src.IntRange(2, 6)), 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans = append(chans, ch)
+	}
+	s.Start()
+	defer s.Stop()
+	for i, ch := range chans {
+		select {
+		case resp := <-ch:
+			if resp.Err != nil {
+				t.Fatalf("request %d failed: %v", i, resp.Err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("request %d timed out", i)
+		}
+	}
+	_, batches := runner.snapshot()
+	for i, b := range batches {
+		if b.Scheme != batch.Concat || len(b.Rows) > B {
+			t.Errorf("launch %d: scheme %v with %d rows, want Concat with at most %d", i, b.Scheme, len(b.Rows), B)
+		}
+	}
+}
+
 func TestServeRoundTrip(t *testing.T) {
-	s, e := testServer(t, batch.Concat, sched.NewDAS())
+	s, e := testServer(t, sched.NewDAS())
 	s.Start()
 	defer s.Stop()
 
@@ -95,34 +155,8 @@ func TestServeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestServeSlottedScheme(t *testing.T) {
-	s, _ := testServer(t, batch.SlottedConcat, sched.NewSlottedDAS())
-	s.Start()
-	defer s.Stop()
-
-	src := rng.New(12)
-	var chans []<-chan Response
-	for i := 0; i < 5; i++ {
-		ch, err := s.Submit(randTokens(src, src.IntRange(2, 8)), 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chans = append(chans, ch)
-	}
-	for i, ch := range chans {
-		select {
-		case resp := <-ch:
-			if resp.Err != nil {
-				t.Fatalf("request %d failed: %v", i, resp.Err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("request %d timed out", i)
-		}
-	}
-}
-
 func TestSubmitValidation(t *testing.T) {
-	s, _ := testServer(t, batch.Concat, sched.NewDAS())
+	s, _ := testServer(t, sched.NewDAS())
 	if _, err := s.Submit(nil, time.Second); err == nil {
 		t.Fatal("empty request must fail")
 	}
@@ -133,7 +167,7 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestDeadlineExpiry(t *testing.T) {
 	// Server not started: the queued request must expire once started.
-	s, _ := testServer(t, batch.Concat, sched.NewDAS())
+	s, _ := testServer(t, sched.NewDAS())
 	ch, err := s.Submit(randTokens(rng.New(13), 5), time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +186,7 @@ func TestDeadlineExpiry(t *testing.T) {
 }
 
 func TestStopFailsQueued(t *testing.T) {
-	s, _ := testServer(t, batch.Concat, sched.NewDAS())
+	s, _ := testServer(t, sched.NewDAS())
 	// Enqueue without starting, then start+stop quickly: any queued request
 	// must resolve with some terminal status, not hang.
 	ch, err := s.Submit(randTokens(rng.New(14), 5), time.Hour)
@@ -205,7 +239,7 @@ func TestQueueCap(t *testing.T) {
 }
 
 func TestDrainServesQueuedThenRejects(t *testing.T) {
-	s, _ := testServer(t, batch.Concat, sched.NewDAS())
+	s, _ := testServer(t, sched.NewDAS())
 	src := rng.New(60)
 	var chans []<-chan Response
 	for i := 0; i < 4; i++ {
@@ -251,7 +285,7 @@ func TestDrainServesQueuedThenRejects(t *testing.T) {
 // and a trailing Drain after completion must return immediately instead of
 // re-running the shutdown sequence.
 func TestDrainIdempotentConcurrent(t *testing.T) {
-	s, _ := testServer(t, batch.Concat, sched.NewDAS())
+	s, _ := testServer(t, sched.NewDAS())
 	src := rng.New(71)
 	var chans []<-chan Response
 	for i := 0; i < 4; i++ {
@@ -365,7 +399,7 @@ func (b blockingRunner) RunPreparedRefill(*engine.Prepared, engine.RefillHook) (
 }
 
 func TestStatsCounters(t *testing.T) {
-	s, _ := testServer(t, batch.Concat, sched.NewDAS())
+	s, _ := testServer(t, sched.NewDAS())
 	s.Start()
 	defer s.Stop()
 	src := rng.New(61)
@@ -381,7 +415,7 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func TestConcurrentSubmitStress(t *testing.T) {
-	s, _ := testServer(t, batch.Concat, sched.NewDAS())
+	s, _ := testServer(t, sched.NewDAS())
 	s.Start()
 	defer s.Stop()
 	const clients = 16

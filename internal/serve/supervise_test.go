@@ -184,7 +184,7 @@ func TestSupervisedRunnerTimeout(t *testing.T) {
 // requests whose deadline lapses during backoff expire with
 // ErrDeadlineExceeded — not with the engine error.
 func TestRetryServesUnexpired(t *testing.T) {
-	_, realEngine := testServer(t, batch.Concat, sched.NewDAS())
+	_, realEngine := testServer(t, sched.NewDAS())
 	srv, err := New(Config{
 		Engine:    &scriptRunner{failN: 1, real: realEngine},
 		Scheduler: sched.NewDAS(),
@@ -225,7 +225,7 @@ func TestRetryServesUnexpired(t *testing.T) {
 
 // TestBreakerOpensAndRecovers drives the full state machine through the
 // server: consecutive failures trip the breaker, the cooldown admits a
-// single-row naive probe, and a good probe restores normal service.
+// single-row Concat probe, and a good probe restores normal service.
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	runner := &scriptRunner{failN: 3}
 	srv, err := New(Config{
@@ -273,15 +273,15 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if st.Retried < 2 {
 		t.Fatalf("retried = %d, want >= 2", st.Retried)
 	}
-	// The first post-trip launch must be the half-open probe: one naive row
-	// holding the single highest-utility request.
+	// The first post-trip launch must be the half-open probe: one Concat
+	// row holding the single highest-utility request.
 	_, batches := runner.snapshot()
 	if len(batches) < 4 {
 		t.Fatalf("expected >= 4 launches, got %d", len(batches))
 	}
 	probe := batches[3]
-	if probe.Scheme != batch.Naive || len(probe.Rows) != 1 || probe.NumItems() != 1 {
-		t.Fatalf("probe batch = scheme %v, %d rows, %d items; want 1-row 1-item naive",
+	if probe.Scheme != batch.Concat || len(probe.Rows) != 1 || probe.NumItems() != 1 {
+		t.Fatalf("probe batch = scheme %v, %d rows, %d items; want 1-row 1-item Concat",
 			probe.Scheme, len(probe.Rows), probe.NumItems())
 	}
 	if probe.Items()[0].Len != 4 {
@@ -398,14 +398,12 @@ func TestDrainDeadlineWedgedEngine(t *testing.T) {
 }
 
 // TestSubmitTooLongRejected: a request longer than the row is refused up
-// front with a typed error. Under SlottedConcat the row is the only bound —
-// the slot size is the scheduler's per-decision choice, so a request longer
-// than some slot is still schedulable.
+// front with a typed error; a row-sized one is accepted.
 func TestSubmitTooLongRejected(t *testing.T) {
 	srv, err := New(Config{
 		Engine:    &scriptRunner{},
-		Scheduler: sched.NewSlottedDAS(),
-		Scheme:    batch.SlottedConcat,
+		Scheduler: sched.NewDAS(),
+		Scheme:    batch.Concat,
 		B:         4, L: 64,
 	})
 	if err != nil {
@@ -428,7 +426,7 @@ func TestSubmitTooLongRejected(t *testing.T) {
 // never crashes, and panics surface as counted errors.
 func TestRetryBeatsNoRetryUnderChaos(t *testing.T) {
 	run := func(maxAttempts int) Stats {
-		_, realEngine := testServer(t, batch.Concat, sched.NewDAS())
+		_, realEngine := testServer(t, sched.NewDAS())
 		// Seed 6 injects faults into the first three launches, so the
 		// no-retry run demonstrably loses whole batches.
 		chaos := NewChaosRunner(realEngine, ChaosConfig{ErrRate: 0.2, PanicRate: 0.05, Seed: 6})

@@ -128,7 +128,7 @@ func Run(sys System, trace []*sched.Request) (*Metrics, error) {
 func executeDecision(sys System, dec sched.Decision) (secs float64, used, padded, launches int) {
 	items := make([]batch.Item, 0, len(dec.Chosen()))
 	for _, r := range dec.Chosen() {
-		items = append(items, batch.Item{ID: r.ID, Len: r.Len})
+		items = append(items, simItem(r))
 	}
 	switch sys.Scheme {
 	case batch.Naive:
@@ -163,7 +163,7 @@ func executeDecision(sys System, dec sched.Decision) (secs float64, used, padded
 			launches++
 		}
 	case batch.SlottedConcat:
-		b := decisionToBatch(dec, sys.L, dec.SlotSize)
+		b := dec.Batch(sys.L, dec.SlotSize, simItem)
 		secs = sys.Cost.BatchTime(b)
 		if sys.EarlyCleaning {
 			secs -= sys.Cost.OverlapSavings(b)
@@ -172,7 +172,7 @@ func executeDecision(sys System, dec sched.Decision) (secs float64, used, padded
 		padded = b.SlottedTokens() - b.UsedTokens()
 		launches = 1
 	default: // batch.Concat
-		b := decisionToBatch(dec, sys.L, 0)
+		b := dec.Batch(sys.L, 0, simItem)
 		secs = sys.Cost.BatchTime(b)
 		used = b.UsedTokens()
 		padded = b.PaddedTokens()
@@ -181,23 +181,6 @@ func executeDecision(sys System, dec sched.Decision) (secs float64, used, padded
 	return secs, used, padded, launches
 }
 
-// decisionToBatch converts the scheduler's per-row assignment directly
-// into a batch layout (the scheduler already respected row capacities).
-func decisionToBatch(dec sched.Decision, L, slotSize int) *batch.Batch {
-	scheme := batch.Concat
-	if slotSize > 0 {
-		scheme = batch.SlottedConcat
-	}
-	b := &batch.Batch{Scheme: scheme, SlotSize: slotSize}
-	for _, row := range dec.Rows {
-		if len(row) == 0 {
-			continue
-		}
-		r := batch.Row{PadTo: L}
-		for _, req := range row {
-			r.Items = append(r.Items, batch.Item{ID: req.ID, Len: req.Len})
-		}
-		b.Rows = append(b.Rows, r)
-	}
-	return b
-}
+// simItem is a request's batch item in the simulator: its ID and length (the
+// simulator carries no prefix declarations).
+func simItem(r *sched.Request) batch.Item { return batch.Item{ID: r.ID, Len: r.Len} }

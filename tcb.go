@@ -135,7 +135,10 @@ func NewSlottedDAS() *SlottedDAS { return sched.NewSlottedDAS() }
 
 // Serving layer.
 type (
-	// ServerConfig configures the live server.
+	// ServerConfig configures the live server. Its Scheme must be Concat:
+	// the server lays every launch out as concatenated rows, and NewServer
+	// refuses any other scheme. Naive, Turbo and SlottedConcat are the
+	// paper's baselines, which the simulator (Simulate) and the figures run.
 	ServerConfig = serve.Config
 	// Server is a running TCB serving instance.
 	Server = serve.Server
