@@ -1,16 +1,14 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file holds the attention kernels: the dense fused multi-head kernel
 // (scores, scale+mask+softmax and the value product in one pass over pooled
-// buffers) and the block-sparse kernel that realizes §4.2's score-area
-// elimination — only intra-block Q·Kᵀ entries are ever computed, and the
-// segment mask is applied inline instead of being materialized as an L×L
-// additive matrix.
+// buffers), the block-sparse kernel that realizes §4.2's score-area
+// elimination — only intra-block Q·Kᵀ entries are ever computed, and a
+// query's own segment's keys are found from per-row segment ids instead of
+// an L×L additive mask — and the cached-row decode kernel. All three run
+// one epilogue per query head, attendHead.
 
 // Span is a half-open row interval [Start, End).
 type Span struct{ Start, End int }
@@ -64,80 +62,70 @@ func MultiHeadAttendInto(out, q, k, v *Matrix, heads int, scale float32, mask, s
 }
 
 // attendRange runs every head for query rows [lo, hi). Workers own disjoint
-// query rows, so the shared scores scratch is written without overlap.
+// query rows, so the shared scores scratch is written without overlap. Every
+// row scores all keys; its softmax runs over its visible key span — the mask
+// row with its fully masked ends (≤ NegInf/2) trimmed, every key without a
+// mask — so its lanes start at the first visible key, as the block route's
+// do. A row with no visible key is all zero.
 func attendRange(out, q, k, v *Matrix, heads, dh int, scale float32, mask, scores *Matrix, lo, hi int) {
 	nk := k.Rows
-	for h := 0; h < heads; h++ {
-		c0 := h * dh
-		for i := lo; i < hi; i++ {
-			qr := q.Row(i)[c0 : c0+dh]
-			srow := scores.Row(i)[:nk]
-			var mrow []float32
-			if mask != nil {
-				mrow = mask.Row(i)
-			}
-			scoreKeys(srow, qr, k, 0, c0)
-			for t, dot := range srow {
-				sum := dot * scale
-				if mrow != nil {
-					sum += mrow[t]
-				}
-				srow[t] = sum
-			}
-			softmaxRow(srow)
-			weighedSumRows(out.Row(i)[c0:c0+dh], srow, v, 0, c0, dh)
+	for i := lo; i < hi; i++ {
+		a, b := 0, nk
+		var mrow []float32
+		if mask != nil {
+			mrow = mask.Row(i)[:nk]
+			a, b = visibleSpan(mrow)
+		}
+		orow := out.Row(i)[:heads*dh]
+		srow := scores.Row(i)[:nk]
+		for c0 := 0; c0 < len(orow); c0 += dh {
+			attendHead(orow[c0:c0+dh], q.Row(i)[c0:c0+dh], k, v, 0, c0, scale, mrow, srow, a, b)
 		}
 	}
 }
 
-// scoreKeys writes srow[t] = qr · k.Row(first+t)[c0 : c0+len(qr)]: one query
-// head against a run of consecutive key rows, in one scoreRow call so the
-// (non-inlinable) lane helper is paid per query row, not per key.
-func scoreKeys(srow, qr []float32, k *Matrix, first, c0 int) {
-	if len(srow) == 0 {
+// visibleSpan returns the span [lo, hi) of row left after trimming the
+// entries ≤ NegInf/2 (masked) at either end; lo == hi when all are.
+func visibleSpan(row []float32) (lo, hi int) {
+	lo, hi = 0, len(row)
+	for lo < hi && row[lo] <= NegInf/2 {
+		lo++
+	}
+	for hi > lo && row[hi-1] <= NegInf/2 {
+		hi--
+	}
+	return lo, hi
+}
+
+// attendHead is the one attention epilogue every kernel runs per query head.
+// It scores qh against the len(srow) key rows of k from row first on (one
+// scoreRow call), adding mrow, an additive mask over those keys, when not
+// nil. The softmax exponentials and their sum (expRow) and the value product
+// scaled by 1/Σ (valueRow) then run over the visible keys srow[a:b] alone,
+// into dst; dst is zero when a == b. The scores outside [a, b) are computed
+// and dropped: they are the score area a masked row pays (§4.2, Eq. 8).
+// Each score is one key's own dot product, so the visible ones — and the
+// output — have the same bits as scoring [a, b) alone. With a mask the
+// scores are scaled here and expRow runs at scale 1, which gives the same
+// bits as expRow scaling them itself wherever the mask is zero.
+func attendHead(dst, qh []float32, k, v *Matrix, first, c0 int, scale float32, mrow, srow []float32, a, b int) {
+	ks, vs := k.stride(), v.stride()
+	if len(srow) > 0 {
+		scoreRow(srow, qh, k.Data[first*ks+c0:], ks)
+	}
+	if a == b {
+		clear(dst)
 		return
 	}
-	ks := k.stride()
-	scoreRow(srow, qr, k.Data[first*ks+c0:], ks)
-}
-
-// weighedSumRows computes dst = Σ_t w[t] · v[kOff+t][c0:c0+dh], four value
-// rows per accumulator pass. Weights that are exactly zero at either end are
-// masked keys (another segment's, or padding) and are trimmed before the quads
-// are formed, so the grouping is anchored at the query's first visible key:
-// a segment accumulates in the same order — to the same bits — alone in its
-// own block, in the middle of a shared slot, or behind a dense mask at any
-// row offset. Interior all-zero quads are skipped outright.
-func weighedSumRows(dst, w []float32, v *Matrix, kOff, c0, dh int) {
-	for j := range dst {
-		dst[j] = 0
-	}
-	t, end := 0, len(w)
-	for t < end && w[t] == 0 {
-		t++
-	}
-	for end > t && w[end-1] == 0 {
-		end--
-	}
-	for ; t+4 <= end; t += 4 {
-		w0, w1, w2, w3 := w[t], w[t+1], w[t+2], w[t+3]
-		if w0 == 0 && w1 == 0 && w2 == 0 && w3 == 0 {
-			continue
+	if mrow != nil {
+		for t, dot := range srow {
+			srow[t] = float32(dot*scale) + mrow[t]
 		}
-		quadAxpy1(dst,
-			v.Row(kOff + t)[c0:c0+dh],
-			v.Row(kOff + t + 1)[c0:c0+dh],
-			v.Row(kOff + t + 2)[c0:c0+dh],
-			v.Row(kOff + t + 3)[c0:c0+dh],
-			w0, w1, w2, w3)
+		scale = 1
 	}
-	for ; t < end; t++ {
-		a := w[t]
-		if a == 0 {
-			continue
-		}
-		tailAxpy1(dst, v.Row(kOff + t)[c0:c0+dh], a)
-	}
+	w := srow[a:b]
+	sum := expRow(w, scale)
+	valueRow(dst, w, v.Data[(first+a)*vs+c0:], vs, 1/sum)
 }
 
 // BlockAttendInto is the block-sparse attention kernel: attention is
@@ -146,16 +134,20 @@ func weighedSumRows(dst, w []float32, v *Matrix, kOff, c0, dh int) {
 // mask matrix is ever built.
 //
 // qSeg/kSeg (optional, per-row segment ids with -1 for padding) apply the
-// concat-isolation mask inline: a key whose segment differs from the query's
-// contributes exactly like a NegInf-masked dense entry, so results are
-// bitwise identical to the dense masked path restricted to the block.
-// causal additionally hides keys with global row index greater than the
-// query's (self-attention only: q and k must share a row space).
+// concat-isolation mask: a query attends only to the block's keys of its own
+// segment, which must form one contiguous run in the block (a row's
+// segments do; BlockAttendInto panics otherwise). causal additionally hides
+// keys with global row index greater than the query's (self-attention only:
+// q and k must share a row space). Each query row scores every key of its
+// block (up to itself under causal) — the §4.2 score area Σ|Q_b|·|K_b| is
+// paid in full — and exponentiates and sums over exactly its visible run,
+// so results are bitwise identical to the dense masked path restricted to
+// the block, and to the segment alone in its own block.
 //
-// Query rows not covered by any block produce zero output, matching the
-// fully masked rows of the dense path. Blocks must not overlap in Q.
-// scores is caller scratch with at least q.Rows rows × max block K-width
-// cols.
+// Query rows not covered by any block, and rows with no visible key,
+// produce zero output, matching the fully masked rows of the dense path.
+// Blocks must not overlap in Q. scores is caller scratch with at least
+// q.Rows rows × max block K-width cols.
 func BlockAttendInto(out, q, k, v *Matrix, heads int, scale float32,
 	blocks []AttendBlock, qSeg, kSeg []int, causal bool, scores *Matrix) {
 	d := q.Cols
@@ -207,7 +199,7 @@ func BlockAttendInto(out, q, k, v *Matrix, heads int, scale float32,
 }
 
 // blockAttendRange runs query rows [lo, hi) of the blocks' concatenated
-// query rows (block order).
+// query rows (block order). out is already zero.
 func blockAttendRange(out, q, k, v *Matrix, heads, dh int, scale float32,
 	blocks []AttendBlock, qSeg, kSeg []int, causal bool, scores *Matrix, lo, hi int) {
 	off := 0
@@ -220,76 +212,60 @@ func blockAttendRange(out, q, k, v *Matrix, heads, dh int, scale float32,
 		if qHi > b.Q.End {
 			qHi = b.Q.End
 		}
-		if qLo >= qHi {
-			continue
-		}
-		k0, kw := b.K.Start, b.K.Len()
-		for h := 0; h < heads; h++ {
-			c0 := h * dh
-			for i := qLo; i < qHi; i++ {
-				qr := q.Row(i)[c0 : c0+dh]
-				srow := scores.Row(i)[:kw]
+		k0 := b.K.Start
+		for i := qLo; i < qHi; i++ {
+			// The scored keys: the block's, up to the query row under
+			// causal. The visible keys: the run of the query's own segment
+			// among them.
+			kEnd := b.K.End
+			if causal {
+				kEnd = max(k0, min(kEnd, i+1))
+			}
+			ka, kb := k0, kEnd
+			if kSeg != nil {
 				si := -1
 				if qSeg != nil {
 					si = qSeg[i]
 				}
-				kEnd := kw
-				if causal && i+1-k0 < kEnd {
-					// Keys strictly after the query row are never visible;
-					// skip them entirely (the dense path masks them to an
-					// exact zero, so dropping the terms changes nothing).
-					kEnd = i + 1 - k0
-					if kEnd < 0 {
-						kEnd = 0
-					}
-				}
-				srow = srow[:kEnd]
-				scoreKeys(srow, qr, k, k0, c0)
-				for t, dot := range srow {
-					sum := dot * scale
-					if kSeg != nil && kSeg[k0+t] != si {
-						// Inline concat-isolation mask: same additive NegInf
-						// the dense mask would have applied.
-						sum += NegInf
-					}
-					srow[t] = sum
-				}
-				softmaxRow(srow)
-				weighedSumRows(out.Row(i)[c0:c0+dh], srow, v, k0, c0, dh)
+				ka, kb = segmentRun(kSeg, si, k0, kEnd)
+			}
+			orow := out.Row(i)[:heads*dh]
+			srow := scores.Row(i)[:kEnd-k0]
+			for c0 := 0; c0 < len(orow); c0 += dh {
+				attendHead(orow[c0:c0+dh], q.Row(i)[c0:c0+dh], k, v, k0, c0, scale, nil, srow, ka-k0, kb-k0)
 			}
 		}
 	}
 }
 
+// segmentRun returns the run [a, b) of keys in [lo, hi) whose segment id is
+// seg, empty if none is. It panics if seg's keys there are not contiguous.
+func segmentRun(kSeg []int, seg, lo, hi int) (a, b int) {
+	a = lo
+	for a < hi && kSeg[a] != seg {
+		a++
+	}
+	b = a
+	for b < hi && kSeg[b] == seg {
+		b++
+	}
+	for t := b; t < hi; t++ {
+		if kSeg[t] == seg {
+			panic(fmt.Sprintf("tensor: segment %d's keys in [%d,%d) are not contiguous", seg, lo, hi))
+		}
+	}
+	return a, b
+}
+
 // attendCachedRow computes one query row's multi-head attention over cached
 // key/value matrices (the incremental-decode hot path): dst and qrow are
 // d-wide, keys/vals hold the cached rows. scores is scratch of at least
-// keys.Rows entries. Zero allocations. Per head, one scoreRow call makes the
-// scores and one valueRow call the value product.
+// keys.Rows entries. Zero allocations. Every cached key is visible, so each
+// head is one attendHead over all of them (none: dst is zero).
 func attendCachedRow(dst, qrow []float32, keys, vals *Matrix, heads, dh int, scale float32, scores []float32) {
 	n := keys.Rows
-	if n == 0 {
-		clear(dst)
-		return
-	}
 	srow := scores[:n]
-	for h := 0; h < heads; h++ {
-		c0 := h * dh
-		maxv := float32(math.Inf(-1))
-		scoreKeys(srow, qrow[c0:c0+dh], keys, 0, c0)
-		for t, dot := range srow {
-			sum := dot * scale
-			srow[t] = sum
-			if sum > maxv {
-				maxv = sum
-			}
-		}
-		var norm float32
-		for t := 0; t < n; t++ {
-			e := float32(math.Exp(float64(srow[t] - maxv)))
-			srow[t] = e
-			norm += e
-		}
-		valueRow(dst[c0:c0+dh], srow, vals.Data[c0:], vals.stride(), 1/norm)
+	for c0 := 0; c0 < heads*dh; c0 += dh {
+		attendHead(dst[c0:c0+dh], qrow[c0:c0+dh], keys, vals, 0, c0, scale, nil, srow, 0, n)
 	}
 }

@@ -78,16 +78,16 @@ func matMulBlockedTiles(dst, a, b *Matrix, tLo, tHi int) {
 						b3 := bd[(kk+3)*sb+j0 : (kk+3)*sb+j1]
 						for j := range d0 {
 							v0, v1, v2, v3 := b0[j], b1[j], b2[j], b3[j]
-							d0[j] += a00*v0 + a01*v1 + a02*v2 + a03*v3
-							d1[j] += a10*v0 + a11*v1 + a12*v2 + a13*v3
+							d0[j] += float32(a00*v0) + float32(a01*v1) + float32(a02*v2) + float32(a03*v3)
+							d1[j] += float32(a10*v0) + float32(a11*v1) + float32(a12*v2) + float32(a13*v3)
 						}
 					}
 					for ; kk < k1; kk++ {
 						av0, av1 := ar0[kk], ar1[kk]
 						brow := bd[kk*sb+j0 : kk*sb+j1]
 						for j := range d0 {
-							d0[j] += av0 * brow[j]
-							d1[j] += av1 * brow[j]
+							d0[j] += float32(av0 * brow[j])
+							d1[j] += float32(av1 * brow[j])
 						}
 					}
 				}
@@ -102,7 +102,7 @@ func matMulBlockedTiles(dst, a, b *Matrix, tLo, tHi int) {
 						b2 := bd[(kk+2)*sb+j0 : (kk+2)*sb+j1]
 						b3 := bd[(kk+3)*sb+j0 : (kk+3)*sb+j1]
 						for j := range drow {
-							drow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+							drow[j] += float32(a0*b0[j]) + float32(a1*b1[j]) + float32(a2*b2[j]) + float32(a3*b3[j])
 						}
 					}
 					for ; kk < k1; kk++ {
@@ -112,7 +112,7 @@ func matMulBlockedTiles(dst, a, b *Matrix, tLo, tHi int) {
 						}
 						brow := bd[kk*sb+j0 : kk*sb+j1]
 						for j := range drow {
-							drow[j] += av * brow[j]
+							drow[j] += float32(av * brow[j])
 						}
 					}
 				}

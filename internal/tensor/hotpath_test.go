@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -497,9 +498,7 @@ func TestBlockAttendCrossAttention(t *testing.T) {
 	MultiHeadAttendInto(want, q, k, v, 2, 0.5, mask, New(5, 10))
 	got := New(5, 8)
 	BlockAttendInto(got, q, k, v, 2, 0.5, blocks, nil, nil, false, New(5, 6))
-	if !got.AllClose(want, 1e-6) {
-		t.Fatalf("cross block attention differs by %g", got.MaxAbsDiff(want))
-	}
+	requireBitwiseEqual(t, got, want, "cross block attention vs dense mask")
 }
 
 func TestAttendCachedRowMatchesDense(t *testing.T) {
@@ -511,10 +510,118 @@ func TestAttendCachedRowMatchesDense(t *testing.T) {
 	dst := make([]float32, 8)
 	scores := make([]float32, 7)
 	AttendCachedRow(dst, qrow.Row(0), keys, vals, 2, 4, 0.5, scores)
-	for j := range dst {
-		diff := dst[j] - want.At(0, j)
-		if diff > 1e-6 || diff < -1e-6 {
-			t.Fatalf("cached attend differs at %d: %g vs %g", j, dst[j], want.At(0, j))
+	requireBitwiseEqual(t, FromSlice(1, 8, dst), want, "cached attend vs dense")
+}
+
+// TestAttendLaneAnchoring pins the visible-span rule: a segment of each
+// length 1…20 gives the same bits alone in its own block as at every offset
+// 0…15 inside a shared slot with segment ids and behind the dense mask,
+// causal or not — its softmax lanes and value order start at its first
+// key wherever the row puts it. The row's last row is padding outside the
+// slot: fully masked, so exact +0 in both routes.
+func TestAttendLaneAnchoring(t *testing.T) {
+	const heads, dh = 2, 5
+	const d = heads * dh
+	for n := 1; n <= 20; n++ {
+		sq, sk, sv := randMatrix(n, d, uint64(100+n)), randMatrix(n, d, uint64(200+n)), randMatrix(n, d, uint64(300+n))
+		for _, causal := range []bool{false, true} {
+			alone := New(n, d)
+			own := []AttendBlock{{Q: Span{0, n}, K: Span{0, n}}}
+			BlockAttendInto(alone, sq, sk, sv, heads, 0.4, own, nil, nil, causal, New(n, n))
+			for off := 0; off <= 15; off++ {
+				// Rows: [0, off) segment 0, [off, off+n) the segment under
+				// test, two rows of segment 2, one padding row.
+				rows := off + n + 3
+				seg := make([]int, rows)
+				for i := range seg {
+					switch {
+					case i < off:
+						seg[i] = 0
+					case i < off+n:
+						seg[i] = 1
+					case i < rows-1:
+						seg[i] = 2
+					default:
+						seg[i] = -1
+					}
+				}
+				q, k, v := randMatrix(rows, d, 1), randMatrix(rows, d, 2), randMatrix(rows, d, 3)
+				for i := 0; i < n; i++ {
+					copy(q.Row(off+i), sq.Row(i))
+					copy(k.Row(off+i), sk.Row(i))
+					copy(v.Row(off+i), sv.Row(i))
+				}
+				slot := []AttendBlock{{Q: Span{0, rows - 1}, K: Span{0, rows - 1}}}
+				shared, dense := New(rows, d), New(rows, d)
+				BlockAttendInto(shared, q, k, v, heads, 0.4, slot, seg, seg, causal, New(rows, rows))
+				mask := segMask(rows, rows, slot, seg, seg, causal)
+				MultiHeadAttendInto(dense, q, k, v, heads, 0.4, mask, New(rows, rows))
+				what := fmt.Sprintf("len %d at offset %d causal=%v", n, off, causal)
+				requireBitwiseEqual(t, shared.Slice(off, off+n), alone, what+", shared slot vs alone")
+				requireBitwiseEqual(t, dense.Slice(off, off+n), alone, what+", dense mask vs alone")
+				for _, out := range []*Matrix{shared, dense} {
+					for j, x := range out.Row(rows - 1) {
+						if math.Float32bits(x) != 0 {
+							t.Fatalf("%s: padding row column %d = %v, want +0", what, j, x)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// A segment whose keys are split inside a block has no one visible span:
+// BlockAttendInto refuses it instead of attending to part of it.
+func TestBlockAttendRejectsSplitSegment(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("BlockAttendInto accepted segment 0 split around segment 1")
+		}
+	}()
+	seg := []int{0, 1, 0}
+	x := randMatrix(3, 4, 1)
+	BlockAttendInto(New(3, 4), x, x, x, 1, 0.5, []AttendBlock{{Q: Span{0, 3}, K: Span{0, 3}}}, seg, seg, false, New(3, 3))
+}
+
+// The masked routes pay the score area they are given (§4.2, Eq. 8): a
+// shared slot with segment ids scores every key of the block (up to the
+// query under causal) and the dense route every key of the row, even
+// though only the query's own segment enters the softmax. Scores scratch
+// prefilled with NaN must come back written over exactly that area.
+func TestAttendScoresWholeBlock(t *testing.T) {
+	blocks, seg := blockLayoutFixture()
+	q, k, v := randMatrix(20, 8, 41), randMatrix(20, 8, 42), randMatrix(20, 8, 43)
+	nan := float32(math.NaN())
+	for _, causal := range []bool{false, true} {
+		scores := New(20, 20)
+		for i := range scores.Data {
+			scores.Data[i] = nan
+		}
+		BlockAttendInto(New(20, 8), q, k, v, 2, 0.35, blocks, seg, seg, causal, scores)
+		for _, b := range blocks {
+			for i := b.Q.Start; i < b.Q.End; i++ {
+				kEnd := b.K.End
+				if causal {
+					kEnd = i + 1
+				}
+				for t2 := 0; t2 < scores.Cols; t2++ {
+					if written := !math.IsNaN(float64(scores.At(i, t2))); written != (t2 < kEnd-b.K.Start) {
+						t.Fatalf("block route causal=%v: row %d score %d written=%v, block keys [%d,%d)",
+							causal, i, t2, written, b.K.Start, kEnd)
+					}
+				}
+			}
+		}
+
+		for i := range scores.Data {
+			scores.Data[i] = nan
+		}
+		MultiHeadAttendInto(New(20, 8), q, k, v, 2, 0.35, segMask(20, 20, blocks, seg, seg, causal), scores)
+		for i, x := range scores.Data {
+			if math.IsNaN(float64(x)) {
+				t.Fatalf("dense route causal=%v: score %d of %d not written", causal, i, len(scores.Data))
+			}
 		}
 	}
 }

@@ -131,7 +131,7 @@ func (q *QuantizedMatrix) buildKernelForm() {
 // values (whose reciprocal overflows) cannot hit Go's undefined
 // out-of-range conversion.
 func quantizeValue(v, inv float64) int8 {
-	f := v * inv
+	f := float64(v * inv)
 	if f >= 0 {
 		f += 0.5
 	} else {

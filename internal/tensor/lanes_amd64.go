@@ -39,13 +39,10 @@ func tile2x16AVX2(d []float32, sd int, a []float32, sa int, b []float32, sb, k, 
 func tile1x32AVX2(d []float32, sd int, a []float32, sa int, b []float32, sb, k, n int, bias []float32, flags int)
 
 //go:noescape
-func quadAxpy1AVX2(d, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
-
-//go:noescape
-func tailAxpy1AVX2(d, b []float32, a float32)
-
-//go:noescape
 func scoreRowAVX2(dst, q, k []float32, stride int)
+
+//go:noescape
+func expRowAVX2(x []float32, scale float32) float32
 
 //go:noescape
 func valueRowAVX2(dst, w, v []float32, stride int, s float32)
@@ -85,29 +82,19 @@ func tileRun(asm func(d []float32, sd int, a []float32, sa int, b []float32, sb,
 	tileGo(d, sd, a, sa, b, sb, h, k, m, j1, bias, flags)
 }
 
-func quadAxpy1(d, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
-	if !useAVX2 {
-		quadAxpy1Go(d, b0, b1, b2, b3, a0, a1, a2, a3)
-		return
-	}
-	n := len(d)
-	quadAxpy1AVX2(d, b0[:n], b1[:n], b2[:n], b3[:n], a0, a1, a2, a3)
-}
-
-func tailAxpy1(d, b []float32, a float32) {
-	if !useAVX2 {
-		tailAxpy1Go(d, b, a)
-		return
-	}
-	tailAxpy1AVX2(d, b[:len(d)], a)
-}
-
 func scoreRow(dst, q, k []float32, stride int) {
 	if !useAVX2 || len(dst) == 0 {
 		scoreRowGo(dst, q, k, stride)
 		return
 	}
 	scoreRowAVX2(dst, q, k[:(len(dst)-1)*stride+len(q)], stride)
+}
+
+func expRow(x []float32, scale float32) float32 {
+	if !useAVX2 || len(x) == 0 {
+		return expRowGo(x, scale)
+	}
+	return expRowAVX2(x, scale)
 }
 
 func valueRow(dst, w, v []float32, stride int, s float32) {

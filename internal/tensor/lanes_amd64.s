@@ -8,8 +8,8 @@
 // element. Loads and stores are unaligned and never reach past the slice
 // length. A tile helper runs one register tile after the other across its n
 // columns; each keeps its outputs in registers across the whole k range and
-// stores them once. The row helpers run an 8-lane (4-lane for scoreRow)
-// main loop, then a scalar loop for the remainder.
+// stores them once. scoreRow runs four lanes per key, expRow eight per
+// step, valueRow column strips of 16, 8, 4 and 1.
 //
 // A tile walks b down a column strip at b's row stride, a pattern the
 // hardware prefetchers do not follow, and a decode step's weights do not all
@@ -511,98 +511,6 @@ t132store:
 	VZEROUPPER
 	RET
 
-// func quadAxpy1AVX2(d, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
-TEXT ·quadAxpy1AVX2(SB), NOSPLIT, $0-136
-	MOVQ d_base+0(FP), DI
-	MOVQ d_len+8(FP), CX
-	MOVQ b0_base+24(FP), R8
-	MOVQ b1_base+48(FP), R9
-	MOVQ b2_base+72(FP), R10
-	MOVQ b3_base+96(FP), R11
-	VBROADCASTSS a0+120(FP), Y8
-	VBROADCASTSS a1+124(FP), Y9
-	VBROADCASTSS a2+128(FP), Y10
-	VBROADCASTSS a3+132(FP), Y11
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-8, DX
-	JEQ  q1tail
-
-q1loop:
-	VMULPS  (R8)(AX*4), Y8, Y4
-	VMULPS  (R9)(AX*4), Y9, Y5
-	VADDPS  Y5, Y4, Y4
-	VMULPS  (R10)(AX*4), Y10, Y5
-	VADDPS  Y5, Y4, Y4
-	VMULPS  (R11)(AX*4), Y11, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (DI)(AX*4), Y5
-	VADDPS  Y4, Y5, Y5
-	VMOVUPS Y5, (DI)(AX*4)
-	ADDQ    $8, AX
-	CMPQ    AX, DX
-	JLT     q1loop
-
-q1tail:
-	CMPQ AX, CX
-	JGE  q1done
-
-q1tail1:
-	VMULSS (R8)(AX*4), X8, X4
-	VMULSS (R9)(AX*4), X9, X5
-	VADDSS X5, X4, X4
-	VMULSS (R10)(AX*4), X10, X5
-	VADDSS X5, X4, X4
-	VMULSS (R11)(AX*4), X11, X5
-	VADDSS X5, X4, X4
-	VMOVSS (DI)(AX*4), X5
-	VADDSS X4, X5, X5
-	VMOVSS X5, (DI)(AX*4)
-	INCQ   AX
-	CMPQ   AX, CX
-	JLT    q1tail1
-
-q1done:
-	VZEROUPPER
-	RET
-
-// func tailAxpy1AVX2(d, b []float32, a float32)
-TEXT ·tailAxpy1AVX2(SB), NOSPLIT, $0-52
-	MOVQ d_base+0(FP), DI
-	MOVQ d_len+8(FP), CX
-	MOVQ b_base+24(FP), R8
-	VBROADCASTSS a+48(FP), Y8
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-8, DX
-	JEQ  t1tail
-
-t1loop:
-	VMULPS  (R8)(AX*4), Y8, Y4
-	VMOVUPS (DI)(AX*4), Y5
-	VADDPS  Y4, Y5, Y5
-	VMOVUPS Y5, (DI)(AX*4)
-	ADDQ    $8, AX
-	CMPQ    AX, DX
-	JLT     t1loop
-
-t1tail:
-	CMPQ AX, CX
-	JGE  t1done
-
-t1tail1:
-	VMULSS (R8)(AX*4), X8, X4
-	VMOVSS (DI)(AX*4), X5
-	VADDSS X4, X5, X5
-	VMOVSS X5, (DI)(AX*4)
-	INCQ   AX
-	CMPQ   AX, CX
-	JLT    t1tail1
-
-t1done:
-	VZEROUPPER
-	RET
-
 // func scoreRowAVX2(dst, q, k []float32, stride int)
 //
 // The Go body's four accumulators s0..s3 are the four lanes of X0.
@@ -661,6 +569,164 @@ srsum:
 	JLT       srkey
 
 srdone:
+	RET
+
+// exp32's constants, each splatted over a 32-byte row (lanes_generic.go
+// names them): +0 log2e, +32 C1, +64 C2, +96..+256 P0..P5, +288 1,
+// +320 expLo, +352 −Inf.
+#define SPLAT(off, bits) \
+	DATA expConsts<>+(off+0)(SB)/4, $bits; \
+	DATA expConsts<>+(off+4)(SB)/4, $bits; \
+	DATA expConsts<>+(off+8)(SB)/4, $bits; \
+	DATA expConsts<>+(off+12)(SB)/4, $bits; \
+	DATA expConsts<>+(off+16)(SB)/4, $bits; \
+	DATA expConsts<>+(off+20)(SB)/4, $bits; \
+	DATA expConsts<>+(off+24)(SB)/4, $bits; \
+	DATA expConsts<>+(off+28)(SB)/4, $bits
+
+SPLAT(0, 0x3fb8aa3b)
+SPLAT(32, 0x3f318000)
+SPLAT(64, 0xb95e8083)
+SPLAT(96, 0x39506967)
+SPLAT(128, 0x3ab743ce)
+SPLAT(160, 0x3c088908)
+SPLAT(192, 0x3d2aa9c1)
+SPLAT(224, 0x3e2aaaaa)
+SPLAT(256, 0x3f000000)
+SPLAT(288, 0x3f800000)
+SPLAT(320, 0xc2aea8f6)
+SPLAT(352, 0xff800000)
+GLOBL expConsts<>(SB), RODATA|NOPTR, $384
+
+// Eight set lanes then eight clear ones: the 32 bytes ending 4·r bytes
+// before +64 set exactly lanes [0, r).
+DATA expTailMask<>+0(SB)/8, $-1
+DATA expTailMask<>+8(SB)/8, $-1
+DATA expTailMask<>+16(SB)/8, $-1
+DATA expTailMask<>+24(SB)/8, $-1
+DATA expTailMask<>+32(SB)/8, $0
+DATA expTailMask<>+40(SB)/8, $0
+DATA expTailMask<>+48(SB)/8, $0
+DATA expTailMask<>+56(SB)/8, $0
+GLOBL expTailMask<>(SB), RODATA|NOPTR, $64
+
+// EXP32 computes Y5 = exp32(Y1 − Y14) lane by lane, one instruction per
+// operation of the Go body: n = round-to-even(d·log2e) in Y2 (VROUNDPS
+// mode 0), r in Y3, r² in Y4, the polynomial in Y5, then n (converted, so a
+// NaN lane adds 0) added to the exponent bits, and the lanes below expLo
+// cleared to +0. Y6 is scratch.
+#define EXP32 \
+	VSUBPS    Y14, Y1, Y1; \
+	VMULPS    expConsts<>+0(SB), Y1, Y2; \
+	VROUNDPS  $0, Y2, Y2; \
+	VMULPS    expConsts<>+32(SB), Y2, Y3; \
+	VSUBPS    Y3, Y1, Y3; \
+	VMULPS    expConsts<>+64(SB), Y2, Y4; \
+	VSUBPS    Y4, Y3, Y3; \
+	VMULPS    Y3, Y3, Y4; \
+	VMULPS    expConsts<>+96(SB), Y3, Y5; \
+	VADDPS    expConsts<>+128(SB), Y5, Y5; \
+	VMULPS    Y3, Y5, Y5; \
+	VADDPS    expConsts<>+160(SB), Y5, Y5; \
+	VMULPS    Y3, Y5, Y5; \
+	VADDPS    expConsts<>+192(SB), Y5, Y5; \
+	VMULPS    Y3, Y5, Y5; \
+	VADDPS    expConsts<>+224(SB), Y5, Y5; \
+	VMULPS    Y3, Y5, Y5; \
+	VADDPS    expConsts<>+256(SB), Y5, Y5; \
+	VMULPS    Y4, Y5, Y5; \
+	VADDPS    Y3, Y5, Y5; \
+	VADDPS    expConsts<>+288(SB), Y5, Y5; \
+	VCVTPS2DQ Y2, Y2; \
+	VPSLLD    $23, Y2, Y2; \
+	VPADDD    Y2, Y5, Y5; \
+	VCMPPS    $1, expConsts<>+320(SB), Y1, Y6; \
+	VANDNPS   Y5, Y6, Y5
+
+// func expRowAVX2(x []float32, scale float32) float32
+//
+// Two passes of eight lanes: the first keeps the running maximum of scale·x
+// in Y0 (a NaN never replaces it), the second recomputes scale·x, writes
+// exp32(scale·x − m) back and sums it in Y13, lane t mod 8 for element t.
+// The last len%8 elements take one masked step in each pass: VMASKMOVPS
+// touches only the live lanes Y12 selects, the first pass fills the dead
+// lanes with −Inf and the second clears them before the sum, so they add +0.
+// The caller passes at least one element.
+TEXT ·expRowAVX2(SB), NOSPLIT, $0-36
+	MOVQ         x_base+0(FP), DI
+	MOVQ         x_len+8(FP), CX
+	VBROADCASTSS scale+24(FP), Y15
+	MOVQ         CX, DX
+	ANDQ         $-8, DX
+	MOVQ         CX, AX
+	SUBQ         DX, AX
+	SHLQ         $2, AX
+	LEAQ         expTailMask<>+32(SB), R8
+	SUBQ         AX, R8
+	VMOVUPS      (R8), Y12
+	VMOVUPS      expConsts<>+352(SB), Y0
+	XORQ         BX, BX
+	CMPQ         BX, DX
+	JGE          ermaxtail
+
+ermax:
+	VMULPS (DI)(BX*4), Y15, Y1
+	VMAXPS Y0, Y1, Y0
+	ADDQ   $8, BX
+	CMPQ   BX, DX
+	JLT    ermax
+
+ermaxtail:
+	CMPQ       BX, CX
+	JGE        ermaxsum
+	VMASKMOVPS (DI)(BX*4), Y12, Y1
+	VMULPS     Y15, Y1, Y1
+	VMOVUPS    expConsts<>+352(SB), Y2
+	VBLENDVPS  Y12, Y1, Y2, Y1
+	VMAXPS     Y0, Y1, Y0
+
+ermaxsum:
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPS       X1, X0, X0
+	VMOVHLPS     X0, X0, X1
+	VMAXPS       X1, X0, X0
+	VMOVSHDUP    X0, X1
+	VMAXSS       X1, X0, X0
+	VBROADCASTSS X0, Y14
+	VXORPS       Y13, Y13, Y13
+	XORQ         BX, BX
+	CMPQ         BX, DX
+	JGE          erexptail
+
+erexp:
+	VMULPS  (DI)(BX*4), Y15, Y1
+	EXP32
+	VMOVUPS Y5, (DI)(BX*4)
+	VADDPS  Y5, Y13, Y13
+	ADDQ    $8, BX
+	CMPQ    BX, DX
+	JLT     erexp
+
+erexptail:
+	CMPQ       BX, CX
+	JGE        ersum
+	VMASKMOVPS (DI)(BX*4), Y12, Y1
+	VMULPS     Y15, Y1, Y1
+	EXP32
+	VANDPS     Y12, Y5, Y5
+	VMASKMOVPS Y5, Y12, (DI)(BX*4)
+	VADDPS     Y5, Y13, Y13
+
+ersum:
+	// ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))
+	VEXTRACTF128 $1, Y13, X1
+	VADDPS       X1, X13, X13
+	VMOVHLPS     X13, X13, X1
+	VADDPS       X1, X13, X13
+	VMOVSHDUP    X13, X1
+	VADDSS       X1, X13, X13
+	VMOVSS       X13, ret+32(FP)
+	VZEROUPPER
 	RET
 
 // func valueRowAVX2(dst, w, v []float32, stride int, s float32)

@@ -37,7 +37,7 @@ const (
 	laneMaxN    = 67 // every n%8 tail eight times over, every dh%4 tail
 	laneMaxKeys = 5
 	lanePad     = 5 // extra key stride in the strided scoreRow cases
-	laneOperand = 6 // d0 d1 b0 b1 b2 b3
+	laneOperand = 2 // a row helper's dst and its row operand
 	tileMaxK    = 512
 )
 
@@ -113,34 +113,18 @@ func requireSameFloats(t *testing.T, what string, n, off int, got, want []float3
 // and untouched surroundings.
 func checkLaneBodies(t *testing.T, ar *laneArenas, n, off int, next func() float32) {
 	t.Helper()
-	var op, ref [laneOperand][]float32
-	var a [8]float32
-	fresh := func() {
-		for i := range op {
-			op[i] = cut(ar.op[i], n, off, next)
-			ref[i] = append([]float32(nil), op[i]...)
-		}
-		for i := range a {
-			a[i] = next()
-		}
+	// expRow: n is the span length, rewritten in place. Scale 1 is the
+	// dense route's and the softmax's, 100 walks x − m across exp32's whole
+	// domain down past the underflow bound, and a drawn one brings specials.
+	for _, scale := range []float32{1, 100, next()} {
+		x := cut(ar.op[0], n, off, next)
+		want := append([]float32(nil), x...)
+		gotSum, wantSum := expRow(x, scale), expRowGo(want, scale)
+		what := fmt.Sprintf("expRow scale=%v", scale)
+		requireSameFloats(t, what, n, off, x, want)
+		requireSameFloats(t, what+" sum", n, off, []float32{gotSum}, []float32{wantSum})
+		checkCanary(t, what, ar.op[0], n, off)
 	}
-	check := func(what string, dsts int) {
-		t.Helper()
-		for i := 0; i < dsts; i++ {
-			requireSameFloats(t, what, n, off, op[i], ref[i])
-			checkCanary(t, what, ar.op[i], n, off)
-		}
-	}
-
-	fresh()
-	quadAxpy1(op[0], op[2], op[3], op[4], op[5], a[0], a[1], a[2], a[3])
-	quadAxpy1Go(ref[0], ref[2], ref[3], ref[4], ref[5], a[0], a[1], a[2], a[3])
-	check("quadAxpy1", 1)
-
-	fresh()
-	tailAxpy1(op[0], op[2], a[0])
-	tailAxpy1Go(ref[0], ref[2], a[0])
-	check("tailAxpy1", 1)
 
 	// The tiles: n is the column count. The model's long k ranges run at one
 	// offset per n, which still walks every offset across n.
@@ -229,14 +213,14 @@ func checkTileBodies(t *testing.T, ar *laneArenas, h int,
 // laneValues draws floats that stress rounding and special-value handling:
 // mostly uniform in [-1, 1), one in eight from a table of signed zeros,
 // denormals, values whose products are denormal, values whose sums overflow,
-// infinities and NaN.
+// the attention mask's NegInf, infinities and NaN.
 type laneValues uint64
 
 var laneSpecials = []float32{
 	0, float32(math.Copysign(0, -1)),
 	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
 	math.Float32frombits(0x007FFFFF), 1e-19, -1e-20,
-	math.MaxFloat32, -math.MaxFloat32, 3e38, -3e38, 2e19,
+	math.MaxFloat32, -math.MaxFloat32, 3e38, -3e38, 2e19, NegInf,
 	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
 }
 
@@ -339,8 +323,8 @@ func TestKernelsBitwiseAcrossLaneBodies(t *testing.T) {
 	}
 }
 
-// attendCachedRow's value product, one valueRow call per head, equals the
-// per-key tailAxpy1 loop it replaced, under each lane body.
+// attendHead's value product, one valueRow call per head, equals a plain
+// per-key loop — d = d + (w·s)·v, key by key from +0 — under each lane body.
 func TestValueRowMatchesPerKeyAxpy(t *testing.T) {
 	vals := laneValues(3)
 	for _, body := range laneBodies() {
@@ -357,11 +341,72 @@ func TestValueRowMatchesPerKeyAxpy(t *testing.T) {
 				const s = 0.37
 				c0 := dh
 				want, got := make([]float32, dh), make([]float32, dh)
-				for t := range w {
-					tailAxpy1(want, v.Row(t)[c0:c0+dh], w[t]*s)
+				for t, wt := range w {
+					a := wt * s
+					for j, x := range v.Row(t)[c0 : c0+dh] {
+						want[j] += float32(a * x)
+					}
 				}
 				valueRow(got, w, v.Data[c0:], v.stride(), s)
 				requireSameFloats(t, fmt.Sprintf("%s valueRow dh=%d keys=%d", body, dh, n), dh, 0, got, want)
+			}
+		}
+	}
+}
+
+// exp32 meets its contract: exactly 1 at ±0, exactly +0 below the underflow
+// bound (NegInf and −Inf included), NaN for NaN, and within 3 ulp of
+// math.Exp on a dense grid over [−87.3, 0]. The same grid through expRow —
+// a span led by a 0, so m = 0 and every element is exp32 of itself — holds
+// each lane body to the same bits.
+func TestExp32(t *testing.T) {
+	for _, x := range []float32{0, float32(math.Copysign(0, -1))} {
+		if got := exp32(x); math.Float32bits(got) != math.Float32bits(1) {
+			t.Fatalf("exp32(%v) = %v, want exactly 1", x, got)
+		}
+	}
+	for _, x := range []float32{NegInf, NegInf / 2, float32(math.Inf(-1)), -math.MaxFloat32, -1000, -87.34, math.Nextafter32(expLo, float32(math.Inf(-1)))} {
+		if got := exp32(x); math.Float32bits(got) != 0 {
+			t.Fatalf("exp32(%v) = %v (%#08x), want +0", x, got, math.Float32bits(got))
+		}
+	}
+	if got := exp32(float32(math.NaN())); got == got {
+		t.Fatalf("exp32(NaN) = %v, want NaN", got)
+	}
+	const steps = 1 << 20
+	grid := make([]float32, steps+1)
+	for i := range grid {
+		grid[i] = float32(-87.3 * float64(i) / steps)
+	}
+	worst, at := uint32(0), float32(0)
+	for _, x := range grid {
+		got, want := exp32(x), float32(math.Exp(float64(x)))
+		d := math.Float32bits(got) - math.Float32bits(want)
+		if int32(d) < 0 {
+			d = -d
+		}
+		if d > worst {
+			worst, at = d, x
+		}
+	}
+	if worst > 3 {
+		t.Fatalf("exp32 is %d ulp off math.Exp at %v, want ≤ 3", worst, at)
+	}
+	t.Logf("worst error on the grid: %d ulp at %v", worst, at)
+	for _, body := range laneBodies() {
+		if body == "go" {
+			useGoLanes(t)
+		}
+		span := make([]float32, 68)
+		for lo := 0; lo < len(grid); lo += len(span) - 1 {
+			chunk := grid[lo:min(lo+len(span)-1, len(grid))]
+			x := append(span[:1], chunk...)
+			x[0] = 0
+			expRow(x, 1)
+			for i, g := range chunk {
+				if want := exp32(g); math.Float32bits(x[i+1]) != math.Float32bits(want) {
+					t.Fatalf("%s expRow: exp32(%v) = %v, want %v", body, g, x[i+1], want)
+				}
 			}
 		}
 	}
@@ -390,6 +435,7 @@ func TestKernelTestsOnGoLanes(t *testing.T) {
 		{"BlockAttendCrossAttention", TestBlockAttendCrossAttention},
 		{"AttendCachedRowMatchesDense", TestAttendCachedRowMatchesDense},
 		{"AttendCachedRowsMatchesPerRow", TestAttendCachedRowsMatchesPerRow},
+		{"AttendLaneAnchoring", TestAttendLaneAnchoring},
 		{"AttendKernelsZeroAllocs", TestAttendKernelsZeroAllocs},
 	} {
 		t.Run(tc.name, tc.fn)
@@ -424,9 +470,11 @@ var tileHelpers = []struct {
 
 // BenchmarkLaneHelpers times each helper alone at the shapes the serving
 // benchmark's model gives it (d_model 128, d_ff 512, 8 heads of 16), per
-// body: the row helpers at 16, 128 and 512 columns, each GEMM tile helper
-// across a 128- or 512-column weight over k = 128 or 512, and one
-// head's scores and value product against 8, 20 and 48 cached keys.
+// body: each GEMM tile helper across a 128- or 512-column weight over
+// k = 128 or 512, and one head's scores, softmax exponentials (expRow, on a
+// fresh copy of the scores each time) and value product against 8, 20, 48,
+// 64 and 128 keys — the encoder's visible spans run to 128, the decoder's
+// caches to 48.
 func BenchmarkLaneHelpers(b *testing.B) {
 	for _, body := range laneBodies() {
 		run := func(name string, flops int, f func()) {
@@ -437,15 +485,10 @@ func BenchmarkLaneHelpers(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					f()
 				}
-				gflops(b, float64(flops))
+				if flops > 0 {
+					gflops(b, float64(flops))
+				}
 			})
-		}
-		for _, n := range []int{16, 128, 512} {
-			d0 := make([]float32, n)
-			src := randMatrix(4, n, 1)
-			b0, b1, b2, b3 := src.Row(0), src.Row(1), src.Row(2), src.Row(3)
-			run(fmt.Sprintf("quadAxpy1/n=%d", n), 8*n, func() { quadAxpy1(d0, b0, b1, b2, b3, 1, 2, 3, 4) })
-			run(fmt.Sprintf("tailAxpy1/n=%d", n), 2*n, func() { tailAxpy1(d0, b0, 1) })
 		}
 		for _, kp := range [][2]int{{128, 128}, {128, 512}, {512, 128}} {
 			k, p := kp[0], kp[1]
@@ -457,11 +500,16 @@ func BenchmarkLaneHelpers(b *testing.B) {
 				})
 			}
 		}
-		q, w, dst := randMatrix(1, 16, 3).Row(0), randMatrix(1, 48, 6).Row(0), make([]float32, 48)
-		cache := randMatrix(48, 128, 2)
-		for _, keys := range []int{8, 20, 48} {
+		q, w, dst := randMatrix(1, 16, 3).Row(0), randMatrix(1, 128, 6).Row(0), make([]float32, 128)
+		scores := randMatrix(1, 128, 7).Row(0)
+		cache := randMatrix(128, 128, 2)
+		for _, keys := range []int{8, 20, 48, 64, 128} {
 			run(fmt.Sprintf("scoreRow/dh=16,keys=%d", keys), 2*16*keys, func() {
 				scoreRow(dst[:keys], q, cache.Data, 128)
+			})
+			run(fmt.Sprintf("expRow/keys=%d", keys), 0, func() {
+				copy(dst, scores[:keys])
+				expRow(dst[:keys], 0.25)
 			})
 			run(fmt.Sprintf("valueRow/dh=16,keys=%d", keys), 2*16*keys, func() {
 				valueRow(dst[:16], w[:keys], cache.Data, 128, 0.5)

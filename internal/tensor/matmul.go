@@ -99,16 +99,16 @@ func matMulSmallRange(dst, a, b *Matrix, lo, hi int) {
 			b3 := bd[(kk+3)*sb : (kk+3)*sb+p]
 			for j := range d0 {
 				v0, v1, v2, v3 := b0[j], b1[j], b2[j], b3[j]
-				d0[j] += a00*v0 + a01*v1 + a02*v2 + a03*v3
-				d1[j] += a10*v0 + a11*v1 + a12*v2 + a13*v3
+				d0[j] += float32(a00*v0) + float32(a01*v1) + float32(a02*v2) + float32(a03*v3)
+				d1[j] += float32(a10*v0) + float32(a11*v1) + float32(a12*v2) + float32(a13*v3)
 			}
 		}
 		for ; kk < k; kk++ {
 			av0, av1 := ar0[kk], ar1[kk]
 			brow := bd[kk*sb : kk*sb+p]
 			for j := range d0 {
-				d0[j] += av0 * brow[j]
-				d1[j] += av1 * brow[j]
+				d0[j] += float32(av0 * brow[j])
+				d1[j] += float32(av1 * brow[j])
 			}
 		}
 	}
@@ -137,7 +137,7 @@ func matMulRowRange(dst, a, b *Matrix, lo, hi int) {
 			b2 := bd[(kk+2)*sb : (kk+2)*sb+p]
 			b3 := bd[(kk+3)*sb : (kk+3)*sb+p]
 			for j := range drow {
-				drow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+				drow[j] += float32(a0*b0[j]) + float32(a1*b1[j]) + float32(a2*b2[j]) + float32(a3*b3[j])
 			}
 		}
 		for ; kk < k; kk++ {
@@ -147,7 +147,7 @@ func matMulRowRange(dst, a, b *Matrix, lo, hi int) {
 			}
 			brow := bd[kk*sb : kk*sb+p]
 			for j := range drow {
-				drow[j] += av * brow[j]
+				drow[j] += float32(av * brow[j])
 			}
 		}
 	}
@@ -204,13 +204,13 @@ func dotUnrolled(a, b []float32) float32 {
 	j := 0
 	b = b[:len(a)]
 	for ; j+4 <= len(a); j += 4 {
-		s0 += a[j] * b[j]
-		s1 += a[j+1] * b[j+1]
-		s2 += a[j+2] * b[j+2]
-		s3 += a[j+3] * b[j+3]
+		s0 += float32(a[j] * b[j])
+		s1 += float32(a[j+1] * b[j+1])
+		s2 += float32(a[j+2] * b[j+2])
+		s3 += float32(a[j+3] * b[j+3])
 	}
 	for ; j < len(a); j++ {
-		s0 += a[j] * b[j]
+		s0 += float32(a[j] * b[j])
 	}
 	return s0 + s1 + s2 + s3
 }

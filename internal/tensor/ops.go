@@ -73,35 +73,20 @@ func softmaxRowsRange(m *Matrix, lo, hi int) {
 }
 
 // softmaxRow is the shared single-row softmax: stable, and all-zero for
-// fully masked rows.
+// fully masked rows. It is the attention kernels' epilogue with a normalise
+// in place of the value product: the visible span (masked ends trimmed)
+// through expRow, then scaled by 1/Σ; masked entries come out exactly 0.
 func softmaxRow(row []float32) {
-	maxv := float32(math.Inf(-1))
-	for _, v := range row {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	if maxv <= NegInf/2 {
-		for j := range row {
-			row[j] = 0
-		}
+	lo, hi := visibleSpan(row)
+	clear(row[:lo])
+	clear(row[hi:])
+	if lo == hi {
 		return
 	}
-	var sum float32
-	for j, v := range row {
-		if v <= NegInf/2 {
-			// Masked entry: exp would underflow to exactly 0 anyway, so
-			// skip the call — dense masked rows are mostly this case.
-			row[j] = 0
-			continue
-		}
-		e := float32(math.Exp(float64(v - maxv)))
-		row[j] = e
-		sum += e
-	}
-	inv := 1 / sum
-	for j := range row {
-		row[j] *= inv
+	span := row[lo:hi]
+	inv := 1 / expRow(span, 1)
+	for j := range span {
+		span[j] *= inv
 	}
 }
 
@@ -111,7 +96,7 @@ func scaleMaskSoftmaxRange(m *Matrix, scale float32, mask *Matrix, lo, hi int) {
 		if mask != nil {
 			mrow := mask.Row(i)
 			for j, v := range row {
-				row[j] = v*scale + mrow[j]
+				row[j] = float32(v*scale) + mrow[j]
 			}
 		} else if scale != 1 {
 			for j := range row {
@@ -149,12 +134,12 @@ func layerNormRange(m *Matrix, gain, bias []float32, eps float32, lo, hi int) {
 		var variance float32
 		for _, v := range row {
 			d := v - mean
-			variance += d * d
+			variance += float32(d * d)
 		}
 		variance /= float32(len(row))
 		inv := 1 / float32(math.Sqrt(float64(variance+eps)))
 		for j, v := range row {
-			row[j] = (v-mean)*inv*gain[j] + bias[j]
+			row[j] = float32((v-mean)*inv*gain[j]) + bias[j]
 		}
 	}
 }
