@@ -417,8 +417,8 @@ func (r *report) print(w io.Writer) {
 	fmt.Fprintf(w, "kernels: wide=%d isa=%s\n", st.Kernels.Wide, st.Kernels.ISA)
 	if st.PrefixEnabled {
 		p := st.Prefix
-		fmt.Fprintf(w, "prefix (live generations): hits=%d misses=%d hit-rate=%.0f%% tokens-saved=%d inserts=%d evictions=%d ledgers-balanced=%v\n",
-			p.Hits, p.Misses, 100*p.HitRate, p.TokensSaved, p.Inserts, p.Evictions, r.prefixBalanced)
+		fmt.Fprintf(w, "prefix (live generations): hits=%d misses=%d hit-rate=%.0f%% tokens-saved=%d late-hits=%d round-shared=%d inserts=%d evictions=%d ledgers-balanced=%v\n",
+			p.Hits, p.Misses, 100*p.HitRate, p.TokensSaved, p.LateHits, p.RoundShared, p.Inserts, p.Evictions, r.prefixBalanced)
 	}
 	fmt.Fprintf(w, "fairness: jain=%.3f\n", st.JainGoodput)
 	names := make([]string, 0, len(st.Tenants))

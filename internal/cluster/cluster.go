@@ -621,6 +621,10 @@ func prefixTotals(rows []ReplicaStats) (prefixcache.Stats, bool) {
 		agg.Evictions += p.Evictions
 		agg.Rejected += p.Rejected
 		agg.TokensSaved += p.TokensSaved
+		agg.LateHits += p.LateHits
+		agg.LateTokensSaved += p.LateTokensSaved
+		agg.RoundShared += p.RoundShared
+		agg.RoundSharedTokensSaved += p.RoundSharedTokensSaved
 		agg.ResidentBytes += p.ResidentBytes
 		agg.Entries += p.Entries
 	}

@@ -557,9 +557,11 @@ func TestStatsPrefixAggregation(t *testing.T) {
 	rows := []ReplicaStats{
 		{Stats: serve.Stats{PrefixEnabled: true, Prefix: prefixcache.Stats{
 			Hits: 6, Misses: 2, Inserts: 2, TokensSaved: 60, ResidentBytes: 100, Entries: 2,
+			LateHits: 1, LateTokensSaved: 10, RoundShared: 3, RoundSharedTokensSaved: 30,
 		}}},
 		{Stats: serve.Stats{PrefixEnabled: true, Prefix: prefixcache.Stats{
 			Hits: 2, Misses: 6, Inserts: 5, Evictions: 1, Rejected: 1, TokensSaved: 20, ResidentBytes: 300, Entries: 4,
+			LateHits: 2, LateTokensSaved: 20, RoundShared: 1, RoundSharedTokensSaved: 10,
 		}}},
 		{Stats: serve.Stats{}}, // cache off on this replica: contributes nothing
 	}
@@ -570,6 +572,7 @@ func TestStatsPrefixAggregation(t *testing.T) {
 	want := prefixcache.Stats{
 		Hits: 8, Misses: 8, Inserts: 7, Evictions: 1, Rejected: 1,
 		TokensSaved: 80, ResidentBytes: 400, Entries: 6, HitRate: 0.5,
+		LateHits: 3, LateTokensSaved: 30, RoundShared: 4, RoundSharedTokensSaved: 40,
 	}
 	if agg != want {
 		t.Fatalf("aggregate = %+v, want %+v", agg, want)

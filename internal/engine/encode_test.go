@@ -63,9 +63,13 @@ func sameBits(got *tensor.Matrix, lo, hi int, want *tensor.Matrix) error {
 // §4.1's promise on the path that serves traffic, to the bit: wherever a
 // request's encoder rows are produced — any offset of a Concat row, any
 // place in a shared slot, seated at launch or admitted mid-flight, prefix
-// cold, cached or absent — they are the rows the request gets alone.
+// cold, cached or absent — they are the rows the request gets alone. An
+// admission whose prefix is inherited (hit, resident by its round, or
+// encoded by a roundmate) encodes only the rows after it, and the K/V it
+// inherits is the projection of the request's own prefix rows alone.
 func TestEncoderRowsBitwiseAlone(t *testing.T) {
 	const rowLen, slotSize = 56, 28
+	cases := make(map[string]int) // how admission seats came by their prefix
 	for trial := 0; trial < 8; trial++ {
 		src := rng.New(uint64(4100 + trial))
 		e := refillEngine(t, 2)
@@ -154,19 +158,67 @@ func TestEncoderRowsBitwiseAlone(t *testing.T) {
 			if offAligned < 3 {
 				t.Fatalf("trial %d: only %d segments start off a multiple of 4; the layout is not exercising the grouping", trial, offAligned)
 			}
-			// The requests that did not fit arrive as one admission round.
+			// The requests that did not fit arrive as one admission round,
+			// each cold declared one twice: the second copy inherits the
+			// first's prefix encode. A cold prefix the Concat round froze is
+			// resident by the Slotted round.
 			var seated []seat
+			offer := func(r encReq) {
+				s := seat{adm: Admission{ID: r.id, Tokens: r.tokens, PrefixLen: r.prefixLen, CachedLen: r.cachedLen}, from: -1}
+				if err := e.resolvePrefix(&s, seated); err != nil {
+					t.Fatal(err)
+				}
+				seated = append(seated, s)
+			}
 			for _, it := range rest {
 				r := byID[it.ID]
-				seated = append(seated, seat{adm: Admission{ID: r.id, Tokens: r.tokens, PrefixLen: r.prefixLen, CachedLen: r.cachedLen}})
+				offer(r)
+				if r.prefixLen > r.cachedLen {
+					offer(r)
+				}
 			}
 			ws := tensor.NewWorkspace()
 			e.encodeAdmissions(seated, ws)
 			ws.Close()
+			e.sharePrefixes(seated, &Report{})
 			for _, s := range seated {
-				check(scheme.String()+" admission", s.enc, 0, s.enc.Rows, s.adm.ID)
+				want := alone[s.adm.ID]
+				if err := sameBits(s.enc, 0, s.enc.Rows, want.Slice(s.skip, want.Rows)); err != nil {
+					t.Fatalf("trial %d, %s admission, request %d after %d inherited tokens: %v", trial, scheme, s.adm.ID, s.skip, err)
+				}
+				switch {
+				case s.kv == nil:
+					if s.adm.PrefixLen > 0 {
+						t.Fatalf("trial %d: admission %d's declared prefix was not resolved", trial, s.adm.ID)
+					}
+					continue
+				case s.shares:
+					cases["encodes for the round"]++
+				case s.from >= 0:
+					cases["same-round duplicate"]++
+				case s.adm.CachedLen > 0:
+					cases["hit"]++
+				default:
+					cases["late hit"]++
+				}
+				ref, err := e.Model.BuildPrefixKV(want.Slice(0, s.kv.Len))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for li, l := range ref.Layers {
+					got := s.kv.Layers[li]
+					if err := sameBits(got.K, 0, got.K.Rows, l.K); err != nil {
+						t.Fatalf("trial %d, %s admission %d, decoder layer %d cross K: %v", trial, scheme, s.adm.ID, li, err)
+					}
+					if err := sameBits(got.V, 0, got.V.Rows, l.V); err != nil {
+						t.Fatalf("trial %d, %s admission %d, decoder layer %d cross V: %v", trial, scheme, s.adm.ID, li, err)
+					}
+				}
 			}
 		}
+	}
+	if len(cases) != 4 {
+		t.Fatalf("admission rounds resolved prefixes as %v; want every case exercised", cases)
 	}
 }
 

@@ -64,7 +64,10 @@ type Engine struct {
 	// to their decode segment instead of re-encoding the prefix (the caller
 	// must hold a pin for the duration of the launch; see prefixcache);
 	// items with a declared-but-uncached prefix have their prefix rows
-	// frozen into the cache as soon as they are encoded.
+	// frozen into the cache as soon as they are encoded. A mid-flight
+	// admission's cold prefix is resolved again when its round encodes
+	// (resolvePrefix): a prefix resident by then, or encoded by an earlier
+	// seat of the round, is inherited instead of encoded.
 	PrefixCache *prefixcache.Cache
 }
 
@@ -94,6 +97,13 @@ type Report struct {
 	// projected and FFN'd, and attention scores computed per layer and head.
 	EncodedTokens int64
 	EncodedScores int64
+	// PrefixLateHits and PrefixShared count the cold declared prefixes of
+	// mid-flight admissions the engine inherited instead of encoding: resident
+	// by the time the round encoded (a hit the Submit-time lookup missed), or
+	// encoded by an earlier seat of the same round. The *Tokens fields are the
+	// prefix tokens each left unencoded.
+	PrefixLateHits, PrefixLateTokens int64
+	PrefixShared, PrefixSharedTokens int64
 }
 
 // Run executes b. tokens maps item IDs to their input token sequences; the
@@ -421,11 +431,11 @@ func (e *Engine) freezeRowPrefixes(p *Prepared, ri int, enc *tensor.Matrix) {
 }
 
 // freezePrefix offers a cold declared prefix — the first n tokens of seq,
-// just encoded as rows [start, start+n) of enc, in a launch row or as an
-// admission — to the cache: the rows are copied out, projected into frozen
-// cross K/V and inserted. Best-effort: a failure (over budget, out of device
-// memory) or a concurrent launch that froze it first only means the next
-// identical request may encode cold again.
+// just encoded as rows [start, start+n) of launch row enc — to the cache: the
+// rows are copied out, projected into frozen cross K/V and inserted.
+// Best-effort: a failure (over budget, out of device memory) or a concurrent
+// launch that froze it first only means the next identical request may
+// encode cold again.
 func (e *Engine) freezePrefix(seq []int, n int, enc *tensor.Matrix, start int) {
 	if e.PrefixCache == nil || enc == nil || e.PrefixCache.Contains(seq, n) {
 		return

@@ -16,6 +16,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tcb/internal/model"
 	"tcb/internal/tensor"
@@ -31,8 +32,8 @@ type Admission struct {
 	ID     int64
 	Tokens []int
 	// PrefixLen declares the shared-prefix boundary (0 = none); CachedLen
-	// is 0 (cold — encode prefix and suffix as two isolated segments, then
-	// freeze the prefix) or PrefixLen (hit — encode the suffix only and
+	// is 0 (cold — the engine resolves the prefix when the round encodes,
+	// see resolvePrefix) or PrefixLen (hit — encode the suffix only and
 	// inherit the frozen prefix K/V).
 	PrefixLen int
 	CachedLen int
@@ -155,11 +156,22 @@ type liveSeg struct {
 }
 
 // seat is one admission on its way into a running launch: accepted against
-// the free capacity and the reservation, then encoded, then inserted.
+// the free capacity and the reservation, resolved against the prefix cache
+// and the round, encoded, then inserted.
 type seat struct {
-	adm    Admission
-	layout model.RowLayout // encoder layout: prefix | suffix when cold-declared
-	enc    *tensor.Matrix
+	adm Admission
+	// skip is how many leading tokens the seat does not encode: a hit's
+	// CachedLen, or a declared prefix the cache or an earlier seat of the
+	// round supplies.
+	skip int
+	// from is the index of the earlier seat of the round whose prefix encode
+	// this seat inherits (-1: none); shares marks a seat that encodes its
+	// declared prefix for the round and freezes it.
+	from   int
+	shares bool
+	layout model.RowLayout // encoder layout: prefix | suffix when the seat encodes a declared prefix
+	enc    *tensor.Matrix  // encoder rows; the suffix alone once kv is set
+	kv     *model.PrefixKV // the prefix the seat inherits (nil: enc is the whole request)
 }
 
 // encodeLaunch encodes the staged rows in parallel and charges rep with the
@@ -292,33 +304,40 @@ func (e *Engine) runFusedRefill(p *Prepared, decRows []model.BatchDecodeRow, hoo
 					err = fmt.Errorf("engine: admission of %d tokens beyond MaxLen %d", len(adm.Tokens), e.Model.P.PosEnc.Rows)
 				case adm.CachedLen > 0 && e.PrefixCache == nil:
 					err = fmt.Errorf("engine: admission %d expects a cached prefix but the engine has no prefix cache", adm.ID)
-				default:
-					if err = e.checkTokens(adm.ID, adm.Tokens); err == nil {
-						err = p.growReservation(int64(adm.Resident()) * e.BytesPerToken)
-					}
+				}
+				s := seat{adm: adm, from: -1}
+				if err == nil {
+					err = e.checkTokens(adm.ID, adm.Tokens)
+				}
+				if err == nil {
+					err = e.resolvePrefix(&s, seated)
+				}
+				if err == nil {
+					err = p.growReservation(int64(adm.Resident()) * e.BytesPerToken)
 				}
 				if err != nil {
 					hook.Reject(adm, err)
 					continue
 				}
 				freeTokens -= adm.Resident()
-				seated = append(seated, seat{adm: adm})
+				seated = append(seated, s)
 			}
 			// Encode the whole offer side by side — the admission-side mirror
-			// of the launch's row encode — then insert in admission order so
-			// the state layout stays deterministic.
+			// of the launch's row encode — freeze the prefixes the round
+			// encoded, then insert in admission order so the state layout
+			// stays deterministic.
 			e.encodeAdmissions(seated, ws)
+			e.sharePrefixes(seated, rep)
 			for _, s := range seated {
 				adm := s.adm
 				rep.addEncodeWork(s.layout, nil)
 				var err error
-				if adm.CachedLen > 0 {
-					if _, kv, ok := e.PrefixCache.Peek(adm.Tokens, adm.CachedLen); !ok {
-						err = fmt.Errorf("engine: admission %d's cached prefix is not resident (pin not held?)", adm.ID)
-					} else {
-						_, err = st.InsertSegmentPrefix(s.enc, kv)
-					}
-				} else {
+				switch {
+				case s.kv != nil:
+					_, err = st.InsertSegmentPrefix(s.enc, s.kv)
+				case s.skip > 0:
+					err = fmt.Errorf("engine: admission %d encoded its suffix only but has no prefix to inherit", adm.ID)
+				default:
 					_, err = st.InsertSegment(s.enc)
 				}
 				if err != nil {
@@ -326,9 +345,6 @@ func (e *Engine) runFusedRefill(p *Prepared, decRows []model.BatchDecodeRow, hoo
 					p.shrinkReservation(int64(adm.Resident()) * e.BytesPerToken)
 					hook.Reject(adm, err)
 					continue
-				}
-				if adm.PrefixLen > 0 && adm.CachedLen == 0 {
-					e.freezePrefix(adm.Tokens, adm.PrefixLen, s.enc, 0)
 				}
 				segs = append(segs, &liveSeg{
 					id: adm.ID, cap: e.genCap(len(adm.Tokens)), inLen: adm.Resident(), next: vocab.BosID,
@@ -367,18 +383,83 @@ func (e *Engine) encodeRows(p *Prepared) []model.BatchDecodeRow {
 	return decRows
 }
 
+// resolvePrefix decides, before the round encodes, where seat s — offered
+// after the seats already in seated — gets its declared prefix from (DESIGN
+// §15). A hit inherits the entry its pin holds. A cold declaration, on an
+// engine with a prefix cache, inherits the entry if it is resident now, else
+// the encode of an earlier seat of the round that declared the same tokens,
+// else encodes the prefix for the round itself. Every choice replays the same
+// bits: a prefix's rows are a function of its own tokens alone (§4.1.1).
+func (e *Engine) resolvePrefix(s *seat, seated []seat) error {
+	adm := s.adm
+	switch {
+	case adm.CachedLen > 0:
+		_, kv, ok := e.PrefixCache.Peek(adm.Tokens, adm.CachedLen)
+		if !ok {
+			return fmt.Errorf("engine: admission %d's cached prefix is not resident (pin not held?)", adm.ID)
+		}
+		s.skip, s.kv = adm.CachedLen, kv
+	case adm.PrefixLen > 0 && e.PrefixCache != nil:
+		// An entry's PrefixKV is immutable and outlives its eviction, so a
+		// resident prefix needs no pin.
+		if _, kv, ok := e.PrefixCache.Peek(adm.Tokens, adm.PrefixLen); ok {
+			s.skip, s.kv = adm.PrefixLen, kv
+			return nil
+		}
+		prefix := adm.Tokens[:adm.PrefixLen]
+		for j := range seated {
+			if o := &seated[j]; o.shares && slices.Equal(o.adm.Tokens[:o.adm.PrefixLen], prefix) {
+				s.skip, s.from = adm.PrefixLen, j
+				return nil
+			}
+		}
+		s.shares = true
+	}
+	return nil
+}
+
+// sharePrefixes hands every seat of an encoded round the prefix it resolved
+// to. A seat that encoded its prefix for the round builds the PrefixKV once
+// from those rows, offers it to the cache and keeps only its suffix rows, so
+// the prefix is projected once; a later seat that declared the same tokens
+// inherits that PrefixKV. rep counts the prefixes resolved without an encode.
+func (e *Engine) sharePrefixes(seated []seat, rep *Report) {
+	for i := range seated {
+		s := &seated[i]
+		switch {
+		case s.shares:
+			n := s.adm.PrefixLen
+			rows := s.enc.Slice(0, n) // deep copy; the cache owns it
+			kv, err := e.Model.BuildPrefixKV(rows)
+			if err != nil {
+				continue // the seat keeps its whole rows and inserts them cold
+			}
+			e.PrefixCache.Insert(s.adm.Tokens, n, rows, kv)
+			s.kv, s.skip = kv, n
+			s.enc = s.enc.View(n, s.enc.Rows)
+		case s.from >= 0:
+			s.kv = seated[s.from].kv
+			rep.PrefixShared++
+			rep.PrefixSharedTokens += int64(s.skip)
+		case s.skip > s.adm.CachedLen:
+			rep.PrefixLateHits++
+			rep.PrefixLateTokens += int64(s.skip)
+		}
+	}
+}
+
 // encodeAdmissions encodes each seated request as a pad-free row of its own
 // through the same encode the launch rows took, filling in layout and enc.
 // One block per segment makes each result identical, to the bit, to what the
 // request would see inside any batch row, so admitted outputs match the
-// no-refill run of the same request. A prefix-cache hit encodes the uncached
-// suffix only; a cold declared prefix encodes prefix and suffix as two
-// isolated segments (so the prefix rows can be frozen for reuse).
+// no-refill run of the same request. A seat whose prefix is resolved encodes
+// its suffix only; one that encodes a declared prefix lays out prefix and
+// suffix as two isolated segments, so the prefix rows can be frozen.
 func (e *Engine) encodeAdmissions(seated []seat, ws *tensor.Workspace) {
 	fanOut(len(seated), ws, func(i int, ws *tensor.Workspace) {
 		s := &seated[i]
-		tokens := s.adm.Tokens[s.adm.CachedLen:]
-		if n := len(tokens); s.adm.PrefixLen > s.adm.CachedLen {
+		tokens := s.adm.Tokens[s.skip:]
+		if n := len(tokens); s.adm.PrefixLen > s.skip {
 			s.layout = model.ConcatLayout([]int{s.adm.PrefixLen, n - s.adm.PrefixLen}, n)
 		} else {
 			s.layout = model.SingleSegment(n, n)

@@ -317,6 +317,17 @@ type Stats struct {
 	ResidentBytes int64   `json:"resident_bytes"` // bytes charged right now
 	Entries       int     `json:"entries"`
 	HitRate       float64 `json:"hit_rate"` // hits / (hits + misses); 0 when idle
+
+	// The engine resolves a cold declared prefix again when its admission
+	// round encodes, without the cache seeing a lookup: LateHits found it
+	// resident by then, RoundShared inherited the encode of an earlier
+	// admission of the same round, and the *TokensSaved fields are the
+	// encoder tokens each avoided on top of TokensSaved. The serving layer
+	// fills these from engine reports; Cache.Stats leaves them zero.
+	LateHits               int64 `json:"late_hits"`
+	LateTokensSaved        int64 `json:"late_tokens_saved"`
+	RoundShared            int64 `json:"round_shared"`
+	RoundSharedTokensSaved int64 `json:"round_shared_tokens_saved"`
 }
 
 // Stats returns a snapshot of the cache's counters.

@@ -233,3 +233,58 @@ func TestPrefixSubmitValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefixStatsCountEngineResolutions: Stats.Prefix reports the prefixes
+// the engine resolved without encoding after the Submit-time lookup missed.
+// Every request is queued cold before the loop starts. The first launch
+// seats the first prompt's requests and freezes that prompt, so the queued
+// requests of the same prompt admitted mid-flight are late hits; the other
+// prompt is never in a launch row, so an admission round that takes several
+// of its requests encodes it once and the others share that encode.
+func TestPrefixStatsCountEngineResolutions(t *testing.T) {
+	cfg := model.Config{
+		VocabSize: testVocab, DModel: 32, NumHeads: 4, DFF: 64,
+		EncLayers: 1, DecLayers: 1, MaxLen: 256, Eps: 1e-5,
+	}
+	const prefixLen = 12
+	src := rng.New(34)
+	pool := [][]int{randTokens(src, prefixLen), randTokens(src, prefixLen)}
+	var reqs [][]int
+	for i := 0; i < 12; i++ {
+		p := pool[min(i/6, 1)] // six of the first prompt, then six of the second
+		reqs = append(reqs, append(append([]int{}, p...), randTokens(src, 3)...))
+	}
+	eng := engine.New(model.New(cfg, 23), 3)
+	pc := prefixcache.New(0, nil)
+	eng.PrefixCache = pc
+	s, err := New(Config{
+		Engine: eng, Scheduler: sched.FCFS{}, Scheme: batch.Concat,
+		B: 1, L: 4 * (prefixLen + 3), Poll: 200 * time.Microsecond,
+		QueueCap: len(reqs), Refill: true, PrefixCache: pc,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chans := make([]<-chan Response, len(reqs))
+	for i, r := range reqs {
+		if chans[i], err = s.SubmitOpts(r, 10*time.Second, SubmitOptions{PrefixLen: prefixLen}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Start()
+	s.Drain()
+	for i, ch := range chans {
+		if resp := <-ch; resp.Err != nil {
+			t.Fatalf("request %d: %v", i, resp.Err)
+		}
+	}
+	st := s.Stats().Prefix
+	s.Stop()
+	if st.Hits != 0 {
+		t.Fatalf("every request was queued cold, yet %d hit at Submit", st.Hits)
+	}
+	if st.LateHits == 0 || st.RoundShared == 0 ||
+		st.LateTokensSaved != prefixLen*st.LateHits || st.RoundSharedTokensSaved != prefixLen*st.RoundShared {
+		t.Fatalf("want late hits and same-round shares, each saving a %d-token prefix: %+v", prefixLen, st)
+	}
+}

@@ -235,7 +235,8 @@ type Stats struct {
 	Kernels tensor.KernelCounts
 
 	// Prefix snapshots the prefix cache's counters (hits, misses, tokens
-	// saved, resident bytes); zero when prefix sharing is off.
+	// saved, resident bytes) plus the engine's late hits and same-round
+	// shares; zero when prefix sharing is off.
 	Prefix prefixcache.Stats
 	// PrefixEnabled reports whether a prefix cache is attached.
 	PrefixEnabled bool
@@ -369,6 +370,8 @@ type Server struct {
 	refillsAdmitted, segsRetiredEarly, slotIdleSteps atomic.Int64
 	liveTokenSteps, capTokenSteps                    atomic.Int64
 	encodedTokens, encodedScores                     atomic.Int64
+	prefixLateHits, prefixLateTokens                 atomic.Int64
+	prefixShared, prefixSharedTokens                 atomic.Int64
 }
 
 // launch is one scheduled batch moving through the serve stages: selected
@@ -713,6 +716,10 @@ func (s *Server) Stats() Stats {
 	}
 	if s.cfg.PrefixCache != nil {
 		st.Prefix = s.cfg.PrefixCache.Stats()
+		st.Prefix.LateHits = s.prefixLateHits.Load()
+		st.Prefix.LateTokensSaved = s.prefixLateTokens.Load()
+		st.Prefix.RoundShared = s.prefixShared.Load()
+		st.Prefix.RoundSharedTokensSaved = s.prefixSharedTokens.Load()
 		st.PrefixEnabled = true
 	}
 	st.Tenants, st.JainGoodput = s.tenantStatsLocked()
@@ -900,6 +907,10 @@ func (s *Server) completeBatch(l *launch, rep *engine.Report, err error, served 
 	if err == nil && rep != nil {
 		s.encodedTokens.Add(rep.EncodedTokens)
 		s.encodedScores.Add(rep.EncodedScores)
+		s.prefixLateHits.Add(rep.PrefixLateHits)
+		s.prefixLateTokens.Add(rep.PrefixLateTokens)
+		s.prefixShared.Add(rep.PrefixShared)
+		s.prefixSharedTokens.Add(rep.PrefixSharedTokens)
 		if ref := rep.Refill; ref != nil {
 			s.refillsAdmitted.Add(int64(ref.Admitted))
 			s.segsRetiredEarly.Add(int64(ref.RetiredEarly))
