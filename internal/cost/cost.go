@@ -308,8 +308,21 @@ func CalibrateFull(ms []Measurement) (Params, error) {
 		// The per-token term is the small difference of two noisy slopes
 		// when attention dominates the measurements; one slow sample can
 		// push it negative. Fit tokens alone (score work folded into the
-		// per-token time) rather than fail the calibration.
-		return Calibrate(ms, 0)
+		// per-token time) rather than fail the calibration — and where noise
+		// tilts even that slope (seconds falling as tokens rise), charge the
+		// mean time per token, positive whenever the measurements are.
+		if p, err := Calibrate(ms, 0); err == nil {
+			return p, nil
+		}
+		var secs, tokens float64
+		for _, m := range ms {
+			secs += m.Seconds
+			tokens += float64(m.Tokens)
+		}
+		if secs <= 0 || tokens <= 0 {
+			return Params{}, fmt.Errorf("cost: calibration measured %g s over %g tokens", secs, tokens)
+		}
+		return Params{PerTokenSeconds: secs / tokens}, nil
 	}
 	if b < 0 {
 		b = 0 // score term lost in noise; clamp rather than go negative

@@ -310,6 +310,36 @@ func TestCalibrateFullPerTokenLostInNoise(t *testing.T) {
 	}
 }
 
+// Noise can tilt the tokens-only fallback too: here seconds fall as tokens
+// rise at both slot partitions, so neither fit has a positive per-token time.
+// The calibration must still produce a valid model — the mean time per token,
+// no score or batch term — not abort the set-up that asked for it.
+func TestCalibrateFullSecondsFallingWithTokens(t *testing.T) {
+	var ms []Measurement
+	var secs, tokens float64
+	for i, rows := range []int{1, 2, 4} {
+		for j, area := range []int{rows * 128 * 128, rows * 8 * 16 * 16} {
+			m := Measurement{Tokens: rows * 128, ScoreArea: area, Seconds: 3e-3 - float64(i)*1e-3 - float64(j)*1e-4}
+			ms = append(ms, m)
+			secs += m.Seconds
+			tokens += float64(m.Tokens)
+		}
+	}
+	if _, err := Calibrate(ms, 0); err == nil {
+		t.Fatal("fixture must defeat the tokens-only fit")
+	}
+	got, err := CalibrateFull(ms)
+	if err != nil {
+		t.Fatalf("CalibrateFull failed instead of degrading: %v", err)
+	}
+	if want := (Params{PerTokenSeconds: secs / tokens}); got != want {
+		t.Fatalf("degraded fit = %+v, want %+v", got, want)
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCalibrateFullErrors(t *testing.T) {
 	if _, err := CalibrateFull(nil); err == nil {
 		t.Fatal("empty input should fail")

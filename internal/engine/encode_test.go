@@ -24,19 +24,26 @@ func (r encReq) item() batch.Item {
 	return batch.Item{ID: r.id, Len: len(r.tokens) - r.cachedLen, PrefixLen: r.prefixLen, CachedLen: r.cachedLen}
 }
 
-// encodeAlone returns the encoder rows of r served alone, packed the way
-// RunSingle packs (one Concat row exactly its length) with its prefix
-// declared but never served from the cache: prefix rows first, suffix rows
-// after — the reference every batched encode must reproduce bit for bit.
+// encodeAlone returns the encoder rows of r served alone the way RunSingle
+// serves it — one Concat launch seat — by an engine with no prefix cache, so
+// a declared prefix is encoded, as its own segment, ahead of the suffix: the
+// reference every batched encode must reproduce bit for bit.
 func encodeAlone(t *testing.T, e *Engine, r encReq) *tensor.Matrix {
 	t.Helper()
+	alone := *e
+	alone.PrefixCache = nil
 	r.cachedLen = 0
-	p, err := e.Prepare(packOne(t, r), map[int64][]int{r.id: r.tokens})
+	p, err := alone.Prepare(packOne(t, r), map[int64][]int{r.id: r.tokens})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Release()
-	return e.encodeRows(p)[0].EncOut
+	seated, err := alone.launchSeats(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone.encodeAdmissions(seated, nil)
+	return seated[0].enc
 }
 
 // sameBits reports whether rows [lo, hi) of got equal want in every bit.
@@ -61,15 +68,15 @@ func sameBits(got *tensor.Matrix, lo, hi int, want *tensor.Matrix) error {
 }
 
 // §4.1's promise on the path that serves traffic, to the bit: wherever a
-// request's encoder rows are produced — any offset of a Concat row, any
-// place in a shared slot, seated at launch or admitted mid-flight, prefix
-// cold, cached or absent — they are the rows the request gets alone. An
-// admission whose prefix is inherited (hit, resident by its round, or
-// encoded by a roundmate) encodes only the rows after it, and the K/V it
-// inherits is the projection of the request's own prefix rows alone.
+// request's encoder rows are produced — seated at launch or admitted
+// mid-flight, any place in a shared slot at any row offset, prefix cold,
+// cached or absent — they are the rows the request gets alone. A seat whose
+// prefix is inherited (hit, resident by its round, or encoded by a roundmate)
+// encodes only the rows after it, and the K/V it inherits is the projection
+// of the request's own prefix rows alone.
 func TestEncoderRowsBitwiseAlone(t *testing.T) {
 	const rowLen, slotSize = 56, 28
-	cases := make(map[string]int) // how admission seats came by their prefix
+	cases := make(map[string]int) // how seats came by their prefix
 	for trial := 0; trial < 8; trial++ {
 		src := rng.New(uint64(4100 + trial))
 		e := refillEngine(t, 2)
@@ -117,66 +124,12 @@ func TestEncoderRowsBitwiseAlone(t *testing.T) {
 				}
 			}
 		}
-		// check compares rows [lo, hi) of enc with what request id holds
-		// there: its resident rows, i.e. everything after the cached prefix.
-		check := func(where string, enc *tensor.Matrix, lo, hi int, id int64) {
-			t.Helper()
-			want := alone[id]
-			if err := sameBits(enc, lo, hi, want.Slice(byID[id].cachedLen, want.Rows)); err != nil {
-				t.Fatalf("trial %d, %s, request %d at rows [%d,%d): %v", trial, where, id, lo, hi, err)
-			}
-		}
 
-		for _, scheme := range []batch.Scheme{batch.Concat, batch.SlottedConcat} {
-			var b *batch.Batch
-			var rest []batch.Item
-			if scheme == batch.Concat {
-				b, rest = batch.PackConcat(items, 2, rowLen)
-			} else {
-				b, rest = batch.PackSlotted(items, 2, rowLen, slotSize)
-			}
-			if len(rest) == 0 || len(rest) == len(items) {
-				t.Fatalf("trial %d: want some requests seated and some left to admit, %d of %d left", trial, len(rest), len(items))
-			}
-			p, err := e.Prepare(b, tokens)
-			if err != nil {
-				t.Fatal(err)
-			}
-			offAligned := 0
-			for ri, dr := range e.encodeRows(p) {
-				if dr.EncOut.Rows != p.rows[ri].Used() {
-					t.Fatalf("%v row %d encoded at height %d, holds %d", scheme, ri, dr.EncOut.Rows, p.rows[ri].Used())
-				}
-				for i, seg := range dr.Layout.Segments {
-					check(scheme.String()+" launch row", dr.EncOut, seg.Start, seg.End(), p.rows[ri].Items[i].ID)
-					if seg.Start%4 != 0 {
-						offAligned++
-					}
-				}
-			}
-			p.Release()
-			if offAligned < 3 {
-				t.Fatalf("trial %d: only %d segments start off a multiple of 4; the layout is not exercising the grouping", trial, offAligned)
-			}
-			// The requests that did not fit arrive as one admission round,
-			// each cold declared one twice: the second copy inherits the
-			// first's prefix encode. A cold prefix the Concat round froze is
-			// resident by the Slotted round.
-			var seated []seat
-			offer := func(r encReq) {
-				s := seat{adm: Admission{ID: r.id, Tokens: r.tokens, PrefixLen: r.prefixLen, CachedLen: r.cachedLen}, from: -1}
-				if err := e.resolvePrefix(&s, seated); err != nil {
-					t.Fatal(err)
-				}
-				seated = append(seated, s)
-			}
-			for _, it := range rest {
-				r := byID[it.ID]
-				offer(r)
-				if r.prefixLen > r.cachedLen {
-					offer(r)
-				}
-			}
+		// checkRound encodes a resolved round and holds every seat's rows —
+		// everything after the prefix it inherits — and its inherited K/V to
+		// the request alone.
+		checkRound := func(where string, seated []seat) {
+			t.Helper()
 			ws := tensor.NewWorkspace()
 			e.encodeAdmissions(seated, ws)
 			ws.Close()
@@ -184,12 +137,12 @@ func TestEncoderRowsBitwiseAlone(t *testing.T) {
 			for _, s := range seated {
 				want := alone[s.adm.ID]
 				if err := sameBits(s.enc, 0, s.enc.Rows, want.Slice(s.skip, want.Rows)); err != nil {
-					t.Fatalf("trial %d, %s admission, request %d after %d inherited tokens: %v", trial, scheme, s.adm.ID, s.skip, err)
+					t.Fatalf("trial %d, %s seat %d after %d inherited tokens: %v", trial, where, s.adm.ID, s.skip, err)
 				}
 				switch {
 				case s.kv == nil:
 					if s.adm.PrefixLen > 0 {
-						t.Fatalf("trial %d: admission %d's declared prefix was not resolved", trial, s.adm.ID)
+						t.Fatalf("trial %d: %s seat %d's declared prefix was not resolved", trial, where, s.adm.ID)
 					}
 					continue
 				case s.shares:
@@ -208,17 +161,90 @@ func TestEncoderRowsBitwiseAlone(t *testing.T) {
 				for li, l := range ref.Layers {
 					got := s.kv.Layers[li]
 					if err := sameBits(got.K, 0, got.K.Rows, l.K); err != nil {
-						t.Fatalf("trial %d, %s admission %d, decoder layer %d cross K: %v", trial, scheme, s.adm.ID, li, err)
+						t.Fatalf("trial %d, %s seat %d, decoder layer %d cross K: %v", trial, where, s.adm.ID, li, err)
 					}
 					if err := sameBits(got.V, 0, got.V.Rows, l.V); err != nil {
-						t.Fatalf("trial %d, %s admission %d, decoder layer %d cross V: %v", trial, scheme, s.adm.ID, li, err)
+						t.Fatalf("trial %d, %s seat %d, decoder layer %d cross V: %v", trial, where, s.adm.ID, li, err)
 					}
 				}
 			}
 		}
+
+		// A Concat launch seats its items as its step-0 round.
+		b, rest := batch.PackConcat(items, 2, rowLen)
+		if len(rest) == 0 || len(rest) == len(items) {
+			t.Fatalf("trial %d: want some requests seated and some left to admit, %d of %d left", trial, len(rest), len(items))
+		}
+		p, err := e.Prepare(b, tokens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		launch, err := e.launchSeats(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRound("Concat launch", launch)
+		p.Release()
+
+		// The requests that did not fit arrive as one admission round, each
+		// cold declared one twice: the second copy inherits the first's
+		// prefix encode. The launch's cold declared items come once more:
+		// their prefixes, frozen by the launch round, are resident now.
+		var seated []seat
+		offer := func(r encReq) {
+			s := seat{adm: Admission{ID: r.id, Tokens: r.tokens, PrefixLen: r.prefixLen, CachedLen: r.cachedLen}, from: -1}
+			if err := e.resolvePrefix(&s, seated); err != nil {
+				t.Fatal(err)
+			}
+			seated = append(seated, s)
+		}
+		for _, it := range rest {
+			r := byID[it.ID]
+			offer(r)
+			if r.prefixLen > r.cachedLen {
+				offer(r)
+			}
+		}
+		for _, s := range launch {
+			if r := byID[s.adm.ID]; r.prefixLen > r.cachedLen {
+				offer(r)
+			}
+		}
+		checkRound("admission", seated)
+
+		// The row encoder: every request undeclared, packed into shared slots
+		// at row offsets off the kernels' four-row grouping.
+		var plain []batch.Item
+		for _, r := range reqs {
+			alone[r.id] = encodeAlone(t, e, encReq{id: r.id, tokens: r.tokens})
+			plain = append(plain, batch.Item{ID: r.id, Len: len(r.tokens)})
+		}
+		b, _ = batch.PackSlotted(plain, 4, rowLen, slotSize)
+		if p, err = e.Prepare(b, tokens); err != nil {
+			t.Fatal(err)
+		}
+		offAligned := 0
+		for ri, dr := range e.encodeRows(p) {
+			if dr.EncOut.Rows != p.rows[ri].Used() {
+				t.Fatalf("slotted row %d encoded at height %d, holds %d", ri, dr.EncOut.Rows, p.rows[ri].Used())
+			}
+			for i, seg := range dr.Layout.Segments {
+				id := p.rows[ri].Items[i].ID
+				if err := sameBits(dr.EncOut, seg.Start, seg.End(), alone[id]); err != nil {
+					t.Fatalf("trial %d, slotted row %d, request %d at rows [%d,%d): %v", trial, ri, id, seg.Start, seg.End(), err)
+				}
+				if seg.Start%4 != 0 {
+					offAligned++
+				}
+			}
+		}
+		p.Release()
+		if offAligned < 3 {
+			t.Fatalf("trial %d: only %d segments start off a multiple of 4; the layout is not exercising the grouping", trial, offAligned)
+		}
 	}
 	if len(cases) != 4 {
-		t.Fatalf("admission rounds resolved prefixes as %v; want every case exercised", cases)
+		t.Fatalf("rounds resolved prefixes as %v; want every case exercised", cases)
 	}
 }
 

@@ -1,21 +1,24 @@
 // Package engine executes batch layouts on the real Go transformer: it is
 // the TCB "customized inference engine" of Fig. 3. Given a batch.Batch and
-// the token sequences of its items, the engine builds each row's
-// concatenated layout, runs the ConcatBatching-aware encoder and the
-// auto-regressive decoder, and returns per-request outputs together with
-// the encoder work the launch executed.
+// the token sequences of its items, the engine runs the ConcatBatching-aware
+// encoder and the auto-regressive decoder, and returns per-request outputs
+// together with the encoder work the launch executed.
 //
 // The engine supports all batching schemes, and encodes every one of them
-// through the block attention kernel. TCB rows are staged pad-free — a row's
-// tensor height is what it holds; Row.PadTo is its capacity and memory
-// budget, never multiplied — with one block per request for Concat and one
-// per slot (§4.2) for SlottedConcat, which also gets early memory cleaning.
-// Naive and Turbo rows hold a single segment and keep their padding inside
-// one whole-row block: that waste is the baselines' definition.
+// through the block attention kernel. A Concat row is a packing and memory
+// unit — Row.PadTo is its capacity and device reservation — never an encode
+// unit: each request keeps its own positional encoding and attends only to
+// itself (§4.1), so the launch seats its items as its step-0 admission round,
+// one pad-free encode per request, and resolves and shares their declared
+// prefixes in the same place mid-flight admissions do. SlottedConcat rows
+// are encoded whole with one block per slot (§4.2); Naive and Turbo rows
+// hold a single segment and keep their padding inside one whole-row block:
+// that waste is the baselines' definition.
 package engine
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -60,14 +63,14 @@ type Engine struct {
 	// the serve pipeline reserves cores away from it via tensor.Reserve).
 	Pool *tensor.Pool
 	// PrefixCache, when non-nil, is the shared-prompt prefix KV cache.
-	// Items with CachedLen > 0 attach the cached prefix's frozen cross K/V
-	// to their decode segment instead of re-encoding the prefix (the caller
-	// must hold a pin for the duration of the launch; see prefixcache);
-	// items with a declared-but-uncached prefix have their prefix rows
-	// frozen into the cache as soon as they are encoded. A mid-flight
-	// admission's cold prefix is resolved again when its round encodes
+	// Requests with CachedLen > 0 attach the cached prefix's frozen cross
+	// K/V to their decode segment instead of re-encoding the prefix (the
+	// caller must hold a pin for the duration of the launch; see
+	// prefixcache). A cold declared prefix — of a launch item or a mid-flight
+	// admission alike — is resolved again when its round encodes
 	// (resolvePrefix): a prefix resident by then, or encoded by an earlier
-	// seat of the round, is inherited instead of encoded.
+	// seat of the round, is inherited instead of encoded; otherwise the seat
+	// encodes it and freezes it into the cache as soon as the round lands.
 	PrefixCache *prefixcache.Cache
 }
 
@@ -93,15 +96,15 @@ type Report struct {
 	// Refill is present on refill-enabled launches (RunPreparedRefill).
 	Refill *RefillReport
 	// EncodedTokens and EncodedScores count the encoder work the launch
-	// executed, launch rows and mid-flight admissions alike: rows embedded,
+	// executed, launch items and mid-flight admissions alike: rows embedded,
 	// projected and FFN'd, and attention scores computed per layer and head.
 	EncodedTokens int64
 	EncodedScores int64
 	// PrefixLateHits and PrefixShared count the cold declared prefixes of
-	// mid-flight admissions the engine inherited instead of encoding: resident
-	// by the time the round encoded (a hit the Submit-time lookup missed), or
-	// encoded by an earlier seat of the same round. The *Tokens fields are the
-	// prefix tokens each left unencoded.
+	// launch items and mid-flight admissions the engine inherited instead of
+	// encoding: resident by the time the round encoded (a hit the Submit-time
+	// lookup missed), or encoded by an earlier seat of the same round. The
+	// *Tokens fields are the prefix tokens each left unencoded.
 	PrefixLateHits, PrefixLateTokens int64
 	PrefixShared, PrefixSharedTokens int64
 }
@@ -123,47 +126,29 @@ func (e *Engine) Run(b *batch.Batch, tokens map[int64][]int) (*Report, error) {
 
 // Prepared is a batch staged for execution: validated, its device memory
 // reserved, and every row's host-side tensors built (concatenated token ids —
-// padded only under Naive/Turbo — concat layout, slot descriptors, generation
+// padded only under Naive/Turbo — item layout, slot descriptors, generation
 // caps). Staging is pure host work touching no model state, so the pipeline's
 // prepare stage runs it for batch t+1 while batch t computes.
 type Prepared struct {
 	Batch  *batch.Batch
 	Tokens map[int64][]int
 
-	// Staged per non-empty row, in batch-row order. layouts is the decode
-	// (item) layout — one segment per item, spanning its resident tokens.
-	// encLayouts is the encoder layout: identical except that items with a
-	// declared, uncached prefix are split into two segments (prefix, then
-	// suffix), each with its own positional-encoding restart and isolation.
-	// Items without prefixes produce identical layouts and encLayouts is
-	// the same slice value — the pre-prefix path, bit for bit. slots[ri] is
-	// the row's attention partition; nil (Concat) means one block per
-	// encoder segment.
-	rows       []batch.Row
-	rowTokens  [][]int
-	layouts    []model.RowLayout
-	encLayouts []model.RowLayout
-	slots      [][]model.Slot
-	caps       [][]int
-	// prefixes[ri][i] is the frozen prefix attached to row ri's item i
-	// (cache hits only; nil entries otherwise). inserts lists the items
-	// whose freshly encoded prefix rows should be frozen into the cache
-	// after the run completes.
-	prefixes [][]*model.PrefixKV
-	inserts  []prefixInsert
+	// Staged per non-empty row, in batch-row order: the row's resident
+	// tokens, its item layout — one segment per item — its attention
+	// partition (nil under Concat: one block per segment) and its items'
+	// generation caps. The row encoder (encodeRows) reads them. A Concat
+	// launch seats its items one by one instead (launchSeats); its rows are
+	// staged all the same, as the per-row reference the equality tests
+	// decode it against.
+	rows      []batch.Row
+	rowTokens [][]int
+	layouts   []model.RowLayout
+	slots     [][]model.Slot
+	caps      [][]int
 
 	eng      *Engine
 	memTag   string
 	released atomic.Bool
-}
-
-// prefixInsert locates a declared-but-uncached prefix inside a staged row:
-// rows [start, start+n) of row ri's encoder output are item id's prefix.
-type prefixInsert struct {
-	ri    int
-	start int
-	n     int
-	id    int64
 }
 
 // Prepare validates b, reserves its device memory, and stages the host-side
@@ -174,41 +159,38 @@ func (e *Engine) Prepare(b *batch.Batch, tokens map[int64][]int) (*Prepared, err
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	for _, it := range b.Items() {
-		seq, ok := tokens[it.ID]
-		if !ok {
-			return nil, fmt.Errorf("engine: no tokens for item %d", it.ID)
-		}
-		// tokens always carries the FULL request; on a prefix-cache hit only
-		// the suffix (it.Len tokens) is resident in the row.
-		if len(seq) != it.Len+it.CachedLen {
-			return nil, fmt.Errorf("engine: item %d has %d tokens, layout says %d",
-				it.ID, len(seq), it.Len+it.CachedLen)
-		}
-		if it.CachedLen > 0 && e.PrefixCache == nil {
-			return nil, fmt.Errorf("engine: item %d expects a cached prefix but the engine has no prefix cache", it.ID)
-		}
-		if err := e.checkTokens(it.ID, seq); err != nil {
-			return nil, err
-		}
-	}
 	p := &Prepared{Batch: b, Tokens: tokens, eng: e}
 	for _, row := range b.Rows {
 		if len(row.Items) == 0 {
 			continue
 		}
-		ri := len(p.rows)
-		rowTokens, layout, encLayout, slots, prefixes, err := e.rowLayout(b, row, tokens, ri, &p.inserts)
-		if err != nil {
-			return nil, err
+		for _, it := range row.Items {
+			seq, ok := tokens[it.ID]
+			if !ok {
+				return nil, fmt.Errorf("engine: no tokens for item %d", it.ID)
+			}
+			// tokens always carries the FULL request; on a prefix-cache hit
+			// only the suffix (it.Len tokens) is resident in the row.
+			if len(seq) != it.Len+it.CachedLen {
+				return nil, fmt.Errorf("engine: item %d has %d tokens, layout says %d",
+					it.ID, len(seq), it.Len+it.CachedLen)
+			}
+			if b.Scheme != batch.Concat && (it.PrefixLen > 0 || it.CachedLen > 0) {
+				return nil, fmt.Errorf("engine: item %d declares a prefix in a %v batch; only Concat launches share prefixes", it.ID, b.Scheme)
+			}
+			if it.CachedLen > 0 && e.PrefixCache == nil {
+				return nil, fmt.Errorf("engine: item %d expects a cached prefix but the engine has no prefix cache", it.ID)
+			}
+			if err := e.checkTokens(it.ID, seq); err != nil {
+				return nil, err
+			}
 		}
+		rowTokens, layout, slots := rowLayout(b, row, tokens)
 		p.rows = append(p.rows, row)
 		p.rowTokens = append(p.rowTokens, rowTokens)
 		p.layouts = append(p.layouts, layout)
-		p.encLayouts = append(p.encLayouts, encLayout)
 		p.slots = append(p.slots, slots)
 		p.caps = append(p.caps, e.rowCaps(row))
-		p.prefixes = append(p.prefixes, prefixes)
 	}
 	if e.Mem != nil && b.TotalTokens() > 0 {
 		// Tag by a fresh launch id, not the batch pointer: concurrent runs
@@ -270,74 +252,33 @@ func (e *Engine) RunPrepared(p *Prepared) (*Report, error) {
 // launchSeq numbers engine launches process-wide for memory-manager tags.
 var launchSeq atomic.Uint64
 
-// rowLayout concatenates a row's item tokens (resident suffix only for
-// prefix-cache hits) and builds the decode (item) layout, the encoder layout
-// (declared-but-uncached prefixes split into their own segments), the slot
-// descriptors, the attached frozen prefixes (for hits) and the pending cache
-// inserts (for cold declared prefixes). A TCB row is staged at the height it
-// holds; only the padding baselines materialize PadTo.
-func (e *Engine) rowLayout(b *batch.Batch, row batch.Row, tokens map[int64][]int, ri int, inserts *[]prefixInsert) (rowTokens []int, layout, encLayout model.RowLayout, slots []model.Slot, prefixes []*model.PrefixKV, err error) {
+// rowLayout concatenates a row's resident item tokens (the suffix only for a
+// prefix-cache hit) and builds the item layout and, for the slotted and
+// padding schemes, the slot descriptors. A TCB row is staged at the height
+// it holds; only the padding baselines materialize PadTo.
+func rowLayout(b *batch.Batch, row batch.Row, tokens map[int64][]int) (rowTokens []int, layout model.RowLayout, slots []model.Slot) {
 	height := row.Used()
 	if b.Scheme == batch.Naive || b.Scheme == batch.Turbo {
 		height = row.PadTo
 	}
 	lengths := make([]int, len(row.Items))
 	rowTokens = make([]int, 0, height)
-	encLengths := make([]int, 0, len(row.Items))
-	segCounts := make([]int, len(row.Items))
-	split := false
-	start := 0
 	for i, it := range row.Items {
 		lengths[i] = it.Len
-		seq := tokens[it.ID]
-		rowTokens = append(rowTokens, seq[it.CachedLen:]...)
-		segCounts[i] = 1
-		switch {
-		case it.CachedLen > 0:
-			// Hit: only the suffix is resident; the decode segment inherits
-			// the frozen prefix K/V. The pin the serving layer took at
-			// admission guarantees residency here.
-			_, kv, ok := e.PrefixCache.Peek(seq, it.CachedLen)
-			if !ok {
-				return nil, model.RowLayout{}, model.RowLayout{}, nil, nil,
-					fmt.Errorf("engine: item %d's cached prefix is not resident (pin not held?)", it.ID)
-			}
-			if prefixes == nil {
-				prefixes = make([]*model.PrefixKV, len(row.Items))
-			}
-			prefixes[i] = kv
-			encLengths = append(encLengths, it.Len)
-		case it.PrefixLen > 0:
-			// Cold declared prefix: encode prefix and suffix as two isolated
-			// segments (separate PE restart each) so the prefix rows are
-			// position-independent and cacheable; freeze them after the run.
-			encLengths = append(encLengths, it.PrefixLen, it.Len-it.PrefixLen)
-			segCounts[i] = 2
-			split = true
-			if e.PrefixCache != nil && !e.PrefixCache.Contains(seq, it.PrefixLen) {
-				*inserts = append(*inserts, prefixInsert{ri: ri, start: start, n: it.PrefixLen, id: it.ID})
-			}
-		default:
-			encLengths = append(encLengths, it.Len)
-		}
-		start += it.Len
+		rowTokens = append(rowTokens, tokens[it.ID][it.CachedLen:]...)
 	}
 	for len(rowTokens) < height {
 		rowTokens = append(rowTokens, vocab.PadID)
 	}
 	layout = model.ConcatLayout(lengths, height)
-	encLayout = layout
-	if split {
-		encLayout = model.ConcatLayout(encLengths, height)
-	}
-	// Concat rows carry no slots: one block per encoder segment.
+	// Concat rows carry no slots: one block per segment.
 	if b.Scheme != batch.Concat {
-		slots = e.slotsForRow(b, row, encLayout, segCounts)
+		slots = slotsForRow(b, row, layout)
 		if b.Scheme != batch.SlottedConcat {
 			slots[0].Len = height // a baseline row is one block, padding included
 		}
 	}
-	return rowTokens, layout, encLayout, slots, prefixes, nil
+	return rowTokens, layout, slots
 }
 
 // rowCaps returns the per-item generation caps of a row.
@@ -365,44 +306,56 @@ func (e *Engine) genCap(inputLen int) int {
 	return c
 }
 
-// fanOut runs job(i, ws) for every i in [0, n) and waits. Several jobs run
-// concurrently — the batch dimension of a real GPU launch — each on its own
-// pooled workspace; a lone job runs inline on ws, because a one-request
-// launch or a single admission is a couple of milliseconds of compute and a
-// goroutine hand-off plus a cold workspace would show in it. A job's panic
-// is re-raised on the caller's goroutine once every job has returned, so a
-// recover around the launch sees it however many rows the launch has.
+// fanOut runs job(i, ws) for every i in [0, n) and waits. The jobs run side
+// by side — the batch dimension of a real GPU launch — on at most GOMAXPROCS
+// workers, each taking the next job until none is left: the caller on ws,
+// every other worker on a goroutine and pooled workspace of its own. A round
+// of many short requests so costs a few goroutine hand-offs, not one per
+// request, and a lone job runs inline. A job's panic is re-raised on the
+// caller's goroutine once every job has run, so a recover around the launch
+// sees it however many jobs the launch has.
 func fanOut(n int, ws *tensor.Workspace, job func(i int, ws *tensor.Workspace)) {
 	if n == 1 {
 		job(0, ws)
 		return
 	}
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicked any
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-				}
+	var fan struct {
+		wg       sync.WaitGroup
+		next     atomic.Int64
+		once     sync.Once
+		panicked any
+	}
+	work := func(ws *tensor.Workspace) {
+		for i := int(fan.next.Add(1)) - 1; i < n; i = int(fan.next.Add(1)) - 1 {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						fan.once.Do(func() { fan.panicked = r })
+					}
+				}()
+				job(i, ws)
 			}()
+		}
+	}
+	for w := 1; w < min(n, runtime.GOMAXPROCS(0)); w++ {
+		fan.wg.Add(1)
+		go func() {
+			defer fan.wg.Done()
 			ws := tensor.NewWorkspace()
 			defer ws.Close()
-			job(i, ws)
+			work(ws)
 		}()
 	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
+	work(ws)
+	fan.wg.Wait()
+	if fan.panicked != nil {
+		panic(fan.panicked)
 	}
 }
 
-// encode is the engine's one encoder call — launch rows, mid-flight
-// admissions and cold prefixes alike: block attention, separate positional
-// encoding, no dense mask.
+// encode is the engine's one encoder call — Concat launch items, mid-flight
+// admissions, cold prefixes and the other schemes' rows alike: block
+// attention, separate positional encoding, no dense mask.
 func (e *Engine) encode(tokens []int, layout model.RowLayout, slots []model.Slot, ws *tensor.Workspace) *tensor.Matrix {
 	return e.Model.EncodeRowWS(tokens, layout, slots, model.AttSlotted, true, ws)
 }
@@ -421,60 +374,23 @@ func (rep *Report) addEncodeWork(layout model.RowLayout, slots []model.Slot) {
 	}
 }
 
-// freezeRowPrefixes runs row ri's staged insert-on-completion jobs.
-func (e *Engine) freezeRowPrefixes(p *Prepared, ri int, enc *tensor.Matrix) {
-	for _, job := range p.inserts {
-		if job.ri == ri {
-			e.freezePrefix(p.Tokens[job.id], job.n, enc, job.start)
-		}
-	}
-}
-
-// freezePrefix offers a cold declared prefix — the first n tokens of seq,
-// just encoded as rows [start, start+n) of launch row enc — to the cache: the
-// rows are copied out, projected into frozen cross K/V and inserted.
-// Best-effort: a failure (over budget, out of device memory) or a concurrent
-// launch that froze it first only means the next identical request may
-// encode cold again.
-func (e *Engine) freezePrefix(seq []int, n int, enc *tensor.Matrix, start int) {
-	if e.PrefixCache == nil || enc == nil || e.PrefixCache.Contains(seq, n) {
-		return
-	}
-	rows := enc.Slice(start, start+n) // deep copy; cache owns it
-	if kv, err := e.Model.BuildPrefixKV(rows); err == nil {
-		e.PrefixCache.Insert(seq, n, rows, kv)
-	}
-}
-
 // slotsForRow converts the batch's physical slot grouping into the model's
-// Slot descriptors over the encoder layout. segCounts[i] is the number of
-// encoder segments item i contributes (2 when a declared prefix splits it,
-// 1 otherwise); the item's segments are consecutive, so its slot span is
-// unchanged by the split — the prefix/suffix isolation happens inside the
-// slot via the layout's segment IDs.
-func (e *Engine) slotsForRow(b *batch.Batch, row batch.Row, layout model.RowLayout, segCounts []int) []model.Slot {
-	groups := b.SlotGroups(row)
+// Slot descriptors over the row's item layout: one slot per group, spanning
+// its items' consecutive segments.
+func slotsForRow(b *batch.Batch, row batch.Row, layout model.RowLayout) []model.Slot {
 	var slots []model.Slot
-	seg, item := 0, 0
-	for _, g := range groups {
-		var s model.Slot
-		first := true
+	seg := 0
+	for _, g := range b.SlotGroups(row) {
+		if len(g) == 0 {
+			continue
+		}
+		s := model.Slot{Start: layout.Segments[seg].Start}
 		for range g {
-			for k := 0; k < segCounts[item]; k++ {
-				sg := layout.Segments[seg]
-				if first {
-					s.Start = sg.Start
-					first = false
-				}
-				s.SegIdx = append(s.SegIdx, seg)
-				s.Len = sg.End() - s.Start
-				seg++
-			}
-			item++
+			s.SegIdx = append(s.SegIdx, seg)
+			s.Len = layout.Segments[seg].End() - s.Start
+			seg++
 		}
-		if !first {
-			slots = append(slots, s)
-		}
+		slots = append(slots, s)
 	}
 	return slots
 }

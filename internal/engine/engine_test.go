@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -146,6 +147,35 @@ func TestRunRejectsInvalidBatch(t *testing.T) {
 	}}
 	if _, err := e.Run(bad, map[int64][]int{1: make([]int, 20)}); err == nil {
 		t.Fatal("invalid batch should fail")
+	}
+}
+
+// Only a Concat launch seats its requests one by one, so only it can resolve
+// and share a declared prefix: Prepare refuses a cold or cached prefix on any
+// other scheme's row, naming the item and the scheme, and accepts both under
+// Concat.
+func TestPrepareRejectsPrefixOnRowSchemes(t *testing.T) {
+	e := testEngine(t, 2)
+	e.PrefixCache = prefixcache.New(0, nil)
+	src := rng.New(9)
+	tokens := map[int64][]int{1: randTokens(src, 6), 2: randTokens(src, 5)}
+	for _, it := range []batch.Item{
+		{ID: 2, Len: 5, PrefixLen: 2},               // cold
+		{ID: 2, Len: 3, PrefixLen: 2, CachedLen: 2}, // hit
+	} {
+		for _, scheme := range []batch.Scheme{batch.Concat, batch.SlottedConcat, batch.Naive, batch.Turbo} {
+			b := &batch.Batch{Scheme: scheme, SlotSize: 8, Rows: []batch.Row{
+				{Items: []batch.Item{{ID: 1, Len: 6}, it}, PadTo: 16},
+			}}
+			p, err := e.Prepare(b, tokens)
+			p.Release()
+			switch {
+			case scheme == batch.Concat && err != nil:
+				t.Fatalf("concat item %+v: %v", it, err)
+			case scheme != batch.Concat && (err == nil || !strings.Contains(err.Error(), "item 2") || !strings.Contains(err.Error(), scheme.String())):
+				t.Fatalf("%v item %+v: error %v, want one naming item 2 and the scheme", scheme, it, err)
+			}
+		}
 	}
 }
 

@@ -1,16 +1,19 @@
 // The engine's fused decode loop. RunPreparedRefill decodes a prepared batch
 // step by step through one BatchDecodeState and treats the launch as a
-// persistent execution context: the moment a segment finishes it is
-// delivered through the hook, its KV state removed from the fused decode
-// state, and its share of the device reservation shrunk (§4.2.2's early
-// memory cleaning, generalized from the post-hoc simulation into the live
-// loop). Between steps the hook is consulted for queued requests that fit
-// the freed token capacity; admitted requests are encoded, inserted into the
-// running state, and decode alongside the survivors. With a hook that never
-// admits anything — what RunPrepared passes — the loop is plain
-// batch-at-a-time decoding: the removals are the ones a skip-finished gather
-// performs implicitly, so outputs are bitwise identical to
-// model.GenerateBatchCached over the same rows (the test oracle).
+// persistent execution context. A Concat launch starts from an empty state
+// and seats its items as the launch's step-0 round, through the same
+// resolve → encode → share → insert path as every later admission round. The
+// moment a segment finishes it is delivered through the hook, its KV state
+// removed from the fused decode state, and its share of the device
+// reservation shrunk (§4.2.2's early memory cleaning, generalized from the
+// post-hoc simulation into the live loop). Between steps the hook is
+// consulted for queued requests that fit the freed token capacity; admitted
+// requests are encoded, inserted into the running state, and decode
+// alongside the survivors. With a hook that never admits anything — what
+// RunPrepared passes — the loop is plain batch-at-a-time decoding: the
+// removals are the ones a skip-finished gather performs implicitly, so
+// outputs are bitwise identical to model.GenerateBatchCached over the same
+// rows (the test oracle).
 package engine
 
 import (
@@ -18,6 +21,7 @@ import (
 	"math"
 	"slices"
 
+	"tcb/internal/batch"
 	"tcb/internal/model"
 	"tcb/internal/tensor"
 	"tcb/internal/vocab"
@@ -105,33 +109,48 @@ func (p *Prepared) growReservation(bytes int64) error {
 }
 
 // RunPreparedRefill executes a staged batch as a persistent execution
-// context under hook (nil = deliver nothing early, admit nothing). Every
-// launch that generates decodes through the one fused KV-cached loop, so
-// Results arrive in retirement order. An encode-only launch (MaxNew = 0)
-// stops after the encode — no decoder state is built, which keeps the cost
-// calibration timing exactly the encoder — and returns one empty Result per
-// item in row order.
+// context under hook (nil = deliver nothing early, admit nothing). A Concat
+// launch seats its items as its step-0 round (launchSeats); the other schemes
+// encode row by row (encodeRows). Every launch that generates decodes through
+// the one fused KV-cached loop, so Results arrive in retirement order. An
+// encode-only launch (MaxNew = 0) stops after the encode — no decoder state is
+// built, which keeps the cost calibration timing exactly the encoder — and
+// returns one empty Result per item in row order.
 func (e *Engine) RunPreparedRefill(p *Prepared, hook RefillHook) (*Report, error) {
 	rep := &Report{}
-	decRows := e.encodeLaunch(p, rep)
-	if e.MaxNew > 0 {
-		if hook == nil {
-			hook = noRefill{}
-		}
-		if err := e.runFusedRefill(p, decRows, hook, rep); err != nil {
+	// One workspace serves every round of the launch: a saturated launch
+	// lives for thousands of them.
+	ws := tensor.NewWorkspace()
+	defer ws.Close()
+	var decRows []model.BatchDecodeRow
+	var launch []seat
+	if p.Batch.Scheme == batch.Concat {
+		var err error
+		if launch, err = e.launchSeats(p); err != nil {
 			return nil, err
 		}
+		e.encodeAdmissions(launch, ws)
+		e.sharePrefixes(launch, rep)
 	} else {
-		n := 0
-		for _, row := range p.rows {
-			n += len(row.Items)
+		decRows = e.encodeRows(p)
+		for ri := range p.rows {
+			rep.addEncodeWork(p.layouts[ri], p.slots[ri])
 		}
-		rep.Results = make([]Result, 0, n)
+	}
+	if e.MaxNew <= 0 {
+		rep.Results = make([]Result, 0, p.Batch.NumItems())
 		for _, row := range p.rows {
 			for _, it := range row.Items {
 				rep.Results = append(rep.Results, Result{ID: it.ID})
 			}
 		}
+		return rep, nil
+	}
+	if hook == nil {
+		hook = noRefill{}
+	}
+	if err := e.runFusedRefill(p, decRows, launch, hook, rep, ws); err != nil {
+		return nil, err
 	}
 	return rep, nil
 }
@@ -155,9 +174,9 @@ type liveSeg struct {
 	output []int
 }
 
-// seat is one admission on its way into a running launch: accepted against
-// the free capacity and the reservation, resolved against the prefix cache
-// and the round, encoded, then inserted.
+// seat is one request on its way into a running launch — a Concat launch's
+// item or a mid-flight admission: resolved against the prefix cache and the
+// round, encoded, then inserted.
 type seat struct {
 	adm Admission
 	// skip is how many leading tokens the seat does not encode: a hit's
@@ -169,45 +188,78 @@ type seat struct {
 	// declared prefix for the round and freezes it.
 	from   int
 	shares bool
-	layout model.RowLayout // encoder layout: prefix | suffix when the seat encodes a declared prefix
-	enc    *tensor.Matrix  // encoder rows; the suffix alone once kv is set
-	kv     *model.PrefixKV // the prefix the seat inherits (nil: enc is the whole request)
+	layout model.RowLayout  // encoder layout: prefix | suffix when the seat encodes a declared prefix
+	segs   [2]model.Segment // layout's segments, held in the seat so a round allocates none
+	enc    *tensor.Matrix   // encoder rows; the suffix alone once kv is set
+	kv     *model.PrefixKV  // the prefix the seat inherits (nil: enc is the whole request)
 }
 
-// encodeLaunch encodes the staged rows in parallel and charges rep with the
-// work. Declared prefixes are frozen as soon as the encode lands — refill
-// launches run long, so making the prefix available early lets admissions
-// from the same family hit the cache mid-flight.
-func (e *Engine) encodeLaunch(p *Prepared, rep *Report) []model.BatchDecodeRow {
-	decRows := e.encodeRows(p)
-	for ri := range p.rows {
-		e.freezeRowPrefixes(p, ri, decRows[ri].EncOut)
-		rep.addEncodeWork(p.encLayouts[ri], p.slots[ri])
+// launchSeats resolves a Concat launch's items, in row order, as the launch's
+// step-0 round. They were validated at Prepare and occupy the reservation it
+// took, so they are never offered to the hook or rejected: a hit whose pin
+// was not held fails the launch instead.
+func (e *Engine) launchSeats(p *Prepared) ([]seat, error) {
+	seated := make([]seat, 0, p.Batch.NumItems())
+	for _, row := range p.rows {
+		for _, it := range row.Items {
+			s := seat{adm: Admission{ID: it.ID, Tokens: p.Tokens[it.ID], PrefixLen: it.PrefixLen, CachedLen: it.CachedLen}, from: -1}
+			if err := e.resolvePrefix(&s, seated); err != nil {
+				return nil, err
+			}
+			seated = append(seated, s)
+		}
 	}
-	return decRows
+	return seated, nil
 }
 
-// runFusedRefill decodes every encoded row's segments together — one GEMM per
-// layer per step across all rows — retiring finished segments and seating
-// admissions between steps. It fills rep's results, refill summary and the
-// admissions' encode-work counters.
-func (e *Engine) runFusedRefill(p *Prepared, decRows []model.BatchDecodeRow, hook RefillHook, rep *Report) error {
+// runFusedRefill decodes every live segment together — one GEMM per layer
+// per step across the whole launch — retiring finished segments and seating
+// admissions between steps. The state starts from the encoded rows decRows
+// (Slotted, Naive, Turbo) or empty, with the encoded Concat launch seats
+// inserted before the first step. It fills rep's results, refill summary and
+// the admissions' encode-work counters.
+func (e *Engine) runFusedRefill(p *Prepared, decRows []model.BatchDecodeRow, launch []seat, hook RefillHook, rep *Report, ws *tensor.Workspace) error {
 	ref := &RefillReport{}
 	rep.Refill = ref
 	if len(p.rows) == 0 {
 		return nil
 	}
-	st := e.Model.NewBatchDecodeStateReserve(decRows, e.MaxNew)
+	st := e.Model.NewBatchDecodeStateCap(decRows, e.MaxNew, len(launch))
 	defer st.Close()
 
-	segs := make([]*liveSeg, 0, st.Segments())
+	segs := make([]*liveSeg, 0, st.Segments()+len(launch))
 	var liveTokens int64
-	for ri, row := range p.rows {
-		for i, it := range row.Items {
-			segs = append(segs, &liveSeg{
-				id: it.ID, cap: p.caps[ri][i], inLen: it.Len, next: vocab.BosID,
-			})
-			liveTokens += int64(it.Len)
+	addSeg := func(id int64, cap, inLen int) {
+		segs = append(segs, &liveSeg{id: id, cap: cap, inLen: inLen, next: vocab.BosID})
+		liveTokens += int64(inLen)
+	}
+	if decRows != nil {
+		for ri, row := range p.rows {
+			for i, it := range row.Items {
+				addSeg(it.ID, p.caps[ri][i], it.Len)
+			}
+		}
+	}
+	// insert seats an encoded round's seat in the state, after every segment
+	// already there, so flat segment order is seating order.
+	insert := func(s seat) error {
+		var err error
+		switch {
+		case s.kv != nil:
+			_, err = st.InsertSegmentPrefix(s.enc, s.kv)
+		case s.skip > 0:
+			err = fmt.Errorf("engine: request %d encoded its suffix only but has no prefix to inherit", s.adm.ID)
+		default:
+			_, err = st.InsertSegment(s.enc)
+		}
+		if err == nil {
+			addSeg(s.adm.ID, e.genCap(len(s.adm.Tokens)), s.adm.Resident())
+		}
+		return err
+	}
+	for _, s := range launch {
+		if err := insert(s); err != nil {
+			return err
 		}
 	}
 	capacityTokens := int64(p.Batch.TotalTokens())
@@ -216,11 +268,8 @@ func (e *Engine) runFusedRefill(p *Prepared, decRows []model.BatchDecodeRow, hoo
 	next := make([]int, 0, len(segs))
 	var finishedIdx []int
 	step := 0
-	// One workspace and one seat list serve every admission round of the
-	// launch: a saturated launch lives for thousands of them.
-	ws := tensor.NewWorkspace()
-	defer ws.Close()
-	var seated []seat
+	// One seat list serves every round of the launch.
+	seated := launch[:0]
 
 	// retire removes segment i from the state and the bookkeeping, shrinks
 	// its share of the reservation, and delivers its result through the hook.
@@ -322,34 +371,18 @@ func (e *Engine) runFusedRefill(p *Prepared, decRows []model.BatchDecodeRow, hoo
 				freeTokens -= adm.Resident()
 				seated = append(seated, s)
 			}
-			// Encode the whole offer side by side — the admission-side mirror
-			// of the launch's row encode — freeze the prefixes the round
-			// encoded, then insert in admission order so the state layout
-			// stays deterministic.
+			// Encode the whole offer side by side, freeze the prefixes the
+			// round encoded, then insert in admission order so the state
+			// layout stays deterministic.
 			e.encodeAdmissions(seated, ws)
 			e.sharePrefixes(seated, rep)
 			for _, s := range seated {
-				adm := s.adm
-				rep.addEncodeWork(s.layout, nil)
-				var err error
-				switch {
-				case s.kv != nil:
-					_, err = st.InsertSegmentPrefix(s.enc, s.kv)
-				case s.skip > 0:
-					err = fmt.Errorf("engine: admission %d encoded its suffix only but has no prefix to inherit", adm.ID)
-				default:
-					_, err = st.InsertSegment(s.enc)
-				}
-				if err != nil {
-					freeTokens += adm.Resident()
-					p.shrinkReservation(int64(adm.Resident()) * e.BytesPerToken)
-					hook.Reject(adm, err)
+				if err := insert(s); err != nil {
+					freeTokens += s.adm.Resident()
+					p.shrinkReservation(int64(s.adm.Resident()) * e.BytesPerToken)
+					hook.Reject(s.adm, err)
 					continue
 				}
-				segs = append(segs, &liveSeg{
-					id: adm.ID, cap: e.genCap(len(adm.Tokens)), inLen: adm.Resident(), next: vocab.BosID,
-				})
-				liveTokens += int64(adm.Resident())
 				if freeSlots > 0 {
 					freeSlots--
 				}
@@ -363,21 +396,17 @@ func (e *Engine) runFusedRefill(p *Prepared, decRows []model.BatchDecodeRow, hoo
 	return nil
 }
 
-// encodeRows encodes every staged row, rows side by side, on workspaces of
-// its own: prepare-stage staging never aliases compute-stage buffers, so a
-// pipelined prepare for batch t+1 cannot stomp batch t's encode. Encoding
-// uses the encoder-side layout (which splits declared prefixes into their own
-// attention segments); the decode-side layout and any inherited prefixes ride
-// along on the BatchDecodeRow.
+// encodeRows encodes every staged row, rows side by side, through the row
+// encoder: the Slotted, Naive and Turbo launches, and the per-row reference
+// the equality tests hold a Concat launch's seats to.
 func (e *Engine) encodeRows(p *Prepared) []model.BatchDecodeRow {
 	decRows := make([]model.BatchDecodeRow, len(p.rows))
 	ws := tensor.NewWorkspace()
 	defer ws.Close()
 	fanOut(len(p.rows), ws, func(ri int, ws *tensor.Workspace) {
 		decRows[ri] = model.BatchDecodeRow{
-			EncOut:   e.encode(p.rowTokens[ri], p.encLayouts[ri], p.slots[ri], ws),
-			Layout:   p.layouts[ri],
-			Prefixes: p.prefixes[ri],
+			EncOut: e.encode(p.rowTokens[ri], p.layouts[ri], p.slots[ri], ws),
+			Layout: p.layouts[ri],
 		}
 	})
 	return decRows
@@ -422,10 +451,12 @@ func (e *Engine) resolvePrefix(s *seat, seated []seat) error {
 // to. A seat that encoded its prefix for the round builds the PrefixKV once
 // from those rows, offers it to the cache and keeps only its suffix rows, so
 // the prefix is projected once; a later seat that declared the same tokens
-// inherits that PrefixKV. rep counts the prefixes resolved without an encode.
+// inherits that PrefixKV. rep is charged with the round's encode and counts
+// the prefixes resolved without one.
 func (e *Engine) sharePrefixes(seated []seat, rep *Report) {
 	for i := range seated {
 		s := &seated[i]
+		rep.addEncodeWork(s.layout, nil)
 		switch {
 		case s.shares:
 			n := s.adm.PrefixLen
@@ -448,22 +479,23 @@ func (e *Engine) sharePrefixes(seated []seat, rep *Report) {
 	}
 }
 
-// encodeAdmissions encodes each seated request as a pad-free row of its own
-// through the same encode the launch rows took, filling in layout and enc.
-// One block per segment makes each result identical, to the bit, to what the
-// request would see inside any batch row, so admitted outputs match the
-// no-refill run of the same request. A seat whose prefix is resolved encodes
-// its suffix only; one that encodes a declared prefix lays out prefix and
-// suffix as two isolated segments, so the prefix rows can be frozen.
+// encodeAdmissions encodes each seated request — launch item or admission —
+// as a pad-free row of its own, filling in layout and enc. One block per
+// segment makes each result identical, to the bit, to what the request would
+// see inside any batch row or served alone. A seat whose prefix is resolved
+// encodes its suffix only; one that encodes a declared prefix lays out prefix
+// and suffix as two isolated segments, so the prefix rows can be frozen.
 func (e *Engine) encodeAdmissions(seated []seat, ws *tensor.Workspace) {
 	fanOut(len(seated), ws, func(i int, ws *tensor.Workspace) {
 		s := &seated[i]
 		tokens := s.adm.Tokens[s.skip:]
-		if n := len(tokens); s.adm.PrefixLen > s.skip {
-			s.layout = model.ConcatLayout([]int{s.adm.PrefixLen, n - s.adm.PrefixLen}, n)
-		} else {
-			s.layout = model.SingleSegment(n, n)
+		n, k := len(tokens), 1
+		s.segs[0] = model.Segment{Len: n}
+		if p := s.adm.PrefixLen - s.skip; p > 0 {
+			s.segs = [2]model.Segment{{Len: p}, {Start: p, Len: n - p}}
+			k = 2
 		}
+		s.layout = model.RowLayout{Segments: s.segs[:k], Total: n}
 		s.enc = e.encode(tokens, s.layout, nil, ws)
 	})
 }

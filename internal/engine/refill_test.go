@@ -338,3 +338,36 @@ func TestEncodeOnlyLaunchOffersNothing(t *testing.T) {
 		}
 	}
 }
+
+// A Concat launch seats its items in row order, so flat segment order is row
+// order across rows: with every generation cap at 0 the segments retire
+// before any step, highest flat index first, and the hook sees the items in
+// reverse row order, each once, with no launch item rejected.
+func TestLaunchSeatsInRowOrder(t *testing.T) {
+	src := rng.New(75)
+	tokens, items := makeRequests(src, 3, 5, 2, 6, 4)
+	b, rest := batch.PackConcat(items, 2, 10)
+	if len(rest) != 0 || len(b.Rows) != 2 {
+		t.Fatalf("pack: %d rows, %d left", len(b.Rows), len(rest))
+	}
+	e := testEngine(t, 4)
+	e.OutputCap = func(int) int { return 0 }
+	p, err := e.Prepare(b, tokens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release()
+	hook := &scriptHook{}
+	if _, err := e.RunPreparedRefill(p, hook); err != nil {
+		t.Fatal(err)
+	}
+	order := b.Items()
+	if len(hook.retired) != len(order) || len(hook.rejected) != 0 {
+		t.Fatalf("retired %d, rejected %d of %d items", len(hook.retired), len(hook.rejected), len(order))
+	}
+	for i, r := range hook.retired {
+		if want := order[len(order)-1-i].ID; r.ID != want {
+			t.Fatalf("retirement %d is item %d, want %d (flat order must be row order)", i, r.ID, want)
+		}
+	}
+}

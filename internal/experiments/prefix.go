@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"tcb/internal/batch"
@@ -50,16 +49,12 @@ func ExtPrefix(opt Options) (*Figure, error) {
 		suffixLen = 8
 		maxNew    = 4
 		poolSize  = 4
-		// Poisson arrivals well above the service rate: the queue stays
-		// saturated and the measurement is steady-state throughput.
-		arrivalRate = 5000.0 // req/s
 	)
 	rounds := int(opt.Duration)
 	if rounds < 1 {
 		rounds = 1
 	}
 	n := B * 64 * rounds
-	backlog := n / 2
 	m := model.New(cfg, opt.Seed+400)
 
 	fig := &Figure{
@@ -81,7 +76,6 @@ func ExtPrefix(opt Options) (*Figure, error) {
 		}
 		reqs := make([][]int, n)
 		decl := make([]int, n)
-		gaps := make([]time.Duration, n)
 		for i := range reqs {
 			prefix := randTokens(src, prefixLen, cfg.VocabSize)
 			if src.Float64() < reuse {
@@ -90,7 +84,6 @@ func ExtPrefix(opt Options) (*Figure, error) {
 			}
 			reqs[i] = append(append(make([]int, 0, prefixLen+suffixLen), prefix...),
 				randTokens(src, suffixLen, cfg.VocabSize)...)
-			gaps[i] = time.Duration(src.Exp(arrivalRate) * float64(time.Second))
 		}
 		// Warmup requests, one per pool prompt: served before the clock
 		// starts so the cached runs measure the steady state (prompts
@@ -135,35 +128,16 @@ func ExtPrefix(opt Options) (*Figure, error) {
 			}
 			chans := make([]<-chan serve.Response, n)
 			start := time.Now()
-			// Saturating backlog queued up front, identical across modes.
-			for i := 0; i < backlog; i++ {
+			// The whole trace is queued up front, identical across modes:
+			// the measurement is the stack's throughput on a saturated
+			// queue, not the pace of an arrival process both sides share.
+			for i := range reqs {
 				ch, err := s.SubmitOpts(reqs[i], time.Hour, serve.SubmitOptions{PrefixLen: decl[i]})
 				if err != nil {
+					s.Stop()
 					return 0, nil, st, fmt.Errorf("submit %d: %w", i, err)
 				}
 				chans[i] = ch
-			}
-			// Feeder: the rest arrive as a Poisson stream from the
-			// pregenerated gap sequence, identical across modes.
-			var feedErr error
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := backlog; i < n; i++ {
-					time.Sleep(gaps[i])
-					ch, err := s.SubmitOpts(reqs[i], time.Hour, serve.SubmitOptions{PrefixLen: decl[i]})
-					if err != nil {
-						feedErr = fmt.Errorf("submit %d: %w", i, err)
-						return
-					}
-					chans[i] = ch
-				}
-			}()
-			wg.Wait()
-			if feedErr != nil {
-				s.Stop()
-				return 0, nil, st, feedErr
 			}
 			s.Drain()
 			wall := time.Since(start).Seconds()

@@ -99,15 +99,17 @@ type batchLayerCache struct {
 // every segment, including ones admitted later through InsertSegment, decodes
 // without growing its cache.
 func (m *Model) NewBatchDecodeStateReserve(rows []BatchDecodeRow, reserve int) *BatchDecodeState {
-	return m.newBatchDecodeState(rows, reserve)
+	return m.NewBatchDecodeStateCap(rows, reserve, 0)
 }
 
-// newBatchDecodeState is NewBatchDecodeState with an explicit KV-cache
-// reservation (rows per segment, clamped to [1, MaxLen]). Stepping past the
-// reservation stays correct — AppendRow grows — but allocates; generation
-// loops pass their exact step bound to keep the warm path allocation-free
-// without reserving MaxLen rows per segment per layer.
-func (m *Model) newBatchDecodeState(rows []BatchDecodeRow, reserve int) *BatchDecodeState {
+// NewBatchDecodeStateCap is NewBatchDecodeStateReserve with room for extra
+// more segments: the first extra InsertSegment calls reuse the step buffers
+// and per-segment tables sized here instead of growing them. The engine seats
+// a Concat launch's items into an empty state sized this way. Stepping past
+// the KV reservation stays correct — AppendRow grows — but allocates;
+// generation loops pass their exact step bound to keep the warm path
+// allocation-free without reserving MaxLen rows per segment per layer.
+func (m *Model) NewBatchDecodeStateCap(rows []BatchDecodeRow, reserve, extra int) *BatchDecodeState {
 	maxLen := m.P.PosEnc.Rows // Step rejects positions beyond this bound
 	if reserve > maxLen {
 		reserve = maxLen
@@ -116,31 +118,32 @@ func (m *Model) newBatchDecodeState(rows []BatchDecodeRow, reserve int) *BatchDe
 		reserve = 1
 	}
 	d := m.Cfg.DModel
-	rowStart := make([]int, len(rows)+1)
+	rowStart := make([]int, len(rows)+1, len(rows)+1+extra)
 	nSeg := 0
 	for r, row := range rows {
 		rowStart[r] = nSeg
 		nSeg += len(row.Layout.Segments)
 	}
 	rowStart[len(rows)] = nSeg
+	segCap := nSeg + extra
 	s := &BatchDecodeState{
 		m:         m,
 		nSeg:      nSeg,
 		reserve:   reserve,
-		segCap:    nSeg,
+		segCap:    segCap,
 		rowStart:  rowStart,
-		prefixLen: make([]int, nSeg),
-		finished:  make([]bool, nSeg),
-		x:         tensor.New(nSeg, d),
-		q:         tensor.New(nSeg, d),
-		attn:      tensor.New(nSeg, d),
-		proj:      tensor.New(nSeg, d),
-		ff:        tensor.New(nSeg, m.Cfg.DFF),
-		logits:    tensor.New(nSeg, m.Cfg.VocabSize),
-		live:      make([]int, 0, nSeg),
-		embIdx:    make([]int, 0, nSeg),
-		posIdx:    make([]int, 0, nSeg),
-		out:       make([][]float32, nSeg),
+		prefixLen: make([]int, nSeg, segCap),
+		finished:  make([]bool, nSeg, segCap),
+		x:         tensor.New(segCap, d),
+		q:         tensor.New(segCap, d),
+		attn:      tensor.New(segCap, d),
+		proj:      tensor.New(segCap, d),
+		ff:        tensor.New(segCap, m.Cfg.DFF),
+		logits:    tensor.New(segCap, m.Cfg.VocabSize),
+		live:      make([]int, 0, segCap),
+		embIdx:    make([]int, 0, segCap),
+		posIdx:    make([]int, 0, segCap),
+		out:       make([][]float32, nSeg, segCap),
 	}
 	scoreLen := maxLen
 	for _, row := range rows {
@@ -154,19 +157,19 @@ func (m *Model) newBatchDecodeState(rows []BatchDecodeRow, reserve int) *BatchDe
 			}
 		}
 	}
-	if nSeg > 0 {
-		s.scores = tensor.New(nSeg, scoreLen)
+	if segCap > 0 {
+		s.scores = tensor.New(segCap, scoreLen)
 	} else {
 		s.scores = tensor.New(1, 1)
 	}
 	for range m.P.Decoder {
 		lc := &batchLayerCache{
-			selfK:  make([]*tensor.Matrix, nSeg),
-			selfV:  make([]*tensor.Matrix, nSeg),
-			crossK: make([]*tensor.Matrix, nSeg),
-			crossV: make([]*tensor.Matrix, nSeg),
-			k:      tensor.New(nSeg, d),
-			v:      tensor.New(nSeg, d),
+			selfK:  make([]*tensor.Matrix, nSeg, segCap),
+			selfV:  make([]*tensor.Matrix, nSeg, segCap),
+			crossK: make([]*tensor.Matrix, nSeg, segCap),
+			crossV: make([]*tensor.Matrix, nSeg, segCap),
+			k:      tensor.New(segCap, d),
+			v:      tensor.New(segCap, d),
 		}
 		for i := 0; i < nSeg; i++ {
 			lc.selfK[i] = s.emptySelfCache()

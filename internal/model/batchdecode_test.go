@@ -259,5 +259,5 @@ func TestBatchDecodePartialFinish(t *testing.T) {
 // NewBatchDecodeState is NewBatchDecodeStateReserve with KV caches reserved
 // for the model's MaxLen bound.
 func (m *Model) NewBatchDecodeState(rows []BatchDecodeRow) *BatchDecodeState {
-	return m.newBatchDecodeState(rows, m.P.PosEnc.Rows)
+	return m.NewBatchDecodeStateReserve(rows, m.P.PosEnc.Rows)
 }

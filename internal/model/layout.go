@@ -32,7 +32,7 @@ func SingleSegment(n, total int) RowLayout {
 // ConcatLayout lays out requests of the given lengths back to back and pads
 // the remainder up to total. It panics if the lengths overflow total.
 func ConcatLayout(lengths []int, total int) RowLayout {
-	layout := RowLayout{Total: total}
+	layout := RowLayout{Segments: make([]Segment, 0, len(lengths)), Total: total}
 	off := 0
 	for _, l := range lengths {
 		if l <= 0 {

@@ -151,7 +151,7 @@ func (m *Model) GenerateRowCached(encOut *tensor.Matrix, encLayout RowLayout, ca
 			maxNew = c
 		}
 	}
-	st := m.newBatchDecodeState([]BatchDecodeRow{{EncOut: encOut, Layout: encLayout}}, maxNew)
+	st := m.NewBatchDecodeStateReserve([]BatchDecodeRow{{EncOut: encOut, Layout: encLayout}}, maxNew)
 	defer st.Close()
 	return greedyDecode(st, caps, maxNew)
 }
@@ -179,7 +179,7 @@ func (m *Model) GenerateBatchCached(rows []BatchDecodeRow, caps [][]int) ([][]Ge
 			}
 		}
 	}
-	st := m.newBatchDecodeState(rows, maxNew)
+	st := m.NewBatchDecodeStateReserve(rows, maxNew)
 	defer st.Close()
 	flat, err := greedyDecode(st, flatCaps, maxNew)
 	if err != nil {
